@@ -1,0 +1,220 @@
+"""Golden gate: CLI invocations and optimizer answers must stay byte-identical.
+
+Each CLI case runs ``cli.main`` in a scratch working directory and records the
+exit code, stdout, stderr and the bytes of ``--out``.  ``optima.json`` holds
+the integer optima for seeded (eta, N_T) pairs spread over the whole domain;
+a one-ulp change in a log-domain kernel flips some of their tie-breaks.
+
+The files are written only for a deliberate output change, which then belongs
+in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+from noonloss import PhotonBudget, n_min_integer, n_tilde_min_integer
+
+from _helpers import run_cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CFG, OUT = "run.cfg", "out.txt"
+
+# name -> (argv, config file text or None)
+CASES = {
+    # constants
+    "constants_text": (["constants"], None),
+    "constants_csv": (["constants", "--format", "csv"], None),
+    "constants_json": (["constants", "--format", "json"], None),
+    "constants_text_out": (["constants", "--out", OUT], None),
+    # precision
+    "precision_text": (["precision", "--n", "2", "--eta", "0.5"], None),
+    "precision_csv_theta": (["precision", "--n", "3", "--loss", "0.1", "--theta-t", "0.37",
+                             "--dphi", "0.02", "--format", "csv"], None),
+    "precision_json_budget": (["precision", "--n", "2", "--eta", "0.5", "--budget", "100",
+                               "--kappa", "1.2", "--format", "json"], None),
+    "precision_degenerate": (["precision", "--n", "2", "--eta", "0.9", "--phi0", "0",
+                              "--format", "csv"], None),
+    "precision_overflow_json_out": (["precision", "--n", "2000", "--eta", "0.5", "--format", "json",
+                                     "--out", OUT], None),
+    "precision_missing_n": (["precision", "--eta", "0.5"], None),
+    "precision_eta_and_loss": (["precision", "--n", "2", "--eta", "0.5", "--loss", "0.5"], None),
+    "precision_no_channel": (["precision", "--n", "2"], None),
+    "precision_eta_out_of_domain": (["precision", "--n", "2", "--eta", "1.5"], None),
+    "precision_kappa_negative": (["precision", "--n", "2", "--eta", "0.5", "--budget", "10",
+                                  "--kappa", "-1"], None),
+    "precision_bad_int_flag": (["precision", "--n", "two", "--eta", "0.5"], None),
+    # sweep presets
+    "sweep_fig2_text": (["sweep", "--fig2", "--loss", "0.5", "--start", "1", "--stop", "20",
+                         "--steps", "20", "--scale", "linear"], None),
+    "sweep_fig2_csv_default_range": (["sweep", "--fig2", "--loss", "0.01", "--format", "csv"], None),
+    "sweep_fig2_lossless": (["sweep", "--fig2", "--eta", "1", "--steps", "30", "--format", "csv"], None),
+    "sweep_fig2_dense_cutoff": (["sweep", "--fig2", "--loss", "1e-4", "--start", "3e6", "--stop", "8e6",
+                                 "--steps", "2000", "--format", "csv"], None),
+    "sweep_fig3_dense_cutoff": (["sweep", "--fig3", "--loss", "1e-4", "--start", "3e6", "--stop", "8e6",
+                                 "--steps", "2000", "--format", "csv"], None),
+    "sweep_fig3_text_overflow": (["sweep", "--fig3", "--loss", "0.99", "--start", "1", "--stop", "400",
+                                  "--steps", "12"], None),
+    "sweep_fig3_json_default_range": (["sweep", "--fig3", "--eta", "0.5", "--format", "json"], None),
+    "sweep_fig3_csv_out": (["sweep", "--fig3", "--eta", "0.7", "--start", "1", "--stop", "20",
+                            "--steps", "20", "--format", "csv", "--out", OUT], None),
+    # generic sweeps
+    "sweep_var_eta_csv": (["sweep", "--var", "eta", "--start", "0.2", "--stop", "1.0", "--steps", "9",
+                           "--n", "3", "--format", "csv"], None),
+    "sweep_var_eta_json_theta": (["sweep", "--var", "eta", "--start", "0.2", "--stop", "1.0",
+                                  "--steps", "5", "--n", "4", "--theta-t", "0.2", "--format", "json"], None),
+    "sweep_var_N_text": (["sweep", "--var", "N", "--eta", "0.9", "--start", "1", "--stop", "12",
+                          "--steps", "12"], None),
+    "sweep_var_N_log_json_phi0": (["sweep", "--var", "N", "--loss", "0.01", "--start", "1", "--stop", "1000",
+                                   "--steps", "15", "--scale", "log", "--phi0", "0.1", "--format", "json"], None),
+    "sweep_var_L_csv": (["sweep", "--var", "L", "--start", "0", "--stop", "0.9", "--steps", "7", "--n", "4",
+                         "--dphi", "0.05", "--format", "csv"], None),
+    "sweep_var_phi0_csv": (["sweep", "--var", "phi0", "--loss", "0.2", "--start", "0", "--stop", "1.5",
+                            "--steps", "6", "--n", "2", "--format", "csv"], None),
+    "sweep_missing_n": (["sweep", "--var", "eta", "--start", "0.2", "--stop", "0.9", "--steps", "5"], None),
+    "sweep_log_from_zero": (["sweep", "--var", "N", "--eta", "0.5", "--start", "0", "--stop", "10",
+                             "--steps", "5", "--scale", "log"], None),
+    "sweep_too_few_steps": (["sweep", "--var", "N", "--eta", "0.5", "--start", "1", "--stop", "10",
+                             "--steps", "1"], None),
+    "sweep_no_mode": (["sweep", "--eta", "0.5"], None),
+    "sweep_missing_start": (["sweep", "--var", "N", "--eta", "0.5", "--stop", "10"], None),
+    "sweep_start_after_stop": (["sweep", "--var", "eta", "--n", "2", "--start", "0.9", "--stop", "0.2"], None),
+    "sweep_var_N_missing_channel": (["sweep", "--var", "N", "--start", "1", "--stop", "10"], None),
+    "sweep_no_photon_numbers": (["sweep", "--fig2", "--eta", "0.5", "--start", "0.1", "--stop", "0.4",
+                                 "--steps", "5", "--scale", "linear"], None),
+    "sweep_fig2_eta_zero": (["sweep", "--fig2", "--eta", "0"], None),
+    "sweep_fig_and_var": (["sweep", "--fig2", "--var", "eta"], None),
+    # optimize
+    "optimize_text": (["optimize", "--loss", "0.01"], None),
+    "optimize_json_large_loss": (["optimize", "--eta", "0.1", "--format", "json"], None),
+    "optimize_capped": (["optimize", "--loss", "1e-12", "--format", "json"], None),
+    "optimize_n_cap": (["optimize", "--loss", "1e-3", "--n-cap", "100", "--format", "json"], None),
+    "optimize_n_cap_zero": (["optimize", "--loss", "0.1", "--n-cap", "0"], None),
+    "optimize_budget_text": (["optimize", "--eta", "0.9999", "--budget", "1000000"], None),
+    "optimize_budget_lossless_json": (["optimize", "--eta", "1", "--budget", "50", "--format", "json"], None),
+    "optimize_budget_kappa_csv": (["optimize", "--loss", "0.3", "--budget", "1000", "--kappa", "2",
+                                   "--format", "csv"], None),
+    "optimize_lossless_no_budget": (["optimize", "--eta", "1"], None),
+    # budget
+    "budget_text": (["budget", "--eta", "0.5", "--budget", "100"], None),
+    "budget_json_fixed_n": (["budget", "--loss", "0.01", "--budget", "10000", "--n", "50", "--kappa", "1.2",
+                             "--format", "json"], None),
+    "budget_missing_budget": (["budget", "--eta", "0.5"], None),
+    "budget_n_over_budget": (["budget", "--eta", "0.5", "--budget", "10", "--n", "11"], None),
+    # verify
+    "verify_text": (["verify"], None),
+    "verify_fast_json": (["verify", "--grid", "fast", "--format", "json"], None),
+    "verify_seed_csv": (["verify", "--grid", "fast", "--seed", "7", "--format", "csv"], None),
+    "verify_corrupt_text": (["verify", "--grid", "fast", "--corrupt-prefactor"], None),
+    "verify_corrupt_json_out": (["verify", "--max-n", "3", "--corrupt-prefactor", "--format", "json",
+                                 "--out", OUT], None),
+    "verify_max_n_too_big": (["verify", "--max-n", "65"], None),
+    "verify_bad_grid_flag": (["verify", "--grid", "bogus"], None),
+    # config files
+    "config_values": (["sweep", "--fig3", "--eta", "0.5", "--config", CFG],
+                      "steps = 7\nformat = json\nstart = 1\nstop = 100\nscale = linear  # inline\n# comment\n"),
+    "config_flag_wins": (["sweep", "--fig3", "--eta", "0.5", "--steps", "5", "--format", "csv",
+                          "--config", CFG],
+                         "steps = 7\nformat = json\nstart = 1\nstop = 100\nscale = linear\n"),
+    "config_point_defaults": (["precision", "--config", CFG],
+                              "n = 3\neta = 0.8\ntheta-t = 0.1\ndphi = 0.02\nkappa = 1.5\nbudget = 300\n"
+                              "FORMAT = json\n"),
+    "config_verify": (["verify", "--config", CFG], "grid = fast\nmax_n = 3\nseed = 2\nformat = csv\n"),
+    "config_optimize_out": (["optimize", "--config", CFG], "loss = 1e-3\nn_cap = 50\nformat = json\nout = out.txt\n"),
+    "config_unknown_key": (["constants", "--config", CFG], "colour = blue\nformat = csv\n"),
+    "config_flag_only_key": (["sweep", "--eta", "0.5", "--start", "1", "--stop", "10", "--steps", "3",
+                              "--config", CFG], "fig2 = 1\n"),
+    "config_malformed_line": (["constants", "--config", CFG], "format = csv\nsteps 7\n"),
+    "config_bad_int": (["sweep", "--fig3", "--eta", "0.5", "--config", CFG], "steps = seven\n"),
+    "config_bad_value_under_flag": (["sweep", "--fig3", "--eta", "0.5", "--start", "1", "--stop", "9",
+                                     "--steps", "4", "--config", CFG], "steps = seven\n"),
+    "config_missing_file": (["constants", "--config", "missing.cfg"], None),
+    # argparse
+    "no_subcommand": ([], None),
+    "unknown_flag": (["constants", "--bogus"], None),
+    "help_sweep": (["sweep", "--help"], None),
+    "help_verify": (["verify", "--help"], None),
+}
+
+
+def run_case(argv, config, workdir):
+    """(exit code, stdout, stderr, --out text or None) of one case run in ``workdir``."""
+    if config is not None:
+        (workdir / CFG).write_text(config, encoding="utf-8")
+    code, out, err = run_cli(*argv)
+    target = workdir / OUT
+    written = target.read_bytes().decode("utf-8") if target.exists() else None
+    return {"argv": argv, "config": config, "exit": code, "stdout": out, "stderr": err, "out": written}
+
+
+def optima_inputs(count=2000, seed=2006):
+    """Seeded (eta, N_T) pairs: loss log-uniform in [1e-10, 0.99], N_T in [10, 1e15]."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        loss = 10.0 ** rng.uniform(-10.0, math.log10(0.99))
+        n_total = int(10.0 ** rng.uniform(1.0, 15.0))
+        pairs.append((1.0 - loss, n_total))
+    return pairs
+
+
+def optima_rows():
+    return [[eta, nt, n_min_integer(eta).n_star, n_tilde_min_integer(eta, PhotonBudget(nt))]
+            for eta, nt in optima_inputs()]
+
+
+@pytest.fixture(scope="module")
+def golden_cli():
+    return json.loads((GOLDEN / "cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
+    return tmp_path
+
+
+def test_golden_covers_every_case(golden_cli):
+    assert sorted(golden_cli) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_case_is_byte_identical(name, golden_cli, workdir):
+    argv, config = CASES[name]
+    assert run_case(argv, config, workdir) == golden_cli[name]
+
+
+def test_optima_are_identical():
+    want = json.loads((GOLDEN / "optima.json").read_text(encoding="utf-8"))
+    assert optima_rows() == want
+
+
+def _write_golden():
+    import os
+    import tempfile
+
+    os.environ["COLUMNS"] = "80"
+    GOLDEN.mkdir(exist_ok=True)
+    home = os.getcwd()
+    results = {}
+    try:
+        for name, (argv, config) in CASES.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                os.chdir(tmp)
+                results[name] = run_case(argv, config, Path(tmp))
+                os.chdir(home)
+    finally:
+        os.chdir(home)
+    (GOLDEN / "cli.json").write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    (GOLDEN / "optima.json").write_text(
+        "[\n" + ",\n".join(json.dumps(row) for row in optima_rows()) + "\n]\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _write_golden()

@@ -56,6 +56,11 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _log_half_1p_exp(a: float) -> float:
+    """ln((e**a + 1)/2) for any a >= 0, without overflow."""
+    return a + math.log1p(math.exp(-a)) - _LN2
+
+
 def _inv_eta_pow(n: float, eta: float) -> float:
     """eta**(-n), evaluated through the exponent when it is large; may be inf."""
     a = -n * math.log(eta)
@@ -223,7 +228,7 @@ def log_min_phase_opt_continuous(n: float, eta: float) -> float:
         raise ValueError(f"photon number must be positive, got {n!r}")
     _validate_eta(eta)
     a = -n * math.log(eta)
-    return 0.5 * (a + math.log1p(math.exp(-a)) - _LN2) - math.log(n)
+    return 0.5 * _log_half_1p_exp(a) - math.log(n)
 
 
 def log_min_phase_opt(probe: NoonProbe, eta: float) -> float:

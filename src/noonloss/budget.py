@@ -11,8 +11,8 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analytics import _exp_or_inf, _validate_eta
-from .roots import bisect_root, expand_upper
+from .analytics import _LOG_DOMAIN_CUTOFF, _exp_or_inf, _log_half_1p_exp, _validate_eta
+from .roots import bisect_root, expand_upper, integer_argmin
 
 __all__ = [
     "PhotonBudget",
@@ -27,9 +27,6 @@ __all__ = [
     "l_tilde_critical",
     "d_rnoon_dN_largeloss",
 ]
-
-_LN2 = math.log(2.0)
-_LOG_DOMAIN_CUTOFF = 500.0
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,7 @@ def noon_precision_budgeted(n: int, b: PhotonBudget, eta: float) -> float:
     _validate_eta(eta)
     a = -n * math.log(eta)
     if a > _LOG_DOMAIN_CUTOFF:
-        log_value = 0.5 * (a + math.log1p(math.exp(-a)) - _LN2) - 0.5 * math.log(n * b.n_total)
-        return _exp_or_inf(log_value)
+        return _exp_or_inf(0.5 * _log_half_1p_exp(a) - 0.5 * math.log(n * b.n_total))
     return math.sqrt(0.5 * (eta ** -n + 1.0)) / math.sqrt(n * b.n_total)
 
 
@@ -151,15 +147,7 @@ def n_tilde_min_integer(eta: float, b: PhotonBudget) -> int:
     hi = expand_upper(slope, lo, 1.0)
     root = bisect_root(slope, lo, hi, tol=1e-12)
 
-    candidates = sorted({
-        min(max(1, math.floor(root)), b.n_total),
-        min(max(1, math.ceil(root)), b.n_total),
-    })
-    if len(candidates) == 1:
-        return candidates[0]
-    f_small = log_r_noon(candidates[0], eta)
-    f_large = log_r_noon(candidates[1], eta)
-    return candidates[1] if f_large < f_small - 1e-15 else candidates[0]
+    return integer_argmin(root, b.n_total, lambda n: log_r_noon(n, eta))
 
 
 def d_rnoon_dN_largeloss(n: float, eta: float) -> float:

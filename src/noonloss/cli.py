@@ -11,7 +11,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class SweepSpec:
     stop: float
     steps: int
     scale: str = "linear"
-    fixed: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
@@ -162,7 +161,7 @@ def _point_columns(n: int, eta: float, theta_t: float, phi0: float | None, dphi:
     probe = NoonProbe(n)
     phi = _optimal_phi0(n, theta_t) if phi0 is None else phi0
     report = analytics.precision_report(probe, ch, OperatingPoint(phi, dphi))
-    return report, analytics.min_phase_opt(probe, eta)
+    return phi, report, analytics.min_phase_opt(probe, eta)
 
 
 def _fig2_rows(eta: float, ns: list) -> list[list]:
@@ -177,12 +176,15 @@ def _fig3_rows(eta: float, ns: list) -> list[list]:
 # verification grid
 
 def run_verification(max_n: int = 12, etas=DENSE_ETAS, thetas=DENSE_THETAS,
-                     phases: int = 16, extra_random: int = 0, seed=None) -> tuple[float, int]:
+                     phases: int = 16, extra_random: int = 0, seed=None,
+                     prefactor_scale: float = 1.0) -> tuple[float, int]:
     """Compare oracle moments against the closed forms over a grid.
 
     Returns the maximum absolute deviation over means and variances, and the
     number of grid points checked.  ``extra_random`` adds that many randomly
     drawn (eta, theta_t, phi) cases per photon number when a seed is given.
+    ``prefactor_scale`` = s scales the oracle's detection operator (mean by s,
+    variance by s**2), so that the verify sentinel can prove the check bites.
     """
     rng = random.Random(seed)
     max_dev = 0.0
@@ -197,6 +199,7 @@ def run_verification(max_n: int = 12, etas=DENSE_ETAS, thetas=DENSE_THETAS,
         for eta, theta, phi in cases:
             ch = LossChannel(eta, theta)
             mean_o, var_o = fock_oracle.oracle_moments(n, ch, phi)
+            mean_o, var_o = prefactor_scale * mean_o, prefactor_scale ** 2 * var_o
             dev = max(abs(mean_o - analytics.mean_detection(probe, ch, phi)),
                       abs(var_o - analytics.variance_detection(probe, ch, phi)))
             max_dev = max(max_dev, dev)
@@ -221,26 +224,34 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_COERCE = {
-    "steps": int, "seed": int, "max_n": int, "budget": int, "n": int, "n_cap": int,
-    "start": float, "stop": float, "eta": float, "loss": float,
-    "theta_t": float, "phi0": float, "dphi": float, "kappa": float,
-    "format": str, "scale": str, "grid": str, "var": str, "out": str,
-}
+def _apply_config(parser: argparse.ArgumentParser, argv, args: argparse.Namespace) -> argparse.Namespace:
+    """Parse ``argv`` again with the config file's values as the subcommand's
+    defaults, so that flags win.
 
-
-def _apply_config(args: argparse.Namespace) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    for key, raw in _read_config(path).items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue  # flags override the file
-        coerce = _CONFIG_COERCE.get(key, str)
+    Each value is converted and choice-checked by its option's own argparse
+    action; unknown keys and flag-only options are ignored.  A bad value is
+    an error only where no flag overrides it.
+    """
+    actions = {action.dest: action for action in args.subparser._actions if action.nargs != 0}
+    defaults = {}
+    for key, raw in _read_config(args.config).items():
+        if key not in actions:
+            continue
+        action = actions[key]
         try:
-            setattr(args, key, coerce(raw))
+            value = action.type(raw) if action.type else raw
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                raise ValueError(f"invalid choice: {raw!r} (choose from {choices})")
         except ValueError as exc:
-            raise UsageError(f"config key {key}: {exc}") from exc
+            value = UsageError(f"config key {key}: {exc}")
+        defaults[key] = value
+    args.subparser.set_defaults(**defaults)
+    args = parser.parse_args(argv)
+    for key in defaults:
+        if isinstance(getattr(args, key), UsageError):
+            raise getattr(args, key)
+    return args
 
 
 def _resolve_eta(args: argparse.Namespace) -> float:
@@ -249,10 +260,6 @@ def _resolve_eta(args: argparse.Namespace) -> float:
     if args.eta is not None:
         return args.eta
     return 1.0 - args.loss
-
-
-def _fmt(args: argparse.Namespace) -> str:
-    return args.format if args.format is not None else "text"
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +294,13 @@ def cmd_constants(args: argparse.Namespace) -> int:
         "L_tilde_c_residual": abs(eta_tc ** 2 + 2.0 * eta_tc - 1.0),
     }
 
-    if _fmt(args) == "text" and not args.out:
+    if args.format == "text" and not args.out:
         for name, value in values.items():
             res = residuals[name + "_residual"]
             sys.stdout.write(f"{name:<10} ≈ {value:.9g}   (residual {res:.2e})\n")
         return EXIT_OK
     table = Table(list(values) + list(residuals), [list(values.values()) + list(residuals.values())])
-    emit(table, _fmt(args), args.out)
+    emit(table, args.format, args.out)
     return EXIT_OK
 
 
@@ -301,94 +308,72 @@ def cmd_precision(args: argparse.Namespace) -> int:
     eta = _resolve_eta(args)
     if args.n is None:
         raise UsageError("--n is required")
-    theta_t = args.theta_t if args.theta_t is not None else 0.0
-    dphi = args.dphi if args.dphi is not None else 0.01
-    report, mp_opt = _point_columns(args.n, eta, theta_t, args.phi0, dphi)
-    phi0 = _optimal_phi0(args.n, theta_t) if args.phi0 is None else args.phi0
+    phi0, report, mp_opt = _point_columns(args.n, eta, args.theta_t, args.phi0, args.dphi)
 
     columns = ["n", "eta", "loss", "theta_t", "phi0", "delta_phi", "mean", "variance",
                "snr", "degenerate", "min_phase", "log_min_phase", "min_phase_opt"]
-    row = [args.n, eta, 1.0 - eta, theta_t, phi0, dphi, report.mean, report.variance,
+    row = [args.n, eta, 1.0 - eta, args.theta_t, phi0, args.dphi, report.mean, report.variance,
            report.snr, report.degenerate, report.min_phase, report.log_min_phase, mp_opt]
 
     if args.budget is not None:
-        b = budget.PhotonBudget(args.budget, args.kappa if args.kappa is not None else 1.0)
+        b = budget.PhotonBudget(args.budget, args.kappa)
         columns += ["n_total", "kappa", "m_nearest", "delta_phi_noon", "delta_phi_un", "r_noon"]
         row += [b.n_total, b.kappa, round(b.n_total / args.n),
                 budget.noon_precision_budgeted(args.n, b, eta),
                 budget.unentangled_precision(b, eta),
                 budget.r_noon(args.n, eta)]
 
-    emit(Table(columns, [row]), _fmt(args), args.out)
+    emit(Table(columns, [row]), args.format, args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    theta_t = args.theta_t if args.theta_t is not None else 0.0
-    dphi = args.dphi if args.dphi is not None else 0.01
-
     if args.fig2 or args.fig3:
         eta = _resolve_eta(args)
         LossChannel(eta)  # domain check up front
         loss = 1.0 - eta
         const = optimal_search.solve_nu() if args.fig2 else budget.solve_nu_tilde()
         stop_default = max(1000.0, 10.0 * const / loss) if loss > 0 else 1e4
+        var = "N"
         start = args.start if args.start is not None else 1.0
         stop = args.stop if args.stop is not None else stop_default
         steps = args.steps if args.steps is not None else 200
         scale = args.scale
         if scale is None:
             scale = "log" if start > 0 and stop / start > 100 else "linear"
-        spec = SweepSpec("N", start, stop, steps, scale)
-        ns = spec.grid()
-        if not ns:
-            raise UsageError("sweep range contains no photon numbers >= 1")
-        if args.fig2:
-            table = Table(["N", "delta_phi_min", "sql_reference"], _fig2_rows(eta, ns),
-                          json_object_if_single=False)
-        else:
-            table = Table(["N", "R_NOON"], _fig3_rows(eta, ns), json_object_if_single=False)
-        emit(table, _fmt(args), args.out)
-        return EXIT_OK
-
-    if args.var is None:
-        raise UsageError("one of --fig2, --fig3, or --var is required")
-    if args.start is None or args.stop is None:
-        raise UsageError("--start and --stop are required for generic sweeps")
-    steps = args.steps if args.steps is not None else 100
-    scale = args.scale if args.scale is not None else "linear"
-
-    var = args.var
-    fixed: dict = {"theta_t": theta_t, "dphi": dphi}
-    if var in ("eta", "L", "phi0"):
-        if args.n is None:
+    else:
+        if args.var is None:
+            raise UsageError("one of --fig2, --fig3, or --var is required")
+        if args.start is None or args.stop is None:
+            raise UsageError("--start and --stop are required for generic sweeps")
+        var, start, stop = args.var, args.start, args.stop
+        steps = args.steps if args.steps is not None else 100
+        scale = args.scale if args.scale is not None else "linear"
+        if var != "N" and args.n is None:
             raise UsageError(f"--n is required when sweeping {var}")
-        fixed["n"] = args.n
-    if var in ("N", "phi0"):
-        fixed["eta"] = _resolve_eta(args)
-    if var != "phi0":
-        fixed["phi0"] = args.phi0
+        eta = _resolve_eta(args) if var in ("N", "phi0") else None
 
-    spec = SweepSpec(var, args.start, args.stop, steps, scale, fixed)
-    grid = spec.grid()
+    grid = SweepSpec(var, start, stop, steps, scale).grid()
     if not grid:
         raise UsageError("sweep range contains no photon numbers >= 1")
-    rows = []
-    for value in grid:
-        if var == "N":
-            n, eta, phi0 = value, fixed["eta"], fixed.get("phi0")
-        elif var == "eta":
-            n, eta, phi0 = fixed["n"], value, fixed.get("phi0")
-        elif var == "L":
-            n, eta, phi0 = fixed["n"], 1.0 - value, fixed.get("phi0")
-        else:
-            n, eta, phi0 = fixed["n"], fixed["eta"], value
-        report, mp_opt = _point_columns(n, eta, theta_t, phi0, dphi)
-        rows.append([value, report.mean, report.variance, report.snr, report.min_phase, mp_opt])
-
-    emit(Table([var, "mean", "variance", "snr", "min_phase", "min_phase_opt"], rows,
-               json_object_if_single=False),
-         _fmt(args), args.out)
+    if args.fig2:
+        columns, rows = ["N", "delta_phi_min", "sql_reference"], _fig2_rows(eta, grid)
+    elif args.fig3:
+        columns, rows = ["N", "R_NOON"], _fig3_rows(eta, grid)
+    else:
+        columns, rows = [var, "mean", "variance", "snr", "min_phase", "min_phase_opt"], []
+        for value in grid:
+            if var == "N":
+                n, point_eta, phi0 = value, eta, args.phi0
+            elif var == "eta":
+                n, point_eta, phi0 = args.n, value, args.phi0
+            elif var == "L":
+                n, point_eta, phi0 = args.n, 1.0 - value, args.phi0
+            else:
+                n, point_eta, phi0 = args.n, eta, value
+            _, report, mp_opt = _point_columns(n, point_eta, args.theta_t, phi0, args.dphi)
+            rows.append([value, report.mean, report.variance, report.snr, report.min_phase, mp_opt])
+    emit(Table(columns, rows, json_object_if_single=False), args.format, args.out)
     return EXIT_OK
 
 
@@ -397,8 +382,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     loss = 1.0 - eta
 
     if args.budget is None:
-        n_cap = args.n_cap if args.n_cap is not None else optimal_search.DEFAULT_N_CAP
-        res = optimal_search.n_min_integer(eta, n_cap)
+        res = optimal_search.n_min_integer(eta, args.n_cap)
         regime = "L > L_c: precision nondecreasing in N" if loss > optimal_search.loss_critical() \
             else "L < L_c: interior optimum"
         columns = ["eta", "loss", "n_star", "precision_at_opt", "continuous_n",
@@ -408,10 +392,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                (res.asymptotic_n - res.n_star) / res.n_star,
                (res.asymptotic_precision - res.precision_at_opt) / res.precision_at_opt,
                regime]
-        emit(Table(columns, [row]), _fmt(args), args.out)
+        emit(Table(columns, [row]), args.format, args.out)
         return EXIT_OK
 
-    b = budget.PhotonBudget(args.budget, args.kappa if args.kappa is not None else 1.0)
+    b = budget.PhotonBudget(args.budget, args.kappa)
     n_tilde = budget.n_tilde_min_integer(eta, b)
     precision = budget.noon_precision_budgeted(n_tilde, b, eta)
     regime = "L > L_tilde_c: R_NOON increasing in N" if loss > budget.l_tilde_critical() \
@@ -424,7 +408,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         asym_p = budget.mu_tilde() * math.sqrt(loss / b.n_total)
         columns += ["asymptotic_n_tilde", "asymptotic_precision", "n_tilde_rel_dev"]
         row += [asym_n, asym_p, (asym_n - n_tilde) / n_tilde]
-    emit(Table(columns, [row]), _fmt(args), args.out)
+    emit(Table(columns, [row]), args.format, args.out)
     return EXIT_OK
 
 
@@ -432,7 +416,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
     eta = _resolve_eta(args)
     if args.budget is None:
         raise UsageError("--budget is required")
-    b = budget.PhotonBudget(args.budget, args.kappa if args.kappa is not None else 1.0)
+    b = budget.PhotonBudget(args.budget, args.kappa)
     n_tilde = budget.n_tilde_min_integer(eta, b)
     n = args.n if args.n is not None else n_tilde
     dp_noon = budget.noon_precision_budgeted(n, b, eta)
@@ -442,40 +426,33 @@ def cmd_budget(args: argparse.Namespace) -> int:
                "delta_phi_noon", "delta_phi_un", "r_noon", "precision_ratio"]
     row = [eta, 1.0 - eta, b.n_total, b.kappa, n, round(b.n_total / n), n_tilde,
            dp_noon, dp_un, r, dp_noon / dp_un]
-    emit(Table(columns, [row]), _fmt(args), args.out)
+    emit(Table(columns, [row]), args.format, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    max_n = args.max_n if args.max_n is not None else 12
+    max_n = args.max_n
     if not 1 <= max_n <= fock_oracle.MAX_PHOTONS:
         raise UsageError(f"--max-n must be in [1, {fock_oracle.MAX_PHOTONS}]")
-    grid = args.grid if args.grid is not None else "dense"
-    if grid not in ("dense", "fast"):
-        raise UsageError("--grid must be 'dense' or 'fast'")
 
-    if grid == "dense":
+    if args.grid == "dense":
         etas, thetas, phases = DENSE_ETAS, DENSE_THETAS, 16
     else:
         etas, thetas, phases = FAST_ETAS, (0.0,), 8
         max_n = min(max_n, 6)
 
-    if args.corrupt_prefactor:
-        fock_oracle._prefactor_scale = 1.001
-    try:
-        max_dev, points = run_verification(
-            max_n=max_n, etas=etas, thetas=thetas, phases=phases,
-            extra_random=5 if args.seed is not None else 0, seed=args.seed)
-    finally:
-        fock_oracle._prefactor_scale = 1.0
+    max_dev, points = run_verification(
+        max_n=max_n, etas=etas, thetas=thetas, phases=phases,
+        extra_random=5 if args.seed is not None else 0, seed=args.seed,
+        prefactor_scale=1.001 if args.corrupt_prefactor else 1.0)
 
     passed = max_dev <= VERIFY_TOL
     table = Table(
         ["max_n", "grid", "points", "max_abs_deviation", "tolerance", "passed"],
-        [[max_n, grid, points, max_dev, VERIFY_TOL, int(passed)]],
+        [[max_n, args.grid, points, max_dev, VERIFY_TOL, int(passed)]],
     )
-    emit(table, _fmt(args), args.out)
-    if _fmt(args) == "text" and not args.out:
+    emit(table, args.format, args.out)
+    if args.format == "text" and not args.out:
         sys.stdout.write("PASS\n" if passed else "FAIL\n")
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
@@ -484,17 +461,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "csv", "json"), default=None,
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text",
                    help="output format (default text)")
     p.add_argument("--out", default=None, metavar="FILE", help="write output to FILE instead of stdout")
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value file providing defaults; flags win")
+    p.set_defaults(subparser=p)
 
 
 def _add_channel(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, default=None, help="intensity transmissivity, 0 < eta <= 1")
     p.add_argument("--loss", type=float, default=None, help="loss L = 1 - eta, 0 <= L < 1")
-    p.add_argument("--theta-t", type=float, default=None, dest="theta_t",
+    p.add_argument("--theta-t", type=float, default=0.0, dest="theta_t",
                    help="transmission phase (default 0, pure loss)")
 
 
@@ -514,10 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="photons per NOON state")
     p.add_argument("--phi0", type=float, default=None,
                    help="operating phase (default: the optimal pi/(2N) - theta_t)")
-    p.add_argument("--dphi", type=float, default=None, help="phase change to detect (default 0.01)")
+    p.add_argument("--dphi", type=float, default=0.01, help="phase change to detect (default 0.01)")
     p.add_argument("--budget", type=int, default=None, metavar="N_T",
                    help="also compare against an N_T photon budget")
-    p.add_argument("--kappa", type=float, default=None, help="baseline constant (default 1)")
+    p.add_argument("--kappa", type=float, default=1.0, help="baseline constant (default 1)")
     _add_common(p)
     p.set_defaults(handler=cmd_precision)
 
@@ -534,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel(p)
     p.add_argument("--n", type=int, default=None, help="fixed N for eta/L/phi0 sweeps")
     p.add_argument("--phi0", type=float, default=None, help="fixed operating phase")
-    p.add_argument("--dphi", type=float, default=None, help="phase change for the snr column")
+    p.add_argument("--dphi", type=float, default=0.01, help="phase change for the snr column")
     _add_common(p)
     p.set_defaults(handler=cmd_sweep)
 
@@ -542,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel(p)
     p.add_argument("--budget", type=int, default=None, metavar="N_T",
                    help="optimize the budgeted ratio R_NOON instead")
-    p.add_argument("--kappa", type=float, default=None, help="baseline constant (default 1)")
-    p.add_argument("--n-cap", type=int, default=None, dest="n_cap",
+    p.add_argument("--kappa", type=float, default=1.0, help="baseline constant (default 1)")
+    p.add_argument("--n-cap", type=int, default=optimal_search.DEFAULT_N_CAP, dest="n_cap",
                    help="search bound on N (default 10^9)")
     _add_common(p)
     p.set_defaults(handler=cmd_optimize)
@@ -551,16 +529,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("budget", help="budgeted NOON precision vs the unentangled baseline")
     _add_channel(p)
     p.add_argument("--budget", type=int, default=None, metavar="N_T", help="total photon budget")
-    p.add_argument("--kappa", type=float, default=None, help="baseline constant (default 1)")
+    p.add_argument("--kappa", type=float, default=1.0, help="baseline constant (default 1)")
     p.add_argument("--n", type=int, default=None,
                    help="photons per state (default: the optimal N_tilde)")
     _add_common(p)
     p.set_defaults(handler=cmd_budget)
 
     p = sub.add_parser("verify", help="check closed forms against the Fock-basis oracle")
-    p.add_argument("--max-n", type=int, default=None, dest="max_n",
+    p.add_argument("--max-n", type=int, default=12, dest="max_n",
                    help=f"largest photon number checked (<= {fock_oracle.MAX_PHOTONS}, default 12)")
-    p.add_argument("--grid", choices=("dense", "fast"), default=None)
+    p.add_argument("--grid", choices=("dense", "fast"), default="dense")
     p.add_argument("--seed", type=int, default=None,
                    help="add randomly drawn channel/phase cases per N")
     p.add_argument("--corrupt-prefactor", action="store_true", help=argparse.SUPPRESS)
@@ -577,7 +555,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config(args)
+        if args.config:
+            args = _apply_config(parser, argv, args)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,10 +35,6 @@ MAX_PHOTONS = 64
 # Amplitudes below this magnitude are dropped to keep the support finite.
 _SUPPORT_EPS = 1e-300
 
-# Test hook: the CLI verify command's sentinel scales the detection operator
-# by this factor to prove the closed-form comparison actually bites.
-_prefactor_scale = 1.0
-
 
 class Occupation(NamedTuple):
     n_a: int
@@ -147,9 +143,6 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
             if coeff != 0:
                 out[Occupation(n, 0, 0)] += amp * coeff
 
-    scale = _prefactor_scale
-    if scale != 1.0:
-        out = {occ: a * scale for occ, a in out.items()}
     return FockKet(dict(out), photon_cap=n)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import analytics
-from .roots import bisect_root, expand_upper
+from .roots import bisect_root, expand_upper, integer_argmin
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -103,17 +103,7 @@ def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
     hi = expand_upper(slope, lo, 1.0)
     root = bisect_root(slope, lo, hi, tol=_ROOT_TOL)
 
-    candidates = sorted({
-        min(max(1, math.floor(root)), n_cap),
-        min(max(1, math.ceil(root)), n_cap),
-    })
-    best = candidates[0]
-    if len(candidates) == 2:
-        f_small = analytics.log_min_phase_opt_continuous(candidates[0], eta)
-        f_large = analytics.log_min_phase_opt_continuous(candidates[1], eta)
-        # a tie within 1e-15 keeps the smaller N: cheaper state preparation
-        if f_large < f_small - 1e-15:
-            best = candidates[1]
+    best = integer_argmin(root, n_cap, lambda n: analytics.log_min_phase_opt_continuous(n, eta))
 
     loss = 1.0 - eta
     nu = solve_nu()

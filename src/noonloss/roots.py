@@ -1,7 +1,9 @@
 """Bracketed bisection for the transcendental equations behind the
-optimal-photon-number searches."""
+optimal-photon-number searches, and the integer step that ends each search."""
 
-__all__ = ["bisect_root", "expand_upper"]
+import math
+
+__all__ = ["bisect_root", "expand_upper", "integer_argmin"]
 
 
 def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 200) -> float:
@@ -44,3 +46,16 @@ def expand_upper(f, lo: float, hi0: float = 1.0, *, factor: float = 2.0, max_dou
             return hi
         hi *= factor
     raise RuntimeError("could not bracket a sign change")
+
+
+def integer_argmin(root: float, cap: int, log_objective) -> int:
+    """The better of floor(root) and ceil(root), each clamped to [1, cap],
+    by ``log_objective``.  A tie within 1e-15 keeps the smaller N, which is
+    cheaper to prepare.
+    """
+    small = min(max(1, math.floor(root)), cap)
+    large = min(max(1, math.ceil(root)), cap)
+    if small == large:
+        return small
+    f_small = log_objective(small)
+    return large if log_objective(large) < f_small - 1e-15 else small

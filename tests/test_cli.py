@@ -7,6 +7,7 @@ import pytest
 
 import noonloss
 from noonloss import fock_oracle
+from noonloss.analytics import LossChannel
 from noonloss.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, SweepSpec
 
 from _helpers import parse_csv, run_cli
@@ -219,7 +220,22 @@ def test_verify_corrupted_prefactor_fails():
     code, out, _ = run_cli("verify", "--grid", "fast", "--corrupt-prefactor", "--format", "json")
     assert code == EXIT_VERIFY_FAIL
     assert json.loads(out)["passed"] == 0
-    assert fock_oracle._prefactor_scale == 1.0  # hook restored
+
+
+def test_verify_corrupt_prefactor_does_not_leak(monkeypatch):
+    # a direct oracle call made while the sentinel runs must see the true operator
+    original = fock_oracle.oracle_moments
+    direct = []
+
+    def spy(*args, **kwargs):
+        if not direct:
+            direct.append(original(1, LossChannel(1.0), 0.0)[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fock_oracle, "oracle_moments", spy)
+    code, _, _ = run_cli("verify", "--grid", "fast", "--corrupt-prefactor", "--format", "json")
+    assert code == EXIT_VERIFY_FAIL
+    assert direct and abs(direct[0] - 1.0) <= 1e-12
 
 
 def test_verify_max_n_bound():
@@ -238,6 +254,23 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     code, out, _ = run_cli(*args, "--steps", "5")
     assert code == EXIT_OK
     assert len(json.loads(out)) == 5  # flag wins
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    (["constants"], "format = xml", "config key format: invalid choice: 'xml' (choose from 'text', 'csv', 'json')"),
+    (["precision", "--n", "2", "--eta", "0.5"], "format = xml",
+     "config key format: invalid choice: 'xml' (choose from 'text', 'csv', 'json')"),
+    (["verify", "--max-n", "2"], "grid = bogus", "config key grid: invalid choice: 'bogus' (choose from 'dense', 'fast')"),
+    (["sweep", "--n", "2", "--start", "0.2", "--stop", "0.9"], "var = x",
+     "config key var: invalid choice: 'x' (choose from 'N', 'eta', 'L', 'phi0')"),
+], ids=["constants-format", "precision-format", "verify-grid", "sweep-var"])
+def test_config_value_outside_choices_is_a_usage_error(tmp_path, argv, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(*argv, "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_out_file(tmp_path):

@@ -76,6 +76,33 @@ CASES = {
                          "--dphi", "0.05", "--format", "csv"], None),
     "sweep_var_phi0_csv": (["sweep", "--var", "phi0", "--loss", "0.2", "--start", "0", "--stop", "1.5",
                             "--steps", "6", "--n", "2", "--format", "csv"], None),
+    # dense generic sweeps: values in 1e12..1e16, tiny means, overflow to inf
+    "sweep_var_eta_json_dense": (["sweep", "--var", "eta", "--start", "0.01", "--stop", "1.0",
+                                  "--steps", "2000", "--n", "19", "--theta-t", "0.2", "--format", "json"],
+                                 None),
+    "sweep_var_N_log_csv": (["sweep", "--var", "N", "--loss", "1e-3", "--start", "1", "--stop", "1e7",
+                             "--steps", "300", "--scale", "log", "--format", "csv"], None),
+    "sweep_var_phi0_text_degenerate": (["sweep", "--var", "phi0", "--eta", "0.8", "--start", "0",
+                                        "--stop", "3.14159", "--steps", "7", "--n", "3"], None),
+    "sweep_var_L_text_to_0_9": (["sweep", "--var", "L", "--start", "0.5", "--stop", "0.9", "--steps", "5",
+                                 "--n", "7", "--phi0", "0.3", "--theta-t", "-0.1"], None),
+    "sweep_var_N_single_row_json": (["sweep", "--var", "N", "--eta", "0.5", "--start", "1", "--stop", "1.4",
+                                     "--steps", "2", "--format", "json"], None),
+    # the first bad grid point names the error; per point: eta, theta_t, N, phi0/dphi
+    "sweep_var_eta_from_zero": (["sweep", "--var", "eta", "--start", "0", "--stop", "1", "--steps", "5",
+                                 "--n", "2"], None),
+    "sweep_var_eta_past_one": (["sweep", "--var", "eta", "--start", "0.5", "--stop", "1.5", "--steps", "5",
+                                "--n", "2"], None),
+    "sweep_theta_t_nan_before_late_eta": (["sweep", "--var", "eta", "--start", "0.5", "--stop", "1.5",
+                                           "--steps", "5", "--n", "2", "--theta-t", "nan"], None),
+    "sweep_var_L_negative": (["sweep", "--var", "L", "--start", "-0.5", "--stop", "0.5", "--steps", "5",
+                              "--n", "2", "--theta-t", "nan", "--dphi", "inf"], None),
+    "sweep_dphi_inf": (["sweep", "--var", "eta", "--start", "0.2", "--stop", "0.9", "--steps", "5",
+                        "--n", "2", "--dphi", "inf"], None),
+    "sweep_theta_t_nan": (["sweep", "--var", "N", "--eta", "0.5", "--start", "1", "--stop", "5", "--steps", "5",
+                           "--theta-t", "nan"], None),
+    "sweep_n_zero_before_dphi": (["sweep", "--var", "phi0", "--eta", "0.5", "--start", "0", "--stop", "1",
+                                  "--steps", "3", "--n", "0", "--dphi", "inf"], None),
     "sweep_missing_n": (["sweep", "--var", "eta", "--start", "0.2", "--stop", "0.9", "--steps", "5"], None),
     "sweep_log_from_zero": (["sweep", "--var", "N", "--eta", "0.5", "--start", "0", "--stop", "10",
                              "--steps", "5", "--scale", "log"], None),

@@ -11,6 +11,7 @@ brute-force checks for the moment formulas live in
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "d_precision_dN",
     "d_log_precision_dN",
     "precision_report",
+    "precision_grid",
 ]
 
 # |sin(N(phi0 + theta_t))| at or below this counts as a blind operating point.
@@ -47,6 +49,18 @@ _LN2 = math.log(2.0)
 def _validate_eta(eta: float) -> None:
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+
+
+def _photon_number(n) -> int:
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"photon number must be >= 1, got {n}")
+    return n
+
+
+def _validate_phases(phi0: float, delta_phi: float) -> None:
+    if not (math.isfinite(phi0) and math.isfinite(delta_phi)):
+        raise ValueError("phi0 and delta_phi must be finite")
 
 
 def _exp_or_inf(x: float) -> float:
@@ -101,10 +115,7 @@ class NoonProbe:
     n: int
 
     def __post_init__(self) -> None:
-        n = operator.index(self.n)
-        if n < 1:
-            raise ValueError(f"photon number must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _photon_number(self.n))
 
 
 @dataclass(frozen=True)
@@ -115,8 +126,7 @@ class OperatingPoint:
     delta_phi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.phi0) and math.isfinite(self.delta_phi)):
-            raise ValueError("phi0 and delta_phi must be finite")
+        _validate_phases(self.phi0, self.delta_phi)
 
 
 class SnrResult(NamedTuple):
@@ -134,6 +144,11 @@ class PrecisionReport:
     min_phase: float
     log_min_phase: float
     degenerate: bool
+
+
+def _optimal_phi0(n: int, theta_t: float) -> float:
+    """The first solution of N(phi0 + theta_t) = pi/2."""
+    return 0.5 * math.pi / n - theta_t
 
 
 def mean_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
@@ -276,3 +291,66 @@ def precision_report(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> P
         log_min_phase=log_min_phase_at(probe, ch, op.phi0),
         degenerate=snr.degenerate,
     )
+
+
+def _check_point(n, eta: float, theta_t: float, phi0, delta_phi: float) -> tuple[int, float]:
+    """Check one point in the order precision_report's callers build it:
+    channel, probe, then operating point.  Returns N as an int and the
+    operating phase (the optimal one when ``phi0`` is None)."""
+    LossChannel(eta, theta_t)
+    n = NoonProbe(n).n
+    phi = _optimal_phi0(n, theta_t) if phi0 is None else phi0
+    OperatingPoint(phi, delta_phi)
+    return n, phi
+
+
+def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
+    """mean, variance, snr, min_phase and min_phase_opt over a sweep, as five lists.
+
+    Exactly one of ``n``, ``eta`` and ``phi0`` is a sequence, the swept
+    variable; the others are held fixed.  ``phi0=None`` is the optimal phase
+    pi/(2N) - theta_t at each point.  Every value equals, bit for bit, the
+    matching field of :func:`precision_report` or :func:`min_phase_opt` at
+    that point.  The domain is checked once for the whole grid, and the first
+    point outside it raises the ValueError its LossChannel, NoonProbe or
+    OperatingPoint would.
+    """
+    n_seq, eta_seq, phi_seq = (hasattr(x, "__len__") for x in (n, eta, phi0))
+    if n_seq + eta_seq + phi_seq != 1:
+        raise TypeError("exactly one of n, eta and phi0 must be a sequence")
+    if not len(n if n_seq else eta if eta_seq else phi0):
+        return [], [], [], [], []
+    # the first point holds every fixed value; after it only the swept one can fail
+    n0, phi = _check_point(n[0] if n_seq else n, eta[0] if eta_seq else eta, theta_t,
+                           phi0[0] if phi_seq else phi0, delta_phi)
+    if n_seq:
+        ns = [_photon_number(k) for k in n]
+        phis = [_optimal_phi0(k, theta_t) for k in ns] if phi0 is None else repeat(phi0)
+    else:
+        ns, phis = repeat(n0), phi0 if phi_seq else repeat(phi)
+    if eta_seq:
+        for e in eta:
+            _validate_eta(e)
+    if phi_seq:
+        for p in phi0:
+            _validate_phases(p, delta_phi)
+
+    mean, variance, snr, min_phase, opt = [], [], [], [], []
+    for k, e, p in zip(ns, eta if eta_seq else repeat(eta), phis):
+        angle = k * (p + theta_t)
+        s = math.sin(angle)
+        c = math.cos(angle)
+        # mean_detection and variance_detection, which run_verification calls
+        # per oracle point, keep these two expressions inline
+        eta_k = e ** k
+        mean.append(e ** (k / 2.0) * c)
+        variance.append(0.5 * (1.0 + eta_k) - eta_k * c * c)
+        if abs(s) <= DEGENERACY_TOL:
+            snr.append(0.0)
+            min_phase.append(math.inf)
+        else:
+            noise = _noise_term(k, e, c)
+            snr.append((k * s * delta_phi) ** 2 / noise)
+            min_phase.append(math.sqrt(noise) / (k * abs(s)))
+        opt.append(min_phase_opt_continuous(k, e))
+    return mean, variance, snr, min_phase, opt

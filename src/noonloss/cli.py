@@ -41,68 +41,91 @@ class UsageError(Exception):
 
 @dataclass
 class Table:
-    columns: list[str]
-    rows: list[list]
-    # single-row point queries render as one JSON object; sweeps stay lists
+    """Named columns of equal length, rendered column by column.
+
+    Each column holds values of one type (bool, int, float or str), so its
+    formatter is chosen once.  Point queries pass one-row columns; a
+    single-row table renders as one JSON object unless
+    ``json_object_if_single`` is False, as sweeps set it.
+    """
+
+    names: list[str]
+    columns: list
     json_object_if_single: bool = True
 
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
 
-def _cell_text(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
-    return str(value)
+    @classmethod
+    def row(cls, names: list[str], values: list) -> "Table":
+        """A one-row table: one value per column."""
+        return cls(names, [[value] for value in values])
 
 
-def _cell_json(value):
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        # mirror the 12-significant-digit text output so CSV and JSON agree
-        return float(f"{value:.12g}")
-    return value
+def _text_cells(column):
+    """The cells of ``column`` as text: floats to 12 significant digits
+    (inf, -inf and nan spelled so), bools as 0/1."""
+    first = column[0] if len(column) else None
+    if isinstance(first, float):
+        return map("%.12g".__mod__, column)
+    if isinstance(first, (int, np.integer)):
+        return map("%d".__mod__, column)
+    return map(str, column)
+
+
+def _json_float(value: float) -> str:
+    """What json.dumps writes for float("%.12g" % value), so that CSV and
+    JSON agree; inf, -inf and nan become the strings "inf", "-inf", "nan"."""
+    text = "%.12g" % value
+    if "." in text and "e+1" not in text and "e-3" not in text:
+        return text
+    if text[-1] in "fn":
+        return f'"{text}"'
+    # repr differs from %.12g for integral values, 1e12 <= |x| < 1e16 and
+    # subnormals: it adds ".0", drops the exponent, or keeps fewer digits
+    return repr(float(text))
+
+
+def _json_cells(column):
+    """The cells of ``column`` as JSON values."""
+    first = column[0] if len(column) else None
+    if isinstance(first, float):
+        return map(_json_float, column)
+    if isinstance(first, (int, np.integer)):
+        return map("%d".__mod__, column)
+    return map(json.dumps, column)
 
 
 def render_csv(table: Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_cell_text(v) for v in row])
+    writer.writerow(table.names)
+    writer.writerows(zip(*map(_text_cells, table.columns)))
     return buf.getvalue()
 
 
 def render_json(table: Table) -> str:
-    records = [dict(zip(table.columns, (_cell_json(v) for v in row))) for row in table.rows]
-    doc = records[0] if len(records) == 1 and table.json_object_if_single else records
-    return json.dumps(doc, indent=2) + "\n"
+    """The layout of json.dumps(records, indent=2), written from a template."""
+    keys = [json.dumps(name) for name in table.names]
+    rows = zip(*map(_json_cells, table.columns))
+    if len(table) == 1 and table.json_object_if_single:
+        return "{\n" + ",\n".join(f"  {key}: {cell}" for key, cell in zip(keys, next(rows))) + "\n}\n"
+    if not len(table):
+        return "[]\n"
+    record = "  {\n" + ",\n".join(f"    {key.replace('%', '%%')}: %s" for key in keys) + "\n  }"
+    return "[\n" + ",\n".join(map(record.__mod__, rows)) + "\n]\n"
 
 
 def render_text(table: Table) -> str:
-    if len(table.rows) == 1:
-        width = max(len(c) for c in table.columns)
-        lines = [f"{name:<{width}} = {_cell_text(v)}" for name, v in zip(table.columns, table.rows[0])]
-        return "\n".join(lines) + "\n"
-    cells = [[_cell_text(v) for v in row] for row in table.rows]
-    widths = [max(len(name), max(len(row[i]) for row in cells))
-              for i, name in enumerate(table.columns)]
-    out = ["  ".join(c.ljust(w) for c, w in zip(table.columns, widths)).rstrip()]
-    for row in cells:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + "\n"
+    cells = [list(_text_cells(column)) for column in table.columns]
+    if len(table) == 1:
+        width = max(map(len, table.names))
+        return "".join(f"{name:<{width}} = {column[0]}\n" for name, column in zip(table.names, cells))
+    widths = [max([len(name), *map(len, column)]) for name, column in zip(table.names, cells)]
+    lines = ["  ".join(name.ljust(w) for name, w in zip(table.names, widths)).rstrip()]
+    padded = [[cell.ljust(w) for cell in column] for column, w in zip(cells, widths)]
+    lines += ["  ".join(row).rstrip() for row in zip(*padded)]
+    return "\n".join(lines) + "\n"
 
 
 def emit(table: Table, fmt: str, out_path: str | None) -> None:
@@ -149,27 +172,6 @@ class SweepSpec:
             ints = np.unique(np.rint(values).astype(np.int64))
             return [int(v) for v in ints if v >= 1]
         return [float(v) for v in values]
-
-
-def _optimal_phi0(n: int, theta_t: float) -> float:
-    # first solution of N(phi0 + theta_t) = pi/2
-    return 0.5 * math.pi / n - theta_t
-
-
-def _point_columns(n: int, eta: float, theta_t: float, phi0: float | None, dphi: float):
-    ch = LossChannel(eta, theta_t)
-    probe = NoonProbe(n)
-    phi = _optimal_phi0(n, theta_t) if phi0 is None else phi0
-    report = analytics.precision_report(probe, ch, OperatingPoint(phi, dphi))
-    return phi, report, analytics.min_phase_opt(probe, eta)
-
-
-def _fig2_rows(eta: float, ns: list) -> list[list]:
-    return [[n, analytics.min_phase_opt_continuous(n, eta), 1.0 / math.sqrt(2.0 * eta * n)] for n in ns]
-
-
-def _fig3_rows(eta: float, ns: list) -> list[list]:
-    return [[n, budget.r_noon_continuous(n, eta)] for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
             res = residuals[name + "_residual"]
             sys.stdout.write(f"{name:<10} ≈ {value:.9g}   (residual {res:.2e})\n")
         return EXIT_OK
-    table = Table(list(values) + list(residuals), [list(values.values()) + list(residuals.values())])
+    table = Table.row(list(values) + list(residuals), list(values.values()) + list(residuals.values()))
     emit(table, args.format, args.out)
     return EXIT_OK
 
@@ -308,7 +310,11 @@ def cmd_precision(args: argparse.Namespace) -> int:
     eta = _resolve_eta(args)
     if args.n is None:
         raise UsageError("--n is required")
-    phi0, report, mp_opt = _point_columns(args.n, eta, args.theta_t, args.phi0, args.dphi)
+    ch = LossChannel(eta, args.theta_t)
+    probe = NoonProbe(args.n)
+    phi0 = analytics._optimal_phi0(probe.n, args.theta_t) if args.phi0 is None else args.phi0
+    report = analytics.precision_report(probe, ch, OperatingPoint(phi0, args.dphi))
+    mp_opt = analytics.min_phase_opt(probe, eta)
 
     columns = ["n", "eta", "loss", "theta_t", "phi0", "delta_phi", "mean", "variance",
                "snr", "degenerate", "min_phase", "log_min_phase", "min_phase_opt"]
@@ -323,7 +329,7 @@ def cmd_precision(args: argparse.Namespace) -> int:
                 budget.unentangled_precision(b, eta),
                 budget.r_noon(args.n, eta)]
 
-    emit(Table(columns, [row]), args.format, args.out)
+    emit(Table.row(columns, row), args.format, args.out)
     return EXIT_OK
 
 
@@ -357,23 +363,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not grid:
         raise UsageError("sweep range contains no photon numbers >= 1")
     if args.fig2:
-        columns, rows = ["N", "delta_phi_min", "sql_reference"], _fig2_rows(eta, grid)
+        names = ["N", "delta_phi_min", "sql_reference"]
+        columns = [grid, [analytics.min_phase_opt_continuous(n, eta) for n in grid],
+                   [1.0 / math.sqrt(2.0 * eta * n) for n in grid]]
     elif args.fig3:
-        columns, rows = ["N", "R_NOON"], _fig3_rows(eta, grid)
+        names, columns = ["N", "R_NOON"], [grid, [budget.r_noon_continuous(n, eta) for n in grid]]
     else:
-        columns, rows = [var, "mean", "variance", "snr", "min_phase", "min_phase_opt"], []
-        for value in grid:
-            if var == "N":
-                n, point_eta, phi0 = value, eta, args.phi0
-            elif var == "eta":
-                n, point_eta, phi0 = args.n, value, args.phi0
-            elif var == "L":
-                n, point_eta, phi0 = args.n, 1.0 - value, args.phi0
-            else:
-                n, point_eta, phi0 = args.n, eta, value
-            _, report, mp_opt = _point_columns(n, point_eta, args.theta_t, phi0, args.dphi)
-            rows.append([value, report.mean, report.variance, report.snr, report.min_phase, mp_opt])
-    emit(Table(columns, rows, json_object_if_single=False), args.format, args.out)
+        n, phi0 = args.n, args.phi0
+        if var == "N":
+            n = grid
+        elif var == "eta":
+            eta = grid
+        elif var == "L":
+            eta = [1.0 - value for value in grid]
+        else:
+            phi0 = grid
+        names = [var, "mean", "variance", "snr", "min_phase", "min_phase_opt"]
+        columns = [grid, *analytics.precision_grid(n, eta, args.theta_t, phi0, args.dphi)]
+    emit(Table(names, columns, json_object_if_single=False), args.format, args.out)
     return EXIT_OK
 
 
@@ -392,7 +399,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                (res.asymptotic_n - res.n_star) / res.n_star,
                (res.asymptotic_precision - res.precision_at_opt) / res.precision_at_opt,
                regime]
-        emit(Table(columns, [row]), args.format, args.out)
+        emit(Table.row(columns, row), args.format, args.out)
         return EXIT_OK
 
     b = budget.PhotonBudget(args.budget, args.kappa)
@@ -408,7 +415,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         asym_p = budget.mu_tilde() * math.sqrt(loss / b.n_total)
         columns += ["asymptotic_n_tilde", "asymptotic_precision", "n_tilde_rel_dev"]
         row += [asym_n, asym_p, (asym_n - n_tilde) / n_tilde]
-    emit(Table(columns, [row]), args.format, args.out)
+    emit(Table.row(columns, row), args.format, args.out)
     return EXIT_OK
 
 
@@ -426,7 +433,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
                "delta_phi_noon", "delta_phi_un", "r_noon", "precision_ratio"]
     row = [eta, 1.0 - eta, b.n_total, b.kappa, n, round(b.n_total / n), n_tilde,
            dp_noon, dp_un, r, dp_noon / dp_un]
-    emit(Table(columns, [row]), args.format, args.out)
+    emit(Table.row(columns, row), args.format, args.out)
     return EXIT_OK
 
 
@@ -447,10 +454,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         prefactor_scale=1.001 if args.corrupt_prefactor else 1.0)
 
     passed = max_dev <= VERIFY_TOL
-    table = Table(
-        ["max_n", "grid", "points", "max_abs_deviation", "tolerance", "passed"],
-        [[max_n, args.grid, points, max_dev, VERIFY_TOL, int(passed)]],
-    )
+    table = Table.row(["max_n", "grid", "points", "max_abs_deviation", "tolerance", "passed"],
+                      [max_n, args.grid, points, max_dev, VERIFY_TOL, int(passed)])
     emit(table, args.format, args.out)
     if args.format == "text" and not args.out:
         sys.stdout.write("PASS\n" if passed else "FAIL\n")

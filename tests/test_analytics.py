@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noonloss import fock_oracle, optimal_search
@@ -18,6 +18,7 @@ from noonloss.analytics import (
     min_phase_at,
     min_phase_opt,
     min_phase_opt_continuous,
+    precision_grid,
     precision_report,
     snr_lossy,
     variance_detection,
@@ -273,3 +274,109 @@ def test_precision_report_degenerate():
     assert report.snr == 0.0
     assert math.isinf(report.min_phase)
     assert math.isinf(report.log_min_phase)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid kernel
+
+def _point_reference(n, eta, theta_t, phi0, delta_phi):
+    """The five sweep columns at one point, built as the scalar API builds them."""
+    ch, probe = LossChannel(eta, theta_t), NoonProbe(n)
+    phi = 0.5 * math.pi / probe.n - theta_t if phi0 is None else phi0
+    report = precision_report(probe, ch, OperatingPoint(phi, delta_phi))
+    return [report.mean, report.variance, report.snr, report.min_phase, min_phase_opt(probe, eta)]
+
+
+def _grid_reference(n, eta, theta_t, phi0, delta_phi):
+    """Row by row, stopping at the first point that raises, as a per-point loop does."""
+    size = len(next(x for x in (n, eta, phi0) if isinstance(x, list)))
+    rows = []
+    for i in range(size):
+        point = [x[i] if isinstance(x, list) else x for x in (n, eta, phi0)]
+        rows.append(_point_reference(point[0], point[1], theta_t, point[2], delta_phi))
+    return [list(column) for column in zip(*rows)] if rows else [[]] * 5
+
+
+def _bits(columns):
+    return [[float.hex(v) for v in column] for column in columns]
+
+
+@st.composite
+def sweeps(draw, etas, phases, ns):
+    """(n, eta, theta_t, phi0, delta_phi) with exactly one of n, eta, phi0 a list."""
+    var = draw(st.sampled_from(["n", "eta", "phi0"]))
+    values = {"n": ns, "eta": etas, "phi0": phases}
+    point = {k: draw(v) for k, v in values.items()}
+    if var == "phi0" or draw(st.booleans()):
+        point["phi0"] = draw(phases)
+    else:
+        point["phi0"] = None
+    point[var] = draw(st.lists(values[var], max_size=12))
+    return point["n"], point["eta"], draw(phases), point["phi0"], draw(phases)
+
+
+VALID = dict(
+    etas=st.one_of(st.floats(1e-3, 0.99), st.sampled_from([0.5, 0.9, 1e-9, 0.3])),
+    phases=st.one_of(st.floats(-10.0, 10.0), st.just(0.0)),
+    ns=st.one_of(st.integers(1, 80), st.just(2000)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweeps(**VALID))
+def test_precision_grid_equals_precision_report_bit_for_bit(sweep):
+    assert _bits(precision_grid(*sweep)) == _bits(_grid_reference(*sweep))
+
+
+def _first_error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+BAD = dict(etas=st.sampled_from([0.0, -0.5, 1.5, math.nan, math.inf]),
+           phases=st.sampled_from([math.nan, math.inf, -math.inf]),
+           ns=st.integers(-3, 0))
+
+
+@st.composite
+def bad_sweeps(draw):
+    """A valid sweep with a few fixed or swept values replaced by bad ones."""
+    sweep = list(draw(sweeps(**VALID)))
+    slots = {0: "ns", 1: "etas", 2: "phases", 3: "phases", 4: "phases"}
+    for _ in range(draw(st.integers(1, 3))):
+        slot = draw(st.sampled_from(sorted(slots)))
+        if isinstance(sweep[slot], list) and sweep[slot]:
+            sweep[slot] = list(sweep[slot])
+            sweep[slot][draw(st.integers(0, len(sweep[slot]) - 1))] = draw(BAD[slots[slot]])
+        elif sweep[slot] is not None and not isinstance(sweep[slot], list):
+            sweep[slot] = draw(BAD[slots[slot]])
+    return tuple(sweep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_sweeps())
+def test_precision_grid_raises_the_first_points_message(sweep):
+    assert _first_error(precision_grid, *sweep) == _first_error(_grid_reference, *sweep)
+
+
+@pytest.mark.parametrize("sweep", [
+    (2, [0.5, 0.7, 1.5], 0.0, None, 0.01),
+    (2, [0.5, 0.0], 0.0, None, 0.01),
+    (3, 0.5, 0.0, [0.1, 0.2, math.nan], 0.01),
+    ([1, 2, 0], 0.5, 0.0, None, 0.01),
+    ([1, 2], 0.5, math.nan, None, math.inf),
+    (0, [1.5], math.nan, None, 0.01),
+    (0, [0.5], 0.0, None, math.inf),
+])
+def test_precision_grid_error_order_examples(sweep):
+    assert _first_error(precision_grid, *sweep) == _first_error(_grid_reference, *sweep) is not None
+
+
+def test_precision_grid_needs_one_swept_variable():
+    with pytest.raises(TypeError):
+        precision_grid(2, 0.5, 0.0, None, 0.01)
+    with pytest.raises(TypeError):
+        precision_grid([2], [0.5], 0.0, None, 0.01)

@@ -165,10 +165,24 @@ def variance_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
     return 0.5 * (1.0 + eta_n) - eta_n * c * c
 
 
-def _noise_term(n: int, eta: float, cos_angle: float) -> float:
-    """(eta**-N + 1)/2 - cos^2, the noise denominator of the lossy SNR."""
-    inv = _inv_eta_pow(n, eta)
-    return 0.5 * (inv + 1.0) - cos_angle * cos_angle
+def _noise_term(n: int, eta: float, sin_angle: float) -> float:
+    """(eta**-N - 1)/2 + sin^2, the noise denominator of the lossy SNR.
+
+    It equals (eta**-N + 1)/2 - cos^2, but as a sum of two nonnegative terms
+    it keeps its relative accuracy near blind operating points, where that
+    difference cancels.
+    """
+    a = -n * math.log(eta)
+    if a < 1.0:
+        # eta**-N - 1 without cancellation as eta -> 1
+        excess = math.expm1(a)
+    else:
+        # the power is exact to an ulp; expm1(a) would scale the rounding of a by a
+        try:
+            excess = eta ** -n - 1.0
+        except OverflowError:
+            excess = math.inf
+    return 0.5 * excess + sin_angle * sin_angle
 
 
 def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResult:
@@ -184,7 +198,7 @@ def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResul
     s = math.sin(angle)
     if abs(s) <= DEGENERACY_TOL:
         return SnrResult(0.0, True)
-    noise = _noise_term(n, ch.eta, math.cos(angle))
+    noise = _noise_term(n, ch.eta, s)
     return SnrResult((n * s * op.delta_phi) ** 2 / noise, False)
 
 
@@ -198,7 +212,7 @@ def min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
     s = abs(math.sin(angle))
     if s <= DEGENERACY_TOL:
         return math.inf
-    return math.sqrt(_noise_term(n, ch.eta, math.cos(angle))) / (n * s)
+    return math.sqrt(_noise_term(n, ch.eta, s)) / (n * s)
 
 
 def log_min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
@@ -208,12 +222,10 @@ def log_min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
     s = abs(math.sin(angle))
     if s <= DEGENERACY_TOL:
         return math.inf
-    c = math.cos(angle)
     a = -n * math.log(ch.eta)
-    # (e**a + 1)/2 - c^2 = e**a * (0.5 + (0.5 - c^2) e**-a); the bracket is
-    # positive whenever the operating point is nondegenerate.
-    log_noise = a + math.log(0.5 + (0.5 - c * c) * math.exp(-a))
-    return 0.5 * log_noise - math.log(n * s)
+    # noise / s^2 = e**a * (-expm1(-a)/(2 s^2) + e**-a): both terms are
+    # nonnegative, and at eta = 1 the bracket is exactly 1
+    return 0.5 * (a + math.log(-0.5 * math.expm1(-a) / (s * s) + math.exp(-a))) - math.log(n)
 
 
 def min_phase_opt_continuous(n: float, eta: float) -> float:
@@ -349,7 +361,7 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
             snr.append(0.0)
             min_phase.append(math.inf)
         else:
-            noise = _noise_term(k, e, c)
+            noise = _noise_term(k, e, s)
             snr.append((k * s * delta_phi) ** 2 / noise)
             min_phase.append(math.sqrt(noise) / (k * abs(s)))
         opt.append(min_phase_opt_continuous(k, e))

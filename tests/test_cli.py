@@ -70,6 +70,18 @@ def test_precision_degenerate_point_emits_inf():
     assert row["snr"] == 0.0
 
 
+def test_near_degenerate_lossless_point():
+    # (eta**-N + 1)/2 - cos^2 cancelled to 0 here: min_phase read 0, snr divided by zero
+    code, out, err = run_cli("precision", "--n", "1", "--eta", "1", "--phi0", "1e-10")
+    assert (code, err) == (EXIT_OK, "")
+    assert "min_phase     = 1\n" in out and "log_min_phase = 0\n" in out
+    code, out, err = run_cli("sweep", "--var", "phi0", "--start", "0", "--stop", "1e-9", "--steps", "3",
+                             "--n", "1", "--eta", "1", "--format", "csv")
+    assert (code, err) == (EXIT_OK, "")
+    columns, rows = parse_csv(out)
+    assert [row[columns.index("min_phase")] for row in rows] == [math.inf, 1.0, 1.0]
+
+
 def test_eta_loss_flags_are_exclusive_and_required():
     code, _, err = run_cli("precision", "--n", "2", "--eta", "0.5", "--loss", "0.5")
     assert code == EXIT_USAGE and "error" in err

@@ -305,15 +305,12 @@ def precision_report(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> P
     )
 
 
-def _check_point(n, eta: float, theta_t: float, phi0, delta_phi: float) -> tuple[int, float]:
-    """Check one point in the order precision_report's callers build it:
-    channel, probe, then operating point.  Returns N as an int and the
-    operating phase (the optimal one when ``phi0`` is None)."""
-    LossChannel(eta, theta_t)
-    n = NoonProbe(n).n
-    phi = _optimal_phi0(n, theta_t) if phi0 is None else phi0
-    OperatingPoint(phi, delta_phi)
-    return n, phi
+def _build_point(n, eta: float, theta_t: float, phi0, delta_phi: float):
+    """(probe, channel, operating point) of one point, built channel first;
+    ``phi0=None`` is the optimal phase pi/(2N) - theta_t."""
+    ch = LossChannel(eta, theta_t)
+    probe = NoonProbe(n)
+    return probe, ch, OperatingPoint(_optimal_phi0(probe.n, theta_t) if phi0 is None else phi0, delta_phi)
 
 
 def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
@@ -333,13 +330,13 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
     if not len(n if n_seq else eta if eta_seq else phi0):
         return [], [], [], [], []
     # the first point holds every fixed value; after it only the swept one can fail
-    n0, phi = _check_point(n[0] if n_seq else n, eta[0] if eta_seq else eta, theta_t,
-                           phi0[0] if phi_seq else phi0, delta_phi)
+    probe, _, op = _build_point(n[0] if n_seq else n, eta[0] if eta_seq else eta, theta_t,
+                                phi0[0] if phi_seq else phi0, delta_phi)
     if n_seq:
         ns = [_photon_number(k) for k in n]
         phis = [_optimal_phi0(k, theta_t) for k in ns] if phi0 is None else repeat(phi0)
     else:
-        ns, phis = repeat(n0), phi0 if phi_seq else repeat(phi)
+        ns, phis = repeat(probe.n), phi0 if phi_seq else repeat(op.phi0)
     if eta_seq:
         for e in eta:
             _validate_eta(e)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, budget, fock_oracle, optimal_search
-from .analytics import LossChannel, NoonProbe, OperatingPoint
+from .analytics import LossChannel, NoonProbe
 
 __all__ = ["main", "entrypoint", "run_verification", "SweepSpec"]
 
@@ -62,15 +62,20 @@ class Table:
         return cls(names, [[value] for value in values])
 
 
-def _text_cells(column):
-    """The cells of ``column`` as text: floats to 12 significant digits
-    (inf, -inf and nan spelled so), bools as 0/1."""
+def _cells(column, float_format, other_format):
+    """The cells of ``column`` formatted by its type: ints and bools as
+    integers, floats and anything else by the given functions."""
     first = column[0] if len(column) else None
     if isinstance(first, float):
-        return map("%.12g".__mod__, column)
+        return map(float_format, column)
     if isinstance(first, (int, np.integer)):
         return map("%d".__mod__, column)
-    return map(str, column)
+    return map(other_format, column)
+
+
+def _text_cells(column):
+    """Floats to 12 significant digits, with inf, -inf and nan spelled so."""
+    return _cells(column, "%.12g".__mod__, str)
 
 
 def _json_float(value: float) -> str:
@@ -87,13 +92,7 @@ def _json_float(value: float) -> str:
 
 
 def _json_cells(column):
-    """The cells of ``column`` as JSON values."""
-    first = column[0] if len(column) else None
-    if isinstance(first, float):
-        return map(_json_float, column)
-    if isinstance(first, (int, np.integer)):
-        return map("%d".__mod__, column)
-    return map(json.dumps, column)
+    return _cells(column, _json_float, json.dumps)
 
 
 def render_csv(table: Table) -> str:
@@ -310,15 +309,13 @@ def cmd_precision(args: argparse.Namespace) -> int:
     eta = _resolve_eta(args)
     if args.n is None:
         raise UsageError("--n is required")
-    ch = LossChannel(eta, args.theta_t)
-    probe = NoonProbe(args.n)
-    phi0 = analytics._optimal_phi0(probe.n, args.theta_t) if args.phi0 is None else args.phi0
-    report = analytics.precision_report(probe, ch, OperatingPoint(phi0, args.dphi))
+    probe, ch, op = analytics._build_point(args.n, eta, args.theta_t, args.phi0, args.dphi)
+    report = analytics.precision_report(probe, ch, op)
     mp_opt = analytics.min_phase_opt(probe, eta)
 
     columns = ["n", "eta", "loss", "theta_t", "phi0", "delta_phi", "mean", "variance",
                "snr", "degenerate", "min_phase", "log_min_phase", "min_phase_opt"]
-    row = [args.n, eta, 1.0 - eta, args.theta_t, phi0, args.dphi, report.mean, report.variance,
+    row = [args.n, eta, 1.0 - eta, args.theta_t, op.phi0, args.dphi, report.mean, report.variance,
            report.snr, report.degenerate, report.min_phase, report.log_min_phase, mp_opt]
 
     if args.budget is not None:

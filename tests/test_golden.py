@@ -5,20 +5,29 @@ exit code, stdout, stderr and the bytes of ``--out``.  ``optima.json`` holds
 the integer optima for seeded (eta, N_T) pairs spread over the whole domain;
 a one-ulp change in a log-domain kernel flips some of their tie-breaks.
 
+``oracle.json`` pins the Fock oracle's floats bit for bit: a digest of every
+``oracle_moments`` pair that a dense ``verify --max-n 64 --seed`` run asks for,
+moments under other reflection phases, and detector outputs of a few kets.
+
 The files are written only for a deliberate output change, which then belongs
 in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from noonloss import PhotonBudget, n_min_integer, n_tilde_min_integer
+from noonloss import PhotonBudget, fock_oracle, n_min_integer, n_tilde_min_integer
+from noonloss.analytics import LossChannel
+from noonloss.cli import run_verification
+from noonloss.fock_oracle import FockKet, Occupation, apply_detector, build_noon_input, oracle_moments
 
 from _helpers import run_cli
 
@@ -195,6 +204,72 @@ def optima_rows():
             for eta, nt in optima_inputs()]
 
 
+def oracle_digest(seed=5):
+    """(points, sha256) over the float.hex of every oracle (mean, variance)
+    of a dense verification to N = 64 with 5 seeded extra cases per N, in the
+    order ``run_verification`` asks for them."""
+    digest = hashlib.sha256()
+    real = fock_oracle.oracle_moments
+
+    def recording(*args, **kwargs):
+        mean, var = real(*args, **kwargs)
+        digest.update(f"{mean.hex()} {var.hex()}\n".encode())
+        return mean, var
+
+    with mock.patch.object(fock_oracle, "oracle_moments", recording):
+        _, points = run_verification(max_n=64, extra_random=5, seed=seed)
+    return [points, digest.hexdigest()]
+
+
+def reflection_rows():
+    """Oracle moments at small N under several conventions for arg(r)."""
+    return [[n, phase, *(x.hex() for x in oracle_moments(n, LossChannel(0.6, 0.2), 0.7,
+                                                          reflection_phase=phase))]
+            for n in (1, 2, 3, 4) for phase in (0.0, math.pi / 2, 1.3, -2.0)]
+
+
+def _detector_cases():
+    """(ket, n, channel): both ladder branches, a summed lowering image, a lossless
+    channel, and amplitudes at and just above the support cut-off."""
+    mixed = {Occupation(0, 2, 1): 0.3 + 0.1j, Occupation(0, 0, 3): -0.5, Occupation(0, 3, 0): 0.25j,
+             Occupation(3, 0, 0): 0.8, Occupation(1, 1, 0): 0.4}
+    return [
+        (build_noon_input(5, 0.4), 5, LossChannel(0.7, 0.2)),
+        (FockKet(mixed, photon_cap=3), 3, LossChannel(0.35, -1.1)),
+        (build_noon_input(4, 1.9), 4, LossChannel(1.0, 0.3)),
+        (FockKet({Occupation(12, 0, 0): 1.0}, photon_cap=12), 12, LossChannel(0.05, 2.5)),
+        (FockKet({Occupation(3, 0, 0): 1e-301, Occupation(0, 1, 2): 1.0}, photon_cap=3), 3, LossChannel(0.5)),
+        (FockKet({Occupation(6, 0, 0): 1.5e-300}, photon_cap=6), 6, LossChannel(0.9, 0.1)),
+    ]
+
+
+def detector_rows():
+    """``apply_detector`` outputs as [n_a, n_b, n_v, real hex, imag hex], in dict order."""
+    return [[[*occ, amp.real.hex(), amp.imag.hex()] for occ, amp in apply_detector(ket, n, ch).amps.items()]
+            for ket, n, ch in _detector_cases()]
+
+
+def oracle_golden():
+    return {"verify_digest": oracle_digest(), "reflection_phase": reflection_rows(), "detector": detector_rows()}
+
+
+@pytest.fixture(scope="module")
+def golden_oracle():
+    return json.loads((GOLDEN / "oracle.json").read_text(encoding="utf-8"))
+
+
+def test_oracle_verify_moments_are_bit_identical(golden_oracle):
+    assert oracle_digest() == golden_oracle["verify_digest"]
+
+
+def test_oracle_reflection_phase_moments_are_bit_identical(golden_oracle):
+    assert reflection_rows() == golden_oracle["reflection_phase"]
+
+
+def test_detector_amplitudes_are_bit_identical(golden_oracle):
+    assert detector_rows() == golden_oracle["detector"]
+
+
 @pytest.fixture(scope="module")
 def golden_cli():
     return json.loads((GOLDEN / "cli.json").read_text(encoding="utf-8"))
@@ -241,6 +316,7 @@ def _write_golden():
     (GOLDEN / "cli.json").write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     (GOLDEN / "optima.json").write_text(
         "[\n" + ",\n".join(json.dumps(row) for row in optima_rows()) + "\n]\n", encoding="utf-8")
+    (GOLDEN / "oracle.json").write_text(json.dumps(oracle_golden(), indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 States live in an explicit three-mode occupation basis: signal mode ``a``,
 detected mode ``b``, and the loss port ``V`` of the beam splitter that models
 the loss.  The detection operator is applied by expanding the beam-splitter
-ladder polynomials term by term with exact integer factorials.  Nothing here
-uses the closed-form moment formulas from :mod:`noonloss.analytics`; this
-module exists to check them.
+ladder polynomials term by term.  The channel-free part of each term,
+binomial times factorial weight from exact integers, is tabulated once per
+photon number and memoized; only the channel's powers of t and r are
+computed per call.  Nothing here uses the closed-form moment formulas from
+:mod:`noonloss.analytics`; this module exists to check them.
 """
 
 import cmath
@@ -13,6 +15,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -64,11 +67,14 @@ class FockKet:
         if cap < 0:
             raise ValueError(f"photon_cap must be >= 0, got {cap}")
         cleaned: dict[Occupation, complex] = {}
-        for key, amp in self.amps.items():
-            occ = Occupation(*(operator.index(x) for x in key))
-            if min(occ) < 0:
+        for occ, amp in self.amps.items():
+            # an Occupation of exact ints (every key the oracle builds) is kept as is
+            if type(occ) is not Occupation or not (type(occ[0]) is type(occ[1]) is type(occ[2]) is int):
+                occ = Occupation(*map(operator.index, occ))
+            n_a, n_b, n_v = occ
+            if n_a < 0 or n_b < 0 or n_v < 0:
                 raise ValueError(f"negative occupation {occ}")
-            if occ.total > cap:
+            if n_a + n_b + n_v > cap:
                 raise ValueError(f"occupation {occ} exceeds photon cap {cap}")
             if abs(amp) >= _SUPPORT_EPS:
                 cleaned[occ] = complex(amp)
@@ -102,6 +108,14 @@ def _ladder_weight(k: int, m: int, n: int) -> float:
     return math.sqrt(factorial(k) * factorial(m) / factorial(n))
 
 
+@lru_cache(maxsize=None)
+def _ladder_coefficients(n: int) -> tuple[float, ...]:
+    """comb(n, k) * sqrt(k! (n-k)! / n!) for k = 0..n, the channel-free part of
+    every ladder term.  Callers check 1 <= n <= MAX_PHOTONS first, so the
+    cache holds at most MAX_PHOTONS tables."""
+    return tuple(comb(n, k) * _ladder_weight(k, n - k, n) for k in range(n + 1))
+
+
 def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: float = math.pi / 2) -> FockKet:
     """Apply the lossy N-photon detection operator to ``ket``.
 
@@ -126,20 +140,21 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
     t = cmath.rect(math.sqrt(ch.eta), ch.theta_t)
     r = cmath.rect(math.sqrt(1.0 - ch.eta), reflection_phase)
     tc, rc = t.conjugate(), r.conjugate()
+    ladder = _ladder_coefficients(n)
 
     out: dict[Occupation, complex] = defaultdict(complex)
     for occ, amp in ket.amps.items():
         if occ.n_a == n and occ.n_b == 0 and occ.n_v == 0:
             # raising branch: k quanta into b, n - k into the loss port
             for k in range(n + 1):
-                coeff = comb(n, k) * _ladder_weight(k, n - k, n) * tc ** k * rc ** (n - k)
+                coeff = ladder[k] * tc ** k * rc ** (n - k)
                 if coeff != 0:
                     out[Occupation(0, k, n - k)] += amp * coeff
         if occ.n_a == 0 and occ.n_b + occ.n_v == n:
             # lowering branch: only the term annihilating exactly n_b quanta
             # from b and n_v from V survives the vacuum projector
             k = occ.n_b
-            coeff = comb(n, k) * _ladder_weight(k, n - k, n) * t ** k * r ** (n - k)
+            coeff = ladder[k] * t ** k * r ** (n - k)
             if coeff != 0:
                 out[Occupation(n, 0, 0)] += amp * coeff
 

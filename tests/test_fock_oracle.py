@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from noonloss import analytics
@@ -43,13 +45,42 @@ def test_build_noon_input_rejects_zero_photons():
 
 
 def test_fock_ket_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("negative occupation Occupation(n_a=-1, n_b=0, n_v=0)")):
         FockKet({Occupation(-1, 0, 0): 1.0}, photon_cap=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("negative occupation Occupation(n_a=0, n_b=1, n_v=-2)")):
+        FockKet({(0, 1, np.int64(-2)): 1.0}, photon_cap=2)
+    with pytest.raises(ValueError, match=re.escape("occupation Occupation(n_a=2, n_b=1, n_v=0) exceeds photon cap 2")):
         FockKet({Occupation(2, 1, 0): 1.0}, photon_cap=2)
+    with pytest.raises(ValueError, match=re.escape("occupation Occupation(n_a=0, n_b=0, n_v=3) exceeds photon cap 2")):
+        FockKet({(0, 0, 3): 1.0}, photon_cap=np.int64(2))
+    with pytest.raises(ValueError, match=re.escape("photon_cap must be >= 0, got -1")):
+        FockKet({}, photon_cap=-1)
     # tiny amplitudes are dropped from the support
     ket = FockKet({Occupation(1, 0, 0): 1.0, Occupation(0, 1, 0): 1e-301}, photon_cap=1)
     assert Occupation(0, 1, 0) not in ket.amps
+
+
+@pytest.mark.parametrize("key", [
+    (1, 0, 0),
+    (np.int64(1), np.int64(0), np.int64(0)),
+    Occupation(np.int64(1), 0, 0),
+    Occupation(True, False, 0),
+    Occupation(1, 0, 0),
+])
+def test_fock_ket_keys_become_occupations_of_int(key):
+    ket = FockKet({key: 0.5, (0, 1, 0): 2}, photon_cap=1)
+    assert list(ket.amps) == [(1, 0, 0), (0, 1, 0)]
+    for occ, amp in ket.amps.items():
+        assert type(occ) is Occupation
+        assert [type(x) for x in occ] == [int, int, int]
+        assert type(amp) is complex
+    assert list(ket.amps.values()) == [0.5 + 0j, 2 + 0j]
+
+
+@pytest.mark.parametrize("key", [(1.0, 0, 0), Occupation(1.0, 0, 0), (0, np.float64(1.0), 0)])
+def test_fock_ket_rejects_non_integral_occupations(key):
+    with pytest.raises(TypeError):
+        FockKet({key: 1.0}, photon_cap=1)
 
 
 def test_apply_detector_lossless_single_photon():

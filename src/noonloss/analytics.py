@@ -191,7 +191,8 @@ def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResul
     Returns the quadratic-in-delta_phi SNR.  At operating points where the
     signal slope vanishes (sin(N(phi0 + theta_t)) = 0 within DEGENERACY_TOL)
     the detector is blind; the value 0 is returned with ``degenerate`` set
-    instead of raising.
+    instead of raising.  Where the signal or the noise term overflows, the
+    value comes from ln(min_phase).
     """
     n = probe.n
     angle = n * (op.phi0 + ch.theta_t)
@@ -199,20 +200,45 @@ def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResul
     if abs(s) <= DEGENERACY_TOL:
         return SnrResult(0.0, True)
     noise = _noise_term(n, ch.eta, s)
-    return SnrResult((n * s * op.delta_phi) ** 2 / noise, False)
+    if noise < math.inf:
+        try:
+            return SnrResult((n * s * op.delta_phi) ** 2 / noise, False)
+        except OverflowError:  # the signal alone overflows
+            pass
+    return SnrResult(_overflow_snr(n, ch.eta, s, op.delta_phi), False)
 
 
 def min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
     """Minimum detectable phase change (unit SNR) at operating phase phi0.
 
-    Returns +inf at degenerate operating points.
+    Returns +inf at degenerate operating points.  Where the noise term
+    overflows, the value is exp(log_min_phase_at), finite wherever that is.
     """
     n = probe.n
     angle = n * (phi0 + ch.theta_t)
     s = abs(math.sin(angle))
     if s <= DEGENERACY_TOL:
         return math.inf
-    return math.sqrt(_noise_term(n, ch.eta, s)) / (n * s)
+    noise = _noise_term(n, ch.eta, s)
+    if noise < math.inf:
+        return math.sqrt(noise) / (n * s)
+    return _exp_or_inf(_log_min_phase(n, ch.eta, s))
+
+
+def _log_min_phase(n: int, eta: float, s: float) -> float:
+    """ln(sqrt(noise) / (N s)) at |sin| = s > DEGENERACY_TOL, without forming eta**-N."""
+    a = -n * math.log(eta)
+    # noise / s^2 = e**a * (-expm1(-a)/(2 s^2) + e**-a): both terms are
+    # nonnegative, and at eta = 1 the bracket is exactly 1
+    return 0.5 * (a + math.log(-0.5 * math.expm1(-a) / (s * s) + math.exp(-a))) - math.log(n)
+
+
+def _overflow_snr(n: int, eta: float, s: float, delta_phi: float) -> float:
+    """The SNR (delta_phi / min_phase)**2 through ln(min_phase), where the
+    signal (N s delta_phi)**2 or the noise term overflows."""
+    if delta_phi == 0.0:
+        return 0.0
+    return _exp_or_inf(2.0 * (math.log(abs(delta_phi)) - _log_min_phase(n, eta, abs(s))))
 
 
 def log_min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
@@ -222,10 +248,7 @@ def log_min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
     s = abs(math.sin(angle))
     if s <= DEGENERACY_TOL:
         return math.inf
-    a = -n * math.log(ch.eta)
-    # noise / s^2 = e**a * (-expm1(-a)/(2 s^2) + e**-a): both terms are
-    # nonnegative, and at eta = 1 the bracket is exactly 1
-    return 0.5 * (a + math.log(-0.5 * math.expm1(-a) / (s * s) + math.exp(-a))) - math.log(n)
+    return _log_min_phase(n, ch.eta, s)
 
 
 def min_phase_opt_continuous(n: float, eta: float) -> float:
@@ -359,7 +382,14 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
             min_phase.append(math.inf)
         else:
             noise = _noise_term(k, e, s)
-            snr.append((k * s * delta_phi) ** 2 / noise)
-            min_phase.append(math.sqrt(noise) / (k * abs(s)))
+            if noise < math.inf:
+                try:
+                    snr.append((k * s * delta_phi) ** 2 / noise)
+                except OverflowError:  # the signal alone overflows
+                    snr.append(_overflow_snr(k, e, s, delta_phi))
+                min_phase.append(math.sqrt(noise) / (k * abs(s)))
+            else:
+                snr.append(_overflow_snr(k, e, s, delta_phi))
+                min_phase.append(_exp_or_inf(_log_min_phase(k, e, abs(s))))
         opt.append(min_phase_opt_continuous(k, e))
     return mean, variance, snr, min_phase, opt

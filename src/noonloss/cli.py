@@ -153,6 +153,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"start and stop must be finite, got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ValueError(f"start must be < stop, got [{self.start}, {self.stop}]")
         if self.steps < 2:
@@ -168,8 +170,8 @@ class SweepSpec:
         else:
             values = np.linspace(self.start, self.stop, self.steps)
         if self.variable == "N":
-            ints = np.unique(np.rint(values).astype(np.int64))
-            return [int(v) for v in ints if v >= 1]
+            # rounded as floats: a cast to int64 would wrap past 2**63
+            return [int(v) for v in np.unique(np.rint(values)) if v >= 1]
         return [float(v) for v in values]
 
 

@@ -2,8 +2,11 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noonloss
 from noonloss import fock_oracle
@@ -301,8 +304,34 @@ def test_sweep_spec_validation():
         SweepSpec("bogus", 1.0, 5.0, 10)
     with pytest.raises(ValueError):
         SweepSpec("eta", 0.0, 1.0, 10, scale="log")
+    for start, stop in ((1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match=r"start and stop must be finite"):
+            SweepSpec("N", start, stop, 10)
     ns = SweepSpec("N", 1.0, 10.0, 10).grid()
     assert ns == list(range(1, 11))
+    # photon numbers past 2**63 stay exact integers
+    assert SweepSpec("N", 1.0, 1e20, 3).grid() == [1, 5 * 10 ** 19, 10 ** 20]
+
+
+def test_sweep_infinite_range_is_one_usage_error_under_warnings_as_errors():
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "noonloss", "sweep", "--var", "N", "--eta", "0.5",
+         "--start", "1", "--stop", "inf", "--steps", "3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: start and stop must be finite, got [1.0, inf]")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_overflowing_signal_gives_a_value_not_a_traceback():
+    # (3 * 1e200)**2 overflows a double: the SNR is inf, min_phase stays finite
+    code, out, err = run_cli("precision", "--n", "3", "--eta", "0.5", "--dphi", "1e200", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["snr"] == "inf"
+    assert doc["min_phase"] == pytest.approx(math.sqrt(4.5) / 3, rel=1e-12)
 
 
 def test_module_invocation_smoke():
@@ -312,3 +341,39 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["nu"] - 2.218) < 1e-3
+
+
+_RANGE_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e6, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _sweep_argv(draw):
+    mode = draw(st.sampled_from([["--fig2"], ["--fig3"], ["--var", "N"], ["--var", "eta"],
+                                 ["--var", "L"], ["--var", "phi0"]]))
+    argv = ["sweep", *mode, "--n", "3", "--format", draw(st.sampled_from(["text", "csv", "json"]))]
+    if mode[-1] not in ("eta", "L"):
+        argv += ["--eta", draw(st.sampled_from(["0.7", "1"]))]
+    for flag in ("--start", "--stop"):
+        value = draw(st.none() | _RANGE_ENDS)
+        if value is not None:
+            argv.append(f"{flag}={value!r}")  # '=' keeps argparse from reading '-inf' as a flag
+    scale = draw(st.sampled_from([None, "linear", "log"]))
+    if scale is not None:
+        argv += ["--scale", scale]
+    steps = draw(st.none() | st.integers(-1, 10 ** 4))
+    if steps is not None:
+        argv.append(f"--steps={steps}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_argv())
+def test_sweep_range_fuzz(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(*argv)
+    assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err

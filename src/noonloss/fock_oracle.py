@@ -103,17 +103,12 @@ def build_noon_input(n: int, phi: float) -> FockKet:
     )
 
 
-def _ladder_weight(k: int, m: int, n: int) -> float:
-    """sqrt(k! m! / n!) for one term of an n-quantum ladder expansion."""
-    return math.sqrt(factorial(k) * factorial(m) / factorial(n))
-
-
 @lru_cache(maxsize=None)
 def _ladder_coefficients(n: int) -> tuple[float, ...]:
     """comb(n, k) * sqrt(k! (n-k)! / n!) for k = 0..n, the channel-free part of
-    every ladder term.  Callers check 1 <= n <= MAX_PHOTONS first, so the
-    cache holds at most MAX_PHOTONS tables."""
-    return tuple(comb(n, k) * _ladder_weight(k, n - k, n) for k in range(n + 1))
+    every term of an n-quantum ladder expansion.  Callers check
+    1 <= n <= MAX_PHOTONS first, so the cache holds at most MAX_PHOTONS tables."""
+    return tuple(comb(n, k) * math.sqrt(factorial(k) * factorial(n - k) / factorial(n)) for k in range(n + 1))
 
 
 def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: float = math.pi / 2) -> FockKet:

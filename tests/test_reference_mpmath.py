@@ -52,7 +52,6 @@ def rel_err(got, want):
 @example((1, 1.0, 0.0, 1e-8, 0.01))
 @example((3, 1.0 - 1e-16, 0.0, math.pi / 3 + 1e-12, 0.01))
 @example((20000, math.exp(-712 / 20000), 0.0, math.pi / 40000, 1.0))  # noise term past DBL_MAX, snr normal
-@example((2, 1e-200, 0.0, math.pi / 4, 0.5))  # noise term past DBL_MAX, min_phase finite
 def test_against_mpmath(point):
     n, eta, theta_t, phi0, dphi = point
     probe, ch = NoonProbe(n), LossChannel(eta, theta_t)

@@ -9,6 +9,13 @@ a one-ulp change in a log-domain kernel flips some of their tie-breaks.
 ``oracle_moments`` pair that a dense ``verify --max-n 64 --seed`` run asks for,
 moments under other reflection phases, and detector outputs of a few kets.
 
+``kernels.json`` pins the scalar closed forms bit for bit: every
+``precision_report`` field and ``snr_lossy``, ``min_phase_at`` and
+``log_min_phase_at`` at seeded points and at the edge cases of each rule
+(blind and near-blind phases, eta = 1 and 1 - 1e-16, an overflowing noise
+term or signal, delta_phi = 0).  It is independent of ``precision_grid``,
+which shares these kernels.
+
 The files are written only for a deliberate output change, which then belongs
 in CHANGES.md:
 
@@ -25,7 +32,8 @@ from unittest import mock
 import pytest
 
 from noonloss import PhotonBudget, fock_oracle, n_min_integer, n_tilde_min_integer
-from noonloss.analytics import LossChannel
+from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, log_min_phase_at, min_phase_at,
+                                precision_report, snr_lossy)
 from noonloss.cli import run_verification
 from noonloss.fock_oracle import FockKet, Occupation, apply_detector, build_noon_input, oracle_moments
 
@@ -253,6 +261,58 @@ def oracle_golden():
     return {"verify_digest": oracle_digest(), "reflection_phase": reflection_rows(), "detector": detector_rows()}
 
 
+def kernel_points(count=300, seed=2020):
+    """(n, eta, theta_t, phi0, delta_phi): named edge cases, then seeded points
+    with N log-uniform in [1, 1e6] and eta from (0, 1] or within 1e-16..1e-1 of 1."""
+    edges = [
+        (2, 0.9, 0.0, 0.0, 0.01),  # blind, sin = 0
+        (1, 0.5, 0.0, 1e-15, 0.01),  # blind, 0 < |sin| <= DEGENERACY_TOL
+        (3, 0.7, 0.0, math.pi / 3 + 1e-15, 0.01),  # blind: N phi0 rounds to within 3e-15 of pi
+        (1, 1.0, 0.0, 1e-10, 0.01),  # near-blind, lossless
+        (1, 0.9, 0.0, 2e-14, 0.01),  # near-blind, just above the tolerance
+        (3, 0.7, 0.2, math.pi / 3 - 0.2 + 1e-12, 0.01),
+        (5, 1.0, 0.0, 0.3, 0.02),  # eta = 1
+        (5, 1.0, 0.0, math.pi / 10, 0.02),
+        (3, 1.0 - 1e-16, 0.0, 0.4, 0.01),  # eta = 1 - 1e-16
+        (3, 1.0 - 1e-16, 0.0, math.pi / 3 + 1e-12, 0.01),
+        (2000, 0.5, 0.0, math.pi / 4000, 0.01),  # noise term overflows, optimal phase
+        (2000, 0.5, 0.3, 1.1, 0.01),
+        (2000, 0.5, 0.0, math.pi / 4000, 0.0),
+        (1000, 0.55, 0.0, math.pi / 2000, 0.01),  # 500 < N|ln eta| < ln(DBL_MAX)
+        (3, 0.5, 0.0, math.pi / 6, 1e200),  # signal overflows
+        (3, 1e-100, 0.0, math.pi / 6, 1e160),
+        (4, 0.6, 0.1, 0.5, 0.0),  # delta_phi = 0
+        (20000, math.exp(-712 / 20000), 0.0, math.pi / 40000, 1.0),
+    ]
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        n = int(10.0 ** rng.uniform(0.0, 6.0))
+        eta = 1.0 - rng.random() if rng.random() < 0.7 else 1.0 - 10.0 ** rng.uniform(-16.0, -1.0)
+        points.append((n, eta, rng.uniform(-3.0, 3.0), rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-6.0, 0.0)))
+    return edges + points
+
+
+def kernel_rows():
+    """[point, precision_report fields, snr_lossy, min_phase_at, log_min_phase_at], floats as hex."""
+    rows = []
+    for n, eta, theta_t, phi0, dphi in kernel_points():
+        probe, ch, op = NoonProbe(n), LossChannel(eta, theta_t), OperatingPoint(phi0, dphi)
+        r = precision_report(probe, ch, op)
+        snr = snr_lossy(probe, ch, op)
+        rows.append([[n, eta, theta_t, phi0, dphi],
+                     [r.mean.hex(), r.variance.hex(), r.snr.hex(), r.min_phase.hex(), r.log_min_phase.hex(),
+                      r.degenerate],
+                     [snr.value.hex(), snr.degenerate],
+                     min_phase_at(probe, ch, phi0).hex(), log_min_phase_at(probe, ch, phi0).hex()])
+    return rows
+
+
+def test_scalar_kernels_are_bit_identical():
+    want = json.loads((GOLDEN / "kernels.json").read_text(encoding="utf-8"))
+    assert kernel_rows() == want
+
+
 @pytest.fixture(scope="module")
 def golden_oracle():
     return json.loads((GOLDEN / "oracle.json").read_text(encoding="utf-8"))
@@ -317,6 +377,8 @@ def _write_golden():
     (GOLDEN / "optima.json").write_text(
         "[\n" + ",\n".join(json.dumps(row) for row in optima_rows()) + "\n]\n", encoding="utf-8")
     (GOLDEN / "oracle.json").write_text(json.dumps(oracle_golden(), indent=1) + "\n", encoding="utf-8")
+    (GOLDEN / "kernels.json").write_text(
+        "[\n" + ",\n".join(json.dumps(row) for row in kernel_rows()) + "\n]\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ brute-force checks for the moment formulas live in
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 __all__ = [
@@ -151,18 +150,32 @@ def _optimal_phi0(n: int, theta_t: float) -> float:
     return 0.5 * math.pi / n - theta_t
 
 
+def _angle(n: int, phi: float, theta_t: float) -> float:
+    """N(phi + theta_t), the argument of every sin and cos below."""
+    return n * (phi + theta_t)
+
+
+def _mean(n: int, eta: float, c: float) -> float:
+    """mean_detection at c = cos(N(phi + theta_t))."""
+    return eta ** (n / 2.0) * c
+
+
+def _variance(n: int, eta: float, c: float) -> float:
+    """variance_detection at c = cos(N(phi + theta_t))."""
+    eta_n = eta ** n
+    return 0.5 * (1.0 + eta_n) - eta_n * c * c
+
+
 def mean_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
     """<A'_N> = eta**(N/2) * cos(N(phi + theta_t))."""
     n = probe.n
-    return ch.eta ** (n / 2.0) * math.cos(n * (phi + ch.theta_t))
+    return _mean(n, ch.eta, math.cos(_angle(n, phi, ch.theta_t)))
 
 
 def variance_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
     """Var A'_N = (1 + eta**N)/2 - eta**N * cos^2(N(phi + theta_t))."""
     n = probe.n
-    eta_n = ch.eta ** n
-    c = math.cos(n * (phi + ch.theta_t))
-    return 0.5 * (1.0 + eta_n) - eta_n * c * c
+    return _variance(n, ch.eta, math.cos(_angle(n, phi, ch.theta_t)))
 
 
 def _noise_term(n: int, eta: float, sin_angle: float) -> float:
@@ -185,6 +198,45 @@ def _noise_term(n: int, eta: float, sin_angle: float) -> float:
     return 0.5 * excess + sin_angle * sin_angle
 
 
+def _log_min_phase(n: int, eta: float, s: float) -> float:
+    """ln(sqrt(noise) / (N s)) at |sin| = s, without forming eta**-N; inf at
+    a blind operating point."""
+    if s <= DEGENERACY_TOL:
+        return math.inf
+    a = -n * math.log(eta)
+    # noise / s^2 = e**a * (-expm1(-a)/(2 s^2) + e**-a): both terms are
+    # nonnegative, and at eta = 1 the bracket is exactly 1
+    return 0.5 * (a + math.log(-0.5 * math.expm1(-a) / (s * s) + math.exp(-a))) - math.log(n)
+
+
+def _snr_min_phase(n: int, eta: float, s: float, delta_phi: float):
+    """(snr, min_phase, degenerate) at |sin(N(phi0 + theta_t))| = s.
+
+    A blind operating point (s <= DEGENERACY_TOL) gives (0, inf, True).
+    Where the noise term overflows, min_phase is exp(ln min_phase); where it
+    or the signal (N s delta_phi)**2 overflows, the SNR is
+    (delta_phi / min_phase)**2 through ln(min_phase).
+    """
+    if s <= DEGENERACY_TOL:
+        return 0.0, math.inf, True
+    noise = _noise_term(n, eta, s)
+    if noise < math.inf:
+        min_phase = math.sqrt(noise) / (n * s)
+        try:
+            return (n * s * delta_phi) ** 2 / noise, min_phase, False
+        except OverflowError:  # the signal alone overflows
+            return _snr_from_log(delta_phi, _log_min_phase(n, eta, s)), min_phase, False
+    log_min_phase = _log_min_phase(n, eta, s)
+    return _snr_from_log(delta_phi, log_min_phase), _exp_or_inf(log_min_phase), False
+
+
+def _snr_from_log(delta_phi: float, log_min_phase: float) -> float:
+    """(delta_phi / min_phase)**2 from ln(min_phase)."""
+    if delta_phi == 0.0:
+        return 0.0
+    return _exp_or_inf(2.0 * (math.log(abs(delta_phi)) - log_min_phase))
+
+
 def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResult:
     """Small-change signal-to-noise ratio at phi0.
 
@@ -195,17 +247,9 @@ def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResul
     value comes from ln(min_phase).
     """
     n = probe.n
-    angle = n * (op.phi0 + ch.theta_t)
-    s = math.sin(angle)
-    if abs(s) <= DEGENERACY_TOL:
-        return SnrResult(0.0, True)
-    noise = _noise_term(n, ch.eta, s)
-    if noise < math.inf:
-        try:
-            return SnrResult((n * s * op.delta_phi) ** 2 / noise, False)
-        except OverflowError:  # the signal alone overflows
-            pass
-    return SnrResult(_overflow_snr(n, ch.eta, s, op.delta_phi), False)
+    s = abs(math.sin(_angle(n, op.phi0, ch.theta_t)))
+    snr, _, degenerate = _snr_min_phase(n, ch.eta, s, op.delta_phi)
+    return SnrResult(snr, degenerate)
 
 
 def min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
@@ -215,40 +259,13 @@ def min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
     overflows, the value is exp(log_min_phase_at), finite wherever that is.
     """
     n = probe.n
-    angle = n * (phi0 + ch.theta_t)
-    s = abs(math.sin(angle))
-    if s <= DEGENERACY_TOL:
-        return math.inf
-    noise = _noise_term(n, ch.eta, s)
-    if noise < math.inf:
-        return math.sqrt(noise) / (n * s)
-    return _exp_or_inf(_log_min_phase(n, ch.eta, s))
-
-
-def _log_min_phase(n: int, eta: float, s: float) -> float:
-    """ln(sqrt(noise) / (N s)) at |sin| = s > DEGENERACY_TOL, without forming eta**-N."""
-    a = -n * math.log(eta)
-    # noise / s^2 = e**a * (-expm1(-a)/(2 s^2) + e**-a): both terms are
-    # nonnegative, and at eta = 1 the bracket is exactly 1
-    return 0.5 * (a + math.log(-0.5 * math.expm1(-a) / (s * s) + math.exp(-a))) - math.log(n)
-
-
-def _overflow_snr(n: int, eta: float, s: float, delta_phi: float) -> float:
-    """The SNR (delta_phi / min_phase)**2 through ln(min_phase), where the
-    signal (N s delta_phi)**2 or the noise term overflows."""
-    if delta_phi == 0.0:
-        return 0.0
-    return _exp_or_inf(2.0 * (math.log(abs(delta_phi)) - _log_min_phase(n, eta, abs(s))))
+    return _snr_min_phase(n, ch.eta, abs(math.sin(_angle(n, phi0, ch.theta_t))), 0.0)[1]
 
 
 def log_min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
     """ln of min_phase_at, computed without forming eta**-N directly."""
     n = probe.n
-    angle = n * (phi0 + ch.theta_t)
-    s = abs(math.sin(angle))
-    if s <= DEGENERACY_TOL:
-        return math.inf
-    return _log_min_phase(n, ch.eta, s)
+    return _log_min_phase(n, ch.eta, abs(math.sin(_angle(n, phi0, ch.theta_t))))
 
 
 def min_phase_opt_continuous(n: float, eta: float) -> float:
@@ -317,15 +334,13 @@ def d_log_precision_dN(n_real: float, eta: float) -> float:
 
 def precision_report(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> PrecisionReport:
     """Evaluate mean, variance, SNR, and minimum phase at one operating point."""
-    snr = snr_lossy(probe, ch, op)
-    return PrecisionReport(
-        mean=mean_detection(probe, ch, op.phi0),
-        variance=variance_detection(probe, ch, op.phi0),
-        snr=snr.value,
-        min_phase=min_phase_at(probe, ch, op.phi0),
-        log_min_phase=log_min_phase_at(probe, ch, op.phi0),
-        degenerate=snr.degenerate,
-    )
+    n, eta = probe.n, ch.eta
+    angle = _angle(n, op.phi0, ch.theta_t)
+    c, s = math.cos(angle), abs(math.sin(angle))
+    snr, min_phase, degenerate = _snr_min_phase(n, eta, s, op.delta_phi)
+    return PrecisionReport(mean=_mean(n, eta, c), variance=_variance(n, eta, c), snr=snr,
+                           min_phase=min_phase, log_min_phase=_log_min_phase(n, eta, s),
+                           degenerate=degenerate)
 
 
 def _build_point(n, eta: float, theta_t: float, phi0, delta_phi: float):
@@ -343,8 +358,8 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
     variable; the others are held fixed.  ``phi0=None`` is the optimal phase
     pi/(2N) - theta_t at each point.  Every value equals, bit for bit, the
     matching field of :func:`precision_report` or :func:`min_phase_opt` at
-    that point.  The domain is checked once for the whole grid, and the first
-    point outside it raises the ValueError its LossChannel, NoonProbe or
+    that point.  Points are checked in grid order, and the first one outside
+    the domain raises the ValueError its LossChannel, NoonProbe or
     OperatingPoint would.
     """
     n_seq, eta_seq, phi_seq = (hasattr(x, "__len__") for x in (n, eta, phi0))
@@ -355,41 +370,29 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
     # the first point holds every fixed value; after it only the swept one can fail
     probe, _, op = _build_point(n[0] if n_seq else n, eta[0] if eta_seq else eta, theta_t,
                                 phi0[0] if phi_seq else phi0, delta_phi)
-    if n_seq:
-        ns = [_photon_number(k) for k in n]
-        phis = [_optimal_phi0(k, theta_t) for k in ns] if phi0 is None else repeat(phi0)
-    else:
-        ns, phis = repeat(probe.n), phi0 if phi_seq else repeat(op.phi0)
-    if eta_seq:
-        for e in eta:
-            _validate_eta(e)
-    if phi_seq:
-        for p in phi0:
-            _validate_phases(p, delta_phi)
+
+    def points():
+        """(N, eta, angle) of each point, in grid order."""
+        if n_seq:
+            for k in map(_photon_number, n):
+                yield k, eta, _angle(k, _optimal_phi0(k, theta_t) if phi0 is None else phi0, theta_t)
+        elif eta_seq:
+            angle = _angle(probe.n, op.phi0, theta_t)
+            for e in eta:
+                _validate_eta(e)
+                yield probe.n, e, angle
+        else:
+            for p in phi0:
+                _validate_phases(p, delta_phi)
+                yield probe.n, eta, _angle(probe.n, p, theta_t)
 
     mean, variance, snr, min_phase, opt = [], [], [], [], []
-    for k, e, p in zip(ns, eta if eta_seq else repeat(eta), phis):
-        angle = k * (p + theta_t)
-        s = math.sin(angle)
+    for k, e, angle in points():
         c = math.cos(angle)
-        # mean_detection and variance_detection, which run_verification calls
-        # per oracle point, keep these two expressions inline
-        eta_k = e ** k
-        mean.append(e ** (k / 2.0) * c)
-        variance.append(0.5 * (1.0 + eta_k) - eta_k * c * c)
-        if abs(s) <= DEGENERACY_TOL:
-            snr.append(0.0)
-            min_phase.append(math.inf)
-        else:
-            noise = _noise_term(k, e, s)
-            if noise < math.inf:
-                try:
-                    snr.append((k * s * delta_phi) ** 2 / noise)
-                except OverflowError:  # the signal alone overflows
-                    snr.append(_overflow_snr(k, e, s, delta_phi))
-                min_phase.append(math.sqrt(noise) / (k * abs(s)))
-            else:
-                snr.append(_overflow_snr(k, e, s, delta_phi))
-                min_phase.append(_exp_or_inf(_log_min_phase(k, e, abs(s))))
+        mean.append(_mean(k, e, c))
+        variance.append(_variance(k, e, c))
+        snr_k, min_phase_k, _ = _snr_min_phase(k, e, abs(math.sin(angle)), delta_phi)
+        snr.append(snr_k)
+        min_phase.append(min_phase_k)
         opt.append(min_phase_opt_continuous(k, e))
     return mean, variance, snr, min_phase, opt

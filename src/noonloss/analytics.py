@@ -10,6 +10,7 @@ brute-force checks for the moment formulas live in
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,11 +39,8 @@ __all__ = [
 # |sin(N(phi0 + theta_t))| at or below this counts as a blind operating point.
 DEGENERACY_TOL = 1e-14
 
-# Above this value of N*|ln eta| the factor eta**-N is handled through its
-# logarithm; a direct power would overflow well before N reaches useful sizes.
-_LOG_DOMAIN_CUTOFF = 500.0
-
 _LN2 = math.log(2.0)
+_LN_DBL_MAX = math.log(sys.float_info.max)
 
 
 def _validate_eta(eta: float) -> None:
@@ -75,11 +73,17 @@ def _log_half_1p_exp(a: float) -> float:
 
 
 def _inv_eta_pow(n: float, eta: float) -> float:
-    """eta**(-n), evaluated through the exponent when it is large; may be inf."""
-    a = -n * math.log(eta)
-    if a > _LOG_DOMAIN_CUTOFF:
-        return _exp_or_inf(a)
-    return eta ** -n
+    """eta**-n, exact to an ulp, or inf past DBL_MAX.
+
+    This is the one place that decides whether eta**-N overflows; every caller
+    takes its own log form where it gets inf.
+    """
+    if -n * math.log(eta) > _LN_DBL_MAX:  # decided before raising: most fig rows overflow
+        return math.inf
+    try:
+        return eta ** -n
+    except OverflowError:  # within rounding of ln(DBL_MAX)
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -191,10 +195,7 @@ def _noise_term(n: int, eta: float, sin_angle: float) -> float:
         excess = math.expm1(a)
     else:
         # the power is exact to an ulp; expm1(a) would scale the rounding of a by a
-        try:
-            excess = eta ** -n - 1.0
-        except OverflowError:
-            excess = math.inf
+        excess = _inv_eta_pow(n, eta) - 1.0
     return 0.5 * excess + sin_angle * sin_angle
 
 
@@ -274,7 +275,7 @@ def min_phase_opt_continuous(n: float, eta: float) -> float:
         raise ValueError(f"photon number must be positive, got {n!r}")
     _validate_eta(eta)
     inv = _inv_eta_pow(n, eta)
-    if math.isinf(inv):
+    if inv == math.inf:
         return _exp_or_inf(log_min_phase_opt_continuous(n, eta))
     return math.sqrt(0.5 * (inv + 1.0)) / n
 

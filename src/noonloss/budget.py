@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analytics import _LOG_DOMAIN_CUTOFF, _exp_or_inf, _log_half_1p_exp, _validate_eta
+from .analytics import _exp_or_inf, _inv_eta_pow, _log_half_1p_exp, _validate_eta
 from .roots import bisect_root, expand_upper, integer_argmin
 
 __all__ = [
@@ -69,10 +69,10 @@ def r_noon_continuous(n: float, eta: float) -> float:
     if n <= 0:
         raise ValueError(f"photon number must be positive, got {n!r}")
     _validate_eta(eta)
-    a = -n * math.log(eta)
-    if a > _LOG_DOMAIN_CUTOFF:
+    inv = _inv_eta_pow(n, eta)
+    if inv == math.inf:
         return _exp_or_inf(log_r_noon(n, eta))
-    return math.sqrt(eta * (eta ** -n + 1.0) / (2.0 * n))
+    return math.sqrt(eta * (inv + 1.0) / (2.0 * n))
 
 
 def r_noon(n: int, eta: float) -> float:
@@ -97,10 +97,10 @@ def noon_precision_budgeted(n: int, b: PhotonBudget, eta: float) -> float:
     if not 1 <= n <= b.n_total:
         raise ValueError(f"per-measurement N must satisfy 1 <= N <= N_T = {b.n_total}, got {n}")
     _validate_eta(eta)
-    a = -n * math.log(eta)
-    if a > _LOG_DOMAIN_CUTOFF:
-        return _exp_or_inf(0.5 * _log_half_1p_exp(a) - 0.5 * math.log(n * b.n_total))
-    return math.sqrt(0.5 * (eta ** -n + 1.0)) / math.sqrt(n * b.n_total)
+    inv = _inv_eta_pow(n, eta)
+    if inv == math.inf:
+        return _exp_or_inf(0.5 * _log_half_1p_exp(-n * math.log(eta)) - 0.5 * math.log(n * b.n_total))
+    return math.sqrt(0.5 * (inv + 1.0)) / math.sqrt(n * b.n_total)
 
 
 @lru_cache(maxsize=1)

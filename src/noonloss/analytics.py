@@ -164,10 +164,10 @@ def _mean(n: int, eta: float, c: float) -> float:
     return eta ** (n / 2.0) * c
 
 
-def _variance(n: int, eta: float, c: float) -> float:
-    """variance_detection at c = cos(N(phi + theta_t))."""
-    eta_n = eta ** n
-    return 0.5 * (1.0 + eta_n) - eta_n * c * c
+def _variance(n: int, eta: float, s: float) -> float:
+    """variance_detection at s = sin(N(phi + theta_t)): (1 - eta**N)/2 + eta**N s^2,
+    a sum of two nonnegative terms, so no cancellation near a blind point."""
+    return -0.5 * math.expm1(n * math.log(eta)) + eta ** n * (s * s)
 
 
 def mean_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
@@ -179,7 +179,7 @@ def mean_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
 def variance_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
     """Var A'_N = (1 + eta**N)/2 - eta**N * cos^2(N(phi + theta_t))."""
     n = probe.n
-    return _variance(n, ch.eta, math.cos(_angle(n, phi, ch.theta_t)))
+    return _variance(n, ch.eta, math.sin(_angle(n, phi, ch.theta_t)))
 
 
 def _noise_term(n: int, eta: float, sin_angle: float) -> float:
@@ -339,7 +339,7 @@ def precision_report(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> P
     angle = _angle(n, op.phi0, ch.theta_t)
     c, s = math.cos(angle), abs(math.sin(angle))
     snr, min_phase, degenerate = _snr_min_phase(n, eta, s, op.delta_phi)
-    return PrecisionReport(mean=_mean(n, eta, c), variance=_variance(n, eta, c), snr=snr,
+    return PrecisionReport(mean=_mean(n, eta, c), variance=_variance(n, eta, s), snr=snr,
                            min_phase=min_phase, log_min_phase=_log_min_phase(n, eta, s),
                            degenerate=degenerate)
 
@@ -389,10 +389,10 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
 
     mean, variance, snr, min_phase, opt = [], [], [], [], []
     for k, e, angle in points():
-        c = math.cos(angle)
-        mean.append(_mean(k, e, c))
-        variance.append(_variance(k, e, c))
-        snr_k, min_phase_k, _ = _snr_min_phase(k, e, abs(math.sin(angle)), delta_phi)
+        s = abs(math.sin(angle))
+        mean.append(_mean(k, e, math.cos(angle)))
+        variance.append(_variance(k, e, s))
+        snr_k, min_phase_k, _ = _snr_min_phase(k, e, s, delta_phi)
         snr.append(snr_k)
         min_phase.append(min_phase_k)
         opt.append(min_phase_opt_continuous(k, e))

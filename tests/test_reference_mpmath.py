@@ -1,4 +1,5 @@
-"""min_phase_at, snr_lossy and log_min_phase_at against 50-digit mpmath.
+"""variance_detection, min_phase_at, snr_lossy and log_min_phase_at against
+50-digit mpmath.
 
 The references take the operating angle N(phi0 + theta_t) as the functions
 form it in floating point, so that they measure the error of the closed
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from noonloss.analytics import LossChannel, NoonProbe, OperatingPoint, log_min_phase_at, min_phase_at, snr_lossy
+from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, log_min_phase_at, min_phase_at, snr_lossy,
+                                variance_detection)
 
 mpmath.mp.dps = 50
 RTOL = 1e-13
@@ -59,6 +61,9 @@ def test_against_mpmath(point):
     noise = (mpmath.mpf(eta) ** -n - 1) / 2 + s * s
     min_phase = mpmath.sqrt(noise) / (n * abs(s))
     snr = (n * s * mpmath.mpf(dphi)) ** 2 / noise
+    eta_n = mpmath.mpf(eta) ** n
+    variance = (1 - eta_n) / 2 + eta_n * s * s
+    assert rel_err(variance_detection(probe, ch, phi0), variance) <= RTOL
 
     log_want = mpmath.log(min_phase)
     log_tol = RTOL * max(1.0, abs(log_want))

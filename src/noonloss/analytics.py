@@ -155,8 +155,12 @@ def _optimal_phi0(n: int, theta_t: float) -> float:
 
 
 def _angle(n: int, phi: float, theta_t: float) -> float:
-    """N(phi + theta_t), the argument of every sin and cos below."""
-    return n * (phi + theta_t)
+    """N(phi + theta_t), the argument of every sin and cos below; finite phases
+    can still give an infinite product, which is rejected here."""
+    angle = n * (phi + theta_t)
+    if not math.isfinite(angle):
+        raise ValueError(f"N*(phi0 + theta_t) must be finite, got N = {n}, phi0 = {phi!r}, theta_t = {theta_t!r}")
+    return angle
 
 
 def _mean(n: int, eta: float, c: float) -> float:

@@ -337,7 +337,7 @@ def _first_error(fn, *args):
 
 
 BAD = dict(etas=st.sampled_from([0.0, -0.5, 1.5, math.nan, math.inf]),
-           phases=st.sampled_from([math.nan, math.inf, -math.inf]),
+           phases=st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
            ns=st.integers(-3, 0))
 
 
@@ -370,6 +370,12 @@ def test_precision_grid_raises_the_first_points_message(sweep):
     ([1, 2], 0.5, math.nan, None, math.inf),
     (0, [1.5], math.nan, None, 0.01),
     (0, [0.5], 0.0, None, math.inf),
+    # N*(phi0 + theta_t) overflows although phi0 and theta_t are finite
+    (3, 0.5, 0.0, [0.0, 1e308, math.nan], 0.01),
+    ([1, 10 ** 10, 0], 0.5, 0.0, 1e300, 0.01),
+    (3, [0.5, 1.5], 0.0, 1e308, 0.01),
+    (3, [1.5], 0.0, 1e308, 0.01),
+    ([1, 2], 0.5, 1e308, 1e308, 0.01),
 ])
 def test_precision_grid_error_order_examples(sweep):
     assert _first_error(precision_grid, *sweep) == _first_error(_grid_reference, *sweep) is not None

@@ -334,6 +334,20 @@ def test_overflowing_signal_gives_a_value_not_a_traceback():
     assert doc["min_phase"] == pytest.approx(math.sqrt(4.5) / 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["precision", "--n", "3", "--eta", "0.5", "--phi0", "1e308"],
+    ["sweep", "--var", "phi0", "--eta", "0.5", "--n", "3", "--start", "0", "--stop", "1e308", "--steps", "3"],
+    ["sweep", "--var", "N", "--eta", "0.5", "--phi0", "1e300", "--start", "1", "--stop", "1e10", "--steps", "3",
+     "--scale", "log"],
+])
+def test_overflowing_angle_is_a_domain_error(argv):
+    # finite phi0, but N*(phi0 + theta_t) passes DBL_MAX
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: N*(phi0 + theta_t) must be finite, got N = ")
+    assert "phi0 = 1e+" in err and "theta_t = 0.0" in err and err.count("\n") == 1
+
+
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "noonloss", "constants", "--format", "json"],

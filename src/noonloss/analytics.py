@@ -40,7 +40,9 @@ __all__ = [
 DEGENERACY_TOL = 1e-14
 
 _LN2 = math.log(2.0)
-_LN_DBL_MAX = math.log(sys.float_info.max)
+# eta**-N overflows for certain once N|ln eta| passes ln(DBL_MAX) by more than
+# the rounding of N ln eta (about 3e-13 there)
+_POW_OVERFLOWS = math.log(sys.float_info.max) + 1e-9
 
 
 def _validate_eta(eta: float) -> None:
@@ -78,11 +80,11 @@ def _inv_eta_pow(n: float, eta: float) -> float:
     This is the one place that decides whether eta**-N overflows; every caller
     takes its own log form where it gets inf.
     """
-    if -n * math.log(eta) > _LN_DBL_MAX:  # decided before raising: most fig rows overflow
+    if -n * math.log(eta) > _POW_OVERFLOWS:  # decided without raising: most fig rows overflow
         return math.inf
     try:
         return eta ** -n
-    except OverflowError:  # within rounding of ln(DBL_MAX)
+    except OverflowError:  # within the rounding of N ln eta of ln(DBL_MAX)
         return math.inf
 
 

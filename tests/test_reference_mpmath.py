@@ -1,5 +1,6 @@
-"""variance_detection, min_phase_at, snr_lossy and log_min_phase_at against
-50-digit mpmath.
+"""The closed forms against 50-digit mpmath: variance_detection, min_phase_at,
+snr_lossy and log_min_phase_at at any operating point, and the optimal-phase
+and budgeted forms on both sides of the overflow of eta**-N.
 
 The references take the operating angle N(phi0 + theta_t) as the functions
 form it in floating point, so that they measure the error of the closed
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, log_min_phase_at, min_phase_at, snr_lossy,
-                                variance_detection)
+from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, log_min_phase_at, log_min_phase_opt_continuous,
+                                min_phase_at, min_phase_opt, min_phase_opt_continuous, snr_lossy, variance_detection)
+from noonloss.budget import PhotonBudget, log_r_noon, noon_precision_budgeted, r_noon, r_noon_continuous
 
 mpmath.mp.dps = 50
 RTOL = 1e-13
@@ -95,3 +97,52 @@ def test_snr_where_only_the_signal_overflows():
     want = (n * s * mpmath.mpf(dphi)) ** 2 / ((mpmath.mpf(eta) ** -n - 1) / 2 + s * s)
     assert not got.degenerate
     assert rel_err(got.value, want) <= 2 * RTOL * abs(mpmath.log(want))
+
+
+# where eta**-N is a finite double the forms take the power, exact to an ulp
+POWER_RTOL = 1e-15
+LN_DBL_MAX = math.log(sys.float_info.max)
+# a = N|ln eta|: below the former 500 cutoff, between it and overflow, past overflow
+exponents = st.one_of(st.floats(0.0, 500.0), st.floats(500.0, LN_DBL_MAX), st.floats(LN_DBL_MAX, 1e5))
+
+
+@st.composite
+def optimal_points(draw):
+    """(n, eta, n_total) with n an integer in [1, 1e9], a = N|ln eta| drawn from
+    ``exponents`` and n_total in [n, 1e6 n]."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(1, 10 ** 9)))
+    eta = math.exp(-draw(exponents) / n)
+    assume(eta > 0.0)
+    return n, eta, n * draw(st.integers(1, 10 ** 6))
+
+
+def check_linear(got, want, power_finite):
+    """POWER_RTOL where eta**-N is finite, else the log form's bound 1e-13*max(1, |ln want|)."""
+    tol = POWER_RTOL if power_finite else RTOL * max(1.0, abs(mpmath.log(want)))
+    if want > NORMAL[1]:
+        assert got == math.inf or rel_err(got, want) <= tol
+    elif want >= NORMAL[0]:
+        assert rel_err(got, want) <= tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(optimal_points(), st.floats(0.0, 1.0))
+@example((1193, 0.6, 1193), 0.0)  # N|ln eta| = 609: errors near 1e-13 under the former 500 cutoff
+@example((6891946, 1.0 - 1e-4, 10 ** 9), 0.0)
+@example((6736, 0.9, 6736), 0.5)  # N|ln eta| = 709.73, just below ln(DBL_MAX)
+@example((1, 1.0 - 1e-16, 1), 0.0)
+def test_overflow_rule_against_mpmath(point, frac):
+    n, eta, n_total = point
+    x = n + frac  # a real N for the continuous forms
+    for k, got in ((n, [min_phase_opt(NoonProbe(n), eta), r_noon(n, eta),
+                        noon_precision_budgeted(n, PhotonBudget(n_total), eta)]),
+                   (x, [min_phase_opt_continuous(x, eta), r_noon_continuous(x, eta)])):
+        k_mp, eta_mp = mpmath.mpf(k), mpmath.mpf(eta)
+        inv = eta_mp ** -k_mp
+        half = (inv + 1) / 2
+        want = [mpmath.sqrt(half) / k_mp, mpmath.sqrt(eta_mp * half / k_mp), mpmath.sqrt(half / (k_mp * n_total))]
+        for g, w in zip(got, want):
+            check_linear(g, w, inv < NORMAL[1] * (1 - POWER_RTOL))
+        for g, w in ((log_min_phase_opt_continuous(k, eta), mpmath.log(want[0])),
+                     (log_r_noon(k, eta), mpmath.log(want[1]))):
+            assert abs(g - w) <= RTOL * max(1.0, abs(w))

@@ -171,8 +171,7 @@ def _mean(n: int, eta: float, c: float) -> float:
 
 
 def _variance(n: int, eta: float, s: float) -> float:
-    """variance_detection at s = sin(N(phi + theta_t)): (1 - eta**N)/2 + eta**N s^2,
-    a sum of two nonnegative terms, so no cancellation near a blind point."""
+    """variance_detection at s = sin(N(phi + theta_t)), as (1 - eta**N)/2 + eta**N s^2: no cancellation."""
     return -0.5 * math.expm1(n * math.log(eta)) + eta ** n * (s * s)
 
 
@@ -189,12 +188,9 @@ def variance_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
 
 
 def _noise_term(n: int, eta: float, sin_angle: float) -> float:
-    """(eta**-N - 1)/2 + sin^2, the noise denominator of the lossy SNR.
-
-    It equals (eta**-N + 1)/2 - cos^2, but as a sum of two nonnegative terms
-    it keeps its relative accuracy near blind operating points, where that
-    difference cancels.
-    """
+    """(eta**-N - 1)/2 + sin^2, the noise denominator of the lossy SNR: a sum of
+    two nonnegative terms, accurate near blind operating points, where the
+    equal (eta**-N + 1)/2 - cos^2 cancels."""
     a = -n * math.log(eta)
     if a < 1.0:
         # eta**-N - 1 without cancellation as eta -> 1
@@ -232,16 +228,12 @@ def _snr_min_phase(n: int, eta: float, s: float, delta_phi: float):
         try:
             return (n * s * delta_phi) ** 2 / noise, min_phase, False
         except OverflowError:  # the signal alone overflows
-            return _snr_from_log(delta_phi, _log_min_phase(n, eta, s)), min_phase, False
-    log_min_phase = _log_min_phase(n, eta, s)
-    return _snr_from_log(delta_phi, log_min_phase), _exp_or_inf(log_min_phase), False
-
-
-def _snr_from_log(delta_phi: float, log_min_phase: float) -> float:
-    """(delta_phi / min_phase)**2 from ln(min_phase)."""
-    if delta_phi == 0.0:
-        return 0.0
-    return _exp_or_inf(2.0 * (math.log(abs(delta_phi)) - log_min_phase))
+            log_min_phase = _log_min_phase(n, eta, s)
+    else:
+        log_min_phase = _log_min_phase(n, eta, s)
+        min_phase = _exp_or_inf(log_min_phase)
+    snr = 0.0 if delta_phi == 0.0 else _exp_or_inf(2.0 * (math.log(abs(delta_phi)) - log_min_phase))
+    return snr, min_phase, False
 
 
 def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResult:
@@ -254,8 +246,7 @@ def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResul
     value comes from ln(min_phase).
     """
     n = probe.n
-    s = abs(math.sin(_angle(n, op.phi0, ch.theta_t)))
-    snr, _, degenerate = _snr_min_phase(n, ch.eta, s, op.delta_phi)
+    snr, _, degenerate = _snr_min_phase(n, ch.eta, abs(math.sin(_angle(n, op.phi0, ch.theta_t))), op.delta_phi)
     return SnrResult(snr, degenerate)
 
 
@@ -301,8 +292,7 @@ def log_min_phase_opt_continuous(n: float, eta: float) -> float:
     if n <= 0:
         raise ValueError(f"photon number must be positive, got {n!r}")
     _validate_eta(eta)
-    a = -n * math.log(eta)
-    return 0.5 * _log_half_1p_exp(a) - math.log(n)
+    return 0.5 * _log_half_1p_exp(-n * math.log(eta)) - math.log(n)
 
 
 def log_min_phase_opt(probe: NoonProbe, eta: float) -> float:

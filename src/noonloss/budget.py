@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analytics import _exp_or_inf, _inv_eta_pow, _log_half_1p_exp, _validate_eta
+from .analytics import _exp_or_inf, _inv_eta_pow, _log_half_1p_exp, _photon_number, _validate_eta
 from .roots import bisect_root, expand_upper, integer_argmin
 
 __all__ = [
@@ -81,10 +81,7 @@ def r_noon(n: int, eta: float) -> float:
     Equals 1/sqrt(N) at eta = 1.  Falls back to log-domain evaluation when
     N |ln eta| is large; the float value may then be +inf.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"photon number must be >= 1, got {n}")
-    return r_noon_continuous(n, eta)
+    return r_noon_continuous(_photon_number(n), eta)
 
 
 def noon_precision_budgeted(n: int, b: PhotonBudget, eta: float) -> float:

@@ -40,9 +40,9 @@ __all__ = [
 DEGENERACY_TOL = 1e-14
 
 _LN2 = math.log(2.0)
-# eta**-N overflows for certain once N|ln eta| passes ln(DBL_MAX) by more than
-# the rounding of N ln eta (about 3e-13 there)
-_POW_OVERFLOWS = math.log(sys.float_info.max) + 1e-9
+# eta**-N overflows for certain once -N log2(eta) passes log2(DBL_MAX), about
+# 1024, by more than the rounding of N log2(eta) (about 5e-13 there)
+_POW_OVERFLOWS = math.log2(sys.float_info.max) + 1e-9
 
 
 def _validate_eta(eta: float) -> None:
@@ -80,11 +80,13 @@ def _inv_eta_pow(n: float, eta: float) -> float:
     This is the one place that decides whether eta**-N overflows; every caller
     takes its own log form where it gets inf.
     """
-    if -n * math.log(eta) > _POW_OVERFLOWS:  # decided without raising: most fig rows overflow
+    # decided without raising, since most fig rows overflow; math.log2 costs about a
+    # third of math.log in CPython
+    if -n * math.log2(eta) > _POW_OVERFLOWS:
         return math.inf
     try:
         return eta ** -n
-    except OverflowError:  # within the rounding of N ln eta of ln(DBL_MAX)
+    except OverflowError:  # within the rounding of N log2(eta) of log2(DBL_MAX)
         return math.inf
 
 
@@ -187,20 +189,6 @@ def variance_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
     return _variance(n, ch.eta, math.sin(_angle(n, phi, ch.theta_t)))
 
 
-def _noise_term(n: int, eta: float, sin_angle: float) -> float:
-    """(eta**-N - 1)/2 + sin^2, the noise denominator of the lossy SNR: a sum of
-    two nonnegative terms, accurate near blind operating points, where the
-    equal (eta**-N + 1)/2 - cos^2 cancels."""
-    a = -n * math.log(eta)
-    if a < 1.0:
-        # eta**-N - 1 without cancellation as eta -> 1
-        excess = math.expm1(a)
-    else:
-        # the power is exact to an ulp; expm1(a) would scale the rounding of a by a
-        excess = _inv_eta_pow(n, eta) - 1.0
-    return 0.5 * excess + sin_angle * sin_angle
-
-
 def _log_min_phase(n: int, eta: float, s: float) -> float:
     """ln(sqrt(noise) / (N s)) at |sin| = s, without forming eta**-N; inf at
     a blind operating point."""
@@ -215,14 +203,21 @@ def _log_min_phase(n: int, eta: float, s: float) -> float:
 def _snr_min_phase(n: int, eta: float, s: float, delta_phi: float):
     """(snr, min_phase, degenerate) at |sin(N(phi0 + theta_t))| = s.
 
-    A blind operating point (s <= DEGENERACY_TOL) gives (0, inf, True).
-    Where the noise term overflows, min_phase is exp(ln min_phase); where it
-    or the signal (N s delta_phi)**2 overflows, the SNR is
-    (delta_phi / min_phase)**2 through ln(min_phase).
+    The noise term (eta**-N - 1)/2 + s^2 is a sum of two nonnegative terms,
+    accurate near blind operating points, where the equal
+    (eta**-N + 1)/2 - cos^2 cancels.  A blind operating point
+    (s <= DEGENERACY_TOL) gives (0, inf, True).  Where the noise term
+    overflows, min_phase is exp(ln min_phase); where it or the signal
+    (N s delta_phi)**2 overflows, the SNR is (delta_phi / min_phase)**2
+    through ln(min_phase).
     """
     if s <= DEGENERACY_TOL:
         return 0.0, math.inf, True
-    noise = _noise_term(n, eta, s)
+    # eta**-N - 1: below eta**-N = e (N|ln eta| = 1) expm1 avoids the cancellation
+    # as eta -> 1; above, the power is exact to an ulp, while expm1 would scale the
+    # rounding of N ln eta by N|ln eta|
+    inv = _inv_eta_pow(n, eta)
+    noise = 0.5 * (math.expm1(-n * math.log(eta)) if inv < math.e else inv - 1.0) + s * s
     if noise < math.inf:
         min_phase = math.sqrt(noise) / (n * s)
         try:

@@ -13,8 +13,10 @@ moments under other reflection phases, and detector outputs of a few kets.
 ``precision_report`` field and ``snr_lossy``, ``min_phase_at`` and
 ``log_min_phase_at`` at seeded points and at the edge cases of each rule
 (blind and near-blind phases, eta = 1 and 1 - 1e-16, an overflowing noise
-term or signal, delta_phi = 0).  It is independent of ``precision_grid``,
-which shares these kernels.
+term or signal, delta_phi = 0, eta**-N on either side of DBL_MAX), and the
+optimal-phase forms ``min_phase_opt_continuous``, ``r_noon_continuous`` and
+``noon_precision_budgeted`` at the same points.  It is independent of
+``precision_grid`` and the fig sweeps, which share these kernels.
 
 The files are written only for a deliberate output change, which then belongs
 in CHANGES.md:
@@ -33,7 +35,8 @@ import pytest
 
 from noonloss import PhotonBudget, fock_oracle, n_min_integer, n_tilde_min_integer
 from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, log_min_phase_at, min_phase_at,
-                                precision_report, snr_lossy)
+                                min_phase_opt_continuous, precision_report, snr_lossy)
+from noonloss.budget import noon_precision_budgeted, r_noon_continuous
 from noonloss.cli import run_verification
 from noonloss.fock_oracle import FockKet, Occupation, apply_detector, build_noon_input, oracle_moments
 
@@ -75,6 +78,11 @@ CASES = {
                                  "--steps", "2000", "--format", "csv"], None),
     "sweep_fig3_dense_cutoff": (["sweep", "--fig3", "--loss", "1e-4", "--start", "3e6", "--stop", "8e6",
                                  "--steps", "2000", "--format", "csv"], None),
+    # more than 1,000 rows, not a multiple of 1,000, across the overflow of eta**-N
+    "sweep_fig2_csv_1525_rows": (["sweep", "--fig2", "--loss", "1e-3", "--start", "1", "--stop", "1e7",
+                                  "--steps", "2000", "--format", "csv"], None),
+    "sweep_fig3_csv_1525_rows": (["sweep", "--fig3", "--loss", "1e-3", "--start", "1", "--stop", "1e7",
+                                  "--steps", "2000", "--format", "csv"], None),
     "sweep_fig3_text_overflow": (["sweep", "--fig3", "--loss", "0.99", "--start", "1", "--stop", "400",
                                   "--steps", "12"], None),
     "sweep_fig3_json_default_range": (["sweep", "--fig3", "--eta", "0.5", "--format", "json"], None),
@@ -99,6 +107,8 @@ CASES = {
                                  None),
     "sweep_var_N_log_csv": (["sweep", "--var", "N", "--loss", "1e-3", "--start", "1", "--stop", "1e7",
                              "--steps", "300", "--scale", "log", "--format", "csv"], None),
+    "sweep_var_N_csv_2345_rows_inf": (["sweep", "--var", "N", "--loss", "0.5", "--start", "1", "--stop", "2345",
+                                       "--steps", "2345", "--dphi", "1e200", "--format", "csv"], None),
     "sweep_var_phi0_text_degenerate": (["sweep", "--var", "phi0", "--eta", "0.8", "--start", "0",
                                         "--stop", "3.14159", "--steps", "7", "--n", "3"], None),
     "sweep_var_L_text_to_0_9": (["sweep", "--var", "L", "--start", "0.5", "--stop", "0.9", "--steps", "5",
@@ -283,6 +293,8 @@ def kernel_points(count=300, seed=2020):
         (3, 1e-100, 0.0, math.pi / 6, 1e160),
         (4, 0.6, 0.1, 0.5, 0.0),  # delta_phi = 0
         (20000, math.exp(-712 / 20000), 0.0, math.pi / 40000, 1.0),
+        (1023, 0.5, 0.0, math.pi / 2046, 0.01),  # eta**-N = 2**1023, the largest finite power of 2
+        (1024, 0.5, 0.0, math.pi / 2048, 0.01),  # eta**-N = 2**1024 overflows inside the rounding margin
     ]
     rng = random.Random(seed)
     points = []
@@ -293,8 +305,13 @@ def kernel_points(count=300, seed=2020):
     return edges + points
 
 
+KERNEL_BUDGET = PhotonBudget(10 ** 12)  # above every N of kernel_points()
+
+
 def kernel_rows():
-    """[point, precision_report fields, snr_lossy, min_phase_at, log_min_phase_at], floats as hex."""
+    """[point, precision_report fields, snr_lossy, min_phase_at, log_min_phase_at, optimal-phase forms],
+    floats as hex.  The optimal-phase forms are min_phase_opt_continuous and r_noon_continuous at N and
+    at N + 0.375, and noon_precision_budgeted at N under KERNEL_BUDGET."""
     rows = []
     for n, eta, theta_t, phi0, dphi in kernel_points():
         probe, ch, op = NoonProbe(n), LossChannel(eta, theta_t), OperatingPoint(phi0, dphi)
@@ -304,7 +321,9 @@ def kernel_rows():
                      [r.mean.hex(), r.variance.hex(), r.snr.hex(), r.min_phase.hex(), r.log_min_phase.hex(),
                       r.degenerate],
                      [snr.value.hex(), snr.degenerate],
-                     min_phase_at(probe, ch, phi0).hex(), log_min_phase_at(probe, ch, phi0).hex()])
+                     min_phase_at(probe, ch, phi0).hex(), log_min_phase_at(probe, ch, phi0).hex(),
+                     [f(x, eta).hex() for f in (min_phase_opt_continuous, r_noon_continuous) for x in (n, n + 0.375)]
+                     + [noon_precision_budgeted(n, KERNEL_BUDGET, eta).hex()]])
     return rows
 
 

@@ -12,6 +12,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,3 +141,26 @@ def test_special_floats_and_empty_sweep():
     check(["v", "w"], [SPECIAL_FLOATS, [str(v) for v in SPECIAL_FLOATS]], False)
     check(["N", "delta_phi_min"], [[], []], False)
     assert render_json(Table(["N"], [[]], json_object_if_single=False)) == "[]\n"
+
+
+def _column_kinds(rows):
+    """One column of each numeric kind, ``rows`` long, cycling through edge values."""
+    def cycle(values):
+        return [values[k % len(values)] for k in range(rows)]
+    return {
+        "bool": cycle([True, False, False]),
+        "int64": cycle([np.int64(v) for v in (0, -1, 7, 2 ** 63 - 1, -2 ** 63, 123456789012345)]),
+        "bigint": cycle([2 ** 63, -2 ** 63 - 1, 2 ** 64 + 5, -(10 ** 30), 10 ** 400, 3]),
+        "special": cycle(SPECIAL_FLOATS),
+        "float": [(-1.0) ** k * 10.0 ** (k % 37 - 18) * (1.0 + k / 7.0) for k in range(rows)],
+    }
+
+
+# chunk boundaries of a renderer that formats rows in blocks of 1,000
+@pytest.mark.parametrize("rows", [0, 1, 999, 1000, 1001, 2345])
+def test_long_numeric_and_mixed_tables_match_the_reference(rows):
+    kinds = _column_kinds(rows)
+    check(list(kinds), list(kinds.values()), False)
+    labels = [["x", "a,b", 'say "hi"', "≈", ""][k % 5] for k in range(rows)]
+    check(["label", *kinds], [labels, *kinds.values()], False)
+    check(["N", "bigint", "text"], [kinds["int64"], kinds["bigint"], labels], False)

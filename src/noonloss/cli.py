@@ -12,6 +12,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -62,26 +63,39 @@ class Table:
         return cls(names, [[value] for value in values])
 
 
+FLOAT_FORMAT = "%.12g"
+CSV_CHUNK_ROWS = 1000
+
+
+def _numeric_format(column) -> str | None:
+    """The % conversion of a column, from the type of its first cell:
+    FLOAT_FORMAT for floats, "%d" for ints and bools, None otherwise."""
+    first = column[0] if len(column) else None
+    if isinstance(first, float):
+        return FLOAT_FORMAT
+    if isinstance(first, (int, np.integer)):
+        return "%d"
+    return None
+
+
 def _cells(column, float_format, other_format):
     """The cells of ``column`` formatted by its type: ints and bools as
     integers, floats and anything else by the given functions."""
-    first = column[0] if len(column) else None
-    if isinstance(first, float):
-        return map(float_format, column)
-    if isinstance(first, (int, np.integer)):
-        return map("%d".__mod__, column)
-    return map(other_format, column)
+    conversion = _numeric_format(column)
+    if conversion is None:
+        return map(other_format, column)
+    return map(float_format if conversion == FLOAT_FORMAT else conversion.__mod__, column)
 
 
 def _text_cells(column):
     """Floats to 12 significant digits, with inf, -inf and nan spelled so."""
-    return _cells(column, "%.12g".__mod__, str)
+    return _cells(column, FLOAT_FORMAT.__mod__, str)
 
 
 def _json_float(value: float) -> str:
     """What json.dumps writes for float("%.12g" % value), so that CSV and
     JSON agree; inf, -inf and nan become the strings "inf", "-inf", "nan"."""
-    text = "%.12g" % value
+    text = FLOAT_FORMAT % value
     if "." in text and "e+1" not in text and "e-3" not in text:
         return text
     if text[-1] in "fn":
@@ -96,10 +110,27 @@ def _json_cells(column):
 
 
 def render_csv(table: Table) -> str:
+    """The table as csv.writer writes it, one line per row.
+
+    The header, and every table with a column that is not numeric, go
+    through csv.writer.  A numeric cell never needs quoting, so a table of
+    numbers only is formatted CSV_CHUNK_ROWS rows at a time by one % template
+    (the last chunk by a shorter one), which is the same text at less than
+    half the cost.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.names)
-    writer.writerows(zip(*map(_text_cells, table.columns)))
+    conversions = [_numeric_format(column) for column in table.columns]
+    if None in conversions:
+        writer.writerows(zip(*map(_text_cells, table.columns)))
+        return buf.getvalue()
+    row, width = ",".join(conversions) + "\n", len(conversions)
+    cells = tuple(chain.from_iterable(zip(*table.columns)))
+    whole = len(table) - len(table) % CSV_CHUNK_ROWS
+    chunk = row * CSV_CHUNK_ROWS
+    buf.writelines(chunk % cells[k * width:(k + CSV_CHUNK_ROWS) * width] for k in range(0, whole, CSV_CHUNK_ROWS))
+    buf.write(row * (len(table) - whole) % cells[whole * width:])
     return buf.getvalue()
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "d_log_precision_dN",
     "precision_report",
     "precision_grid",
+    "optimal_phase_grid",
 ]
 
 # |sin(N(phi0 + theta_t))| at or below this counts as a blind operating point.
@@ -55,6 +56,13 @@ def _photon_number(n) -> int:
     if n < 1:
         raise ValueError(f"photon number must be >= 1, got {n}")
     return n
+
+
+def _validate_continuous(n: float, eta: float) -> None:
+    """The domain of the forms that treat N as a real number."""
+    if n <= 0:
+        raise ValueError(f"photon number must be positive, got {n!r}")
+    _validate_eta(eta)
 
 
 def _validate_phases(phi0: float, delta_phi: float) -> None:
@@ -261,15 +269,33 @@ def log_min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
     return _log_min_phase(n, ch.eta, abs(math.sin(_angle(n, phi0, ch.theta_t))))
 
 
+def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
+    """sqrt((eta**-N + 1)/2) / N, the precision at the optimal phase, from one
+    _inv_eta_pow; with ``n_total`` the budgeted precision sqrt((eta**-N + 1)/2)
+    / sqrt(N N_T), and with ``ratio`` R_NOON = sqrt(eta (eta**-N + 1)/(2N)).
+
+    Where eta**-N overflows each is exp of its log form.  There
+    a = N|ln eta| > 709, so adding ln(1 + eta**N) = ln(1 + e**-a) < 1e-307 to
+    it changes no bit: the log forms leave that term out.
+    """
+    inv = _inv_eta_pow(n, eta)
+    if inv < math.inf:
+        if ratio:
+            return math.sqrt(eta * (inv + 1.0) / (2.0 * n))
+        root = math.sqrt(0.5 * (inv + 1.0))
+        return root / n if n_total is None else root / math.sqrt(n * n_total)
+    log_eta = math.log(eta)
+    a = -n * log_eta
+    if ratio:
+        return _exp_or_inf(0.5 * (log_eta + a - math.log(2.0 * n)))
+    log_n = math.log(n) if n_total is None else 0.5 * math.log(n * n_total)
+    return _exp_or_inf(0.5 * (a - _LN2) - log_n)
+
+
 def min_phase_opt_continuous(n: float, eta: float) -> float:
     """min_phase at the optimal operating phase, N treated as a real number."""
-    if n <= 0:
-        raise ValueError(f"photon number must be positive, got {n!r}")
-    _validate_eta(eta)
-    inv = _inv_eta_pow(n, eta)
-    if inv == math.inf:
-        return _exp_or_inf(log_min_phase_opt_continuous(n, eta))
-    return math.sqrt(0.5 * (inv + 1.0)) / n
+    _validate_continuous(n, eta)
+    return _optimal_phase(n, eta)
 
 
 def min_phase_opt(probe: NoonProbe, eta: float) -> float:
@@ -284,9 +310,7 @@ def min_phase_opt(probe: NoonProbe, eta: float) -> float:
 
 def log_min_phase_opt_continuous(n: float, eta: float) -> float:
     """ln of the optimal-phase precision, stable for any N*|ln eta|."""
-    if n <= 0:
-        raise ValueError(f"photon number must be positive, got {n!r}")
-    _validate_eta(eta)
+    _validate_continuous(n, eta)
     return 0.5 * _log_half_1p_exp(-n * math.log(eta)) - math.log(n)
 
 
@@ -299,9 +323,7 @@ def d_precision_dN(n_real: float, eta: float) -> float:
 
     -(1/N^2) sqrt((eta**-N + 1)/2) - (eta**-N ln eta)/(4N) / sqrt((eta**-N + 1)/2)
     """
-    if n_real <= 0:
-        raise ValueError(f"photon number must be positive, got {n_real!r}")
-    _validate_eta(eta)
+    _validate_continuous(n_real, eta)
     log_eta = math.log(eta)
     a = -n_real * log_eta
     # factor out e**(a/2): both terms share it, and it is the only piece
@@ -318,9 +340,7 @@ def d_log_precision_dN(n_real: float, eta: float) -> float:
 
     Its root in N is the continuous minimizer of the precision for fixed eta.
     """
-    if n_real <= 0:
-        raise ValueError(f"photon number must be positive, got {n_real!r}")
-    _validate_eta(eta)
+    _validate_continuous(n_real, eta)
     return -1.0 / n_real - math.log(eta) / (2.0 * (eta ** n_real + 1.0))
 
 
@@ -386,5 +406,21 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
         snr_k, min_phase_k, _ = _snr_min_phase(k, e, s, delta_phi)
         snr.append(snr_k)
         min_phase.append(min_phase_k)
-        opt.append(min_phase_opt_continuous(k, e))
+        opt.append(_optimal_phase(k, e))
     return mean, variance, snr, min_phase, opt
+
+
+def optimal_phase_grid(ns, eta: float, ratio: bool = False) -> list:
+    """min_phase_opt_continuous, or with ``ratio`` R_NOON (r_noon_continuous),
+    at each N of ``ns``: the columns of the fig2 and fig3 sweeps.
+
+    eta is checked once, and each N in grid order; every value equals, bit
+    for bit, the scalar function's at that point.
+    """
+    _validate_eta(eta)
+    column = []
+    for n in ns:
+        if n <= 0:
+            raise ValueError(f"photon number must be positive, got {n!r}")
+        column.append(_optimal_phase(n, eta, ratio=ratio))
+    return column

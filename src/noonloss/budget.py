@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analytics import _exp_or_inf, _inv_eta_pow, _log_half_1p_exp, _photon_number, _validate_eta
+from .analytics import _exp_or_inf, _optimal_phase, _photon_number, _validate_continuous, _validate_eta
 from .roots import bisect_root, expand_upper, integer_argmin
 
 __all__ = [
@@ -57,22 +57,15 @@ def unentangled_precision(b: PhotonBudget, eta: float) -> float:
 
 def log_r_noon(n: float, eta: float) -> float:
     """ln R_NOON, finite even where the linear value overflows."""
-    if n <= 0:
-        raise ValueError(f"photon number must be positive, got {n!r}")
-    _validate_eta(eta)
+    _validate_continuous(n, eta)
     a = -n * math.log(eta)
     return 0.5 * (math.log(eta) + a + math.log1p(math.exp(-a)) - math.log(2.0 * n))
 
 
 def r_noon_continuous(n: float, eta: float) -> float:
     """R_NOON with N treated as a real number (for derivative work)."""
-    if n <= 0:
-        raise ValueError(f"photon number must be positive, got {n!r}")
-    _validate_eta(eta)
-    inv = _inv_eta_pow(n, eta)
-    if inv == math.inf:
-        return _exp_or_inf(log_r_noon(n, eta))
-    return math.sqrt(eta * (inv + 1.0) / (2.0 * n))
+    _validate_continuous(n, eta)
+    return _optimal_phase(n, eta, ratio=True)
 
 
 def r_noon(n: int, eta: float) -> float:
@@ -94,10 +87,7 @@ def noon_precision_budgeted(n: int, b: PhotonBudget, eta: float) -> float:
     if not 1 <= n <= b.n_total:
         raise ValueError(f"per-measurement N must satisfy 1 <= N <= N_T = {b.n_total}, got {n}")
     _validate_eta(eta)
-    inv = _inv_eta_pow(n, eta)
-    if inv == math.inf:
-        return _exp_or_inf(0.5 * _log_half_1p_exp(-n * math.log(eta)) - 0.5 * math.log(n * b.n_total))
-    return math.sqrt(0.5 * (inv + 1.0)) / math.sqrt(n * b.n_total)
+    return _optimal_phase(n, eta, b.n_total)
 
 
 @lru_cache(maxsize=1)

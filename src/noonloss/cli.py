@@ -394,10 +394,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep range contains no photon numbers >= 1")
     if args.fig2:
         names = ["N", "delta_phi_min", "sql_reference"]
-        columns = [grid, [analytics.min_phase_opt_continuous(n, eta) for n in grid],
-                   [1.0 / math.sqrt(2.0 * eta * n) for n in grid]]
+        columns = [grid, analytics.optimal_phase_grid(grid, eta), [1.0 / math.sqrt(2.0 * eta * n) for n in grid]]
     elif args.fig3:
-        names, columns = ["N", "R_NOON"], [grid, [budget.r_noon_continuous(n, eta) for n in grid]]
+        names, columns = ["N", "R_NOON"], [grid, analytics.optimal_phase_grid(grid, eta, ratio=True)]
     else:
         n, phi0 = args.n, args.phi0
         if var == "N":

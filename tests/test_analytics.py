@@ -18,11 +18,13 @@ from noonloss.analytics import (
     min_phase_at,
     min_phase_opt,
     min_phase_opt_continuous,
+    optimal_phase_grid,
     precision_grid,
     precision_report,
     snr_lossy,
     variance_detection,
 )
+from noonloss.budget import r_noon_continuous
 
 from _helpers import central_diff, derivative_grid
 
@@ -386,3 +388,28 @@ def test_precision_grid_needs_one_swept_variable():
         precision_grid(2, 0.5, 0.0, None, 0.01)
     with pytest.raises(TypeError):
         precision_grid([2], [0.5], 0.0, None, 0.01)
+
+
+def _optimal_phase_reference(ns, eta, ratio):
+    """The scalar form at each N, after one check of eta, stopping at the first N that raises."""
+    LossChannel(eta)
+    return [r_noon_continuous(n, eta) if ratio else min_phase_opt_continuous(n, eta) for n in ns]
+
+
+# N|ln eta| on both sides of ln(DBL_MAX) = 709.78, N real or integer
+optimal_ns = st.one_of(st.integers(1, 10 ** 9), st.floats(1e-3, 1e9), st.sampled_from([1, 1e-300, 1e300]))
+optimal_etas = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([1.0, 1.0 - 1e-16, 5e-324]),
+                         st.floats(-12.0, -1.0).map(lambda x: 1.0 - 10.0 ** x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(optimal_ns, max_size=20), optimal_etas, st.booleans())
+def test_optimal_phase_grid_equals_the_scalar_forms_bit_for_bit(ns, eta, ratio):
+    assert _bits([optimal_phase_grid(ns, eta, ratio)]) == _bits([_optimal_phase_reference(ns, eta, ratio)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(optimal_ns, st.sampled_from([0, -1, -0.5, 0.0])), max_size=8),
+       st.one_of(optimal_etas, BAD["etas"]), st.booleans())
+def test_optimal_phase_grid_raises_the_first_points_message(ns, eta, ratio):
+    assert _first_error(optimal_phase_grid, ns, eta, ratio) == _first_error(_optimal_phase_reference, ns, eta, ratio)

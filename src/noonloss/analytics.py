@@ -51,11 +51,20 @@ def _validate_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
 
+def _float_range(value: int, name: str) -> int:
+    """``value``, or a ValueError naming it where float(value) overflows."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {value}") from None
+    return value
+
+
 def _photon_number(n) -> int:
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"photon number must be >= 1, got {n}")
-    return n
+    return _float_range(n, "photon number")
 
 
 def _validate_continuous(n: float, eta: float) -> None:
@@ -283,7 +292,12 @@ def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
         if ratio:
             return math.sqrt(eta * (inv + 1.0) / (2.0 * n))
         root = math.sqrt(0.5 * (inv + 1.0))
-        return root / n if n_total is None else root / math.sqrt(n * n_total)
+        if n_total is None:
+            return root / n
+        try:
+            return root / math.sqrt(n * n_total)
+        except OverflowError:  # N N_T past the float range, each factor within it
+            return root / (math.sqrt(n) * math.sqrt(n_total))
     log_eta = math.log(eta)
     a = -n * log_eta
     if ratio:

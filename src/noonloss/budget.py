@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analytics import _exp_or_inf, _optimal_phase, _photon_number, _validate_continuous, _validate_eta
+from .analytics import _exp_or_inf, _float_range, _optimal_phase, _photon_number, _validate_continuous, _validate_eta
 from .roots import bisect_root, expand_upper, integer_argmin
 
 __all__ = [
@@ -44,6 +44,7 @@ class PhotonBudget:
         n_total = operator.index(self.n_total)
         if n_total < 1:
             raise ValueError(f"n_total must be >= 1, got {n_total}")
+        _float_range(n_total, "n_total")
         if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
             raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
         object.__setattr__(self, "n_total", n_total)

@@ -348,6 +348,36 @@ def test_overflowing_angle_is_a_domain_error(argv):
     assert "phi0 = 1e+" in err and "theta_t = 0.0" in err and err.count("\n") == 1
 
 
+HUGE = str(10 ** 400)  # float(HUGE) overflows
+
+
+def _assert_too_large_for_a_float(argv, name):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: {name} is too large for a float, got {HUGE} ") and err.count("\n") == 1
+
+
+def test_precision_with_a_photon_number_past_the_float_range():
+    _assert_too_large_for_a_float(["precision", "--n", HUGE, "--eta", "0.5"], "photon number")
+
+
+def test_budget_with_a_budget_past_the_float_range():
+    _assert_too_large_for_a_float(["budget", "--eta", "0.5", "--budget", HUGE], "n_total")
+
+
+def test_optimize_with_a_budget_past_the_float_range():
+    _assert_too_large_for_a_float(["optimize", "--eta", "0.5", "--budget", HUGE], "n_total")
+
+
+def test_budget_whose_n_times_n_total_passes_the_float_range():
+    # N = N_T = 1e200 lie in the float range, their product does not
+    code, out, err = run_cli("budget", "--eta", "1", "--budget", str(10 ** 200), "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["delta_phi_noon"] == pytest.approx(1e-200, rel=1e-15)
+    assert doc["r_noon"] == pytest.approx(1e-100, rel=1e-15)
+
+
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "noonloss", "constants", "--format", "json"],

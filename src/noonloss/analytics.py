@@ -341,12 +341,13 @@ def d_precision_dN(n_real: float, eta: float) -> float:
     log_eta = math.log(eta)
     a = -n_real * log_eta
     # factor out e**(a/2): both terms share it, and it is the only piece
-    # that can overflow
+    # that can overflow; it can do so where the product does not, so it is
+    # applied as a/2 + ln|bracket|
     s = math.sqrt(0.5 * (1.0 + math.exp(-a)))
     bracket = -s / (n_real * n_real) - log_eta / (4.0 * n_real * s)
     if bracket == 0.0:
         return 0.0
-    return _exp_or_inf(0.5 * a) * bracket
+    return math.copysign(_exp_or_inf(0.5 * a + math.log(abs(bracket))), bracket)
 
 
 def d_log_precision_dN(n_real: float, eta: float) -> float:

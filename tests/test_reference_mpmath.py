@@ -1,6 +1,7 @@
 """The closed forms against 50-digit mpmath: variance_detection, min_phase_at,
-snr_lossy and log_min_phase_at at any operating point, and the optimal-phase
-and budgeted forms on both sides of the overflow of eta**-N.
+snr_lossy and log_min_phase_at at any operating point, the optimal-phase
+and budgeted forms on both sides of the overflow of eta**-N, and
+d_precision_dN.
 
 The references take the operating angle N(phi0 + theta_t) as the functions
 form it in floating point, so that they measure the error of the closed
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, log_min_phase_at, log_min_phase_opt_continuous,
-                                min_phase_at, min_phase_opt, min_phase_opt_continuous, snr_lossy, variance_detection)
+from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, d_precision_dN, log_min_phase_at,
+                                log_min_phase_opt_continuous, min_phase_at, min_phase_opt, min_phase_opt_continuous,
+                                snr_lossy, variance_detection)
 from noonloss.budget import PhotonBudget, log_r_noon, noon_precision_budgeted, r_noon, r_noon_continuous
 
 mpmath.mp.dps = 50
@@ -146,3 +148,22 @@ def test_overflow_rule_against_mpmath(point, frac):
         for g, w in ((log_min_phase_opt_continuous(k, eta), mpmath.log(want[0])),
                      (log_r_noon(k, eta), mpmath.log(want[1]))):
             assert abs(g - w) <= RTOL * max(1.0, abs(w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e6), etas)
+@example(5784.284426816044, 0.7819844212390401)  # e**(a/2) overflows, the derivative is 1.155e304
+@example(1.0, 1.0)
+def test_d_precision_dN_against_mpmath(n, eta):
+    n_mp, eta_mp = mpmath.mpf(n), mpmath.mpf(eta)
+    inv = eta_mp ** -n_mp
+    root = mpmath.sqrt((inv + 1) / 2)
+    terms = [-root / n_mp ** 2, -inv * mpmath.log(eta_mp) / (4 * n_mp * root)]
+    want = sum(terms)
+    got = d_precision_dN(n, eta)
+    if abs(want) > mpmath.mpf(NORMAL[1]) * (1 + 1e-12):
+        assert got == math.copysign(math.inf, want)
+    elif abs(want) >= NORMAL[0]:
+        # the two terms cancel near the minimizer: the error is bounded relative to their size
+        scale = abs(terms[0]) + abs(terms[1])
+        assert abs(mpmath.mpf(got) - want) <= RTOL * max(1.0, abs(mpmath.log(scale))) * scale

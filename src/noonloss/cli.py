@@ -82,9 +82,9 @@ def _cells(column, float_format, other_format):
     """The cells of ``column`` formatted by its type: ints and bools as
     integers, floats and anything else by the given functions."""
     conversion = _numeric_format(column)
-    if conversion is None:
-        return map(other_format, column)
-    return map(float_format if conversion == FLOAT_FORMAT else conversion.__mod__, column)
+    if conversion == "%d":
+        return map("%d".__mod__, column)
+    return map(float_format if conversion else other_format, column)
 
 
 def _text_cells(column):

@@ -46,7 +46,11 @@ _LN2 = math.log(2.0)
 _POW_OVERFLOWS = math.log2(sys.float_info.max) + 1e-9
 
 
-def _validate_eta(eta: float) -> None:
+def _validate_eta(eta: float, n: float = 1.0) -> None:
+    """eta in (0, 1]; the forms that treat N as a real number also pass N,
+    which must be positive and is checked first."""
+    if n <= 0:
+        raise ValueError(f"photon number must be positive, got {n!r}")
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
@@ -65,13 +69,6 @@ def _photon_number(n) -> int:
     if n < 1:
         raise ValueError(f"photon number must be >= 1, got {n}")
     return _float_range(n, "photon number")
-
-
-def _validate_continuous(n: float, eta: float) -> None:
-    """The domain of the forms that treat N as a real number."""
-    if n <= 0:
-        raise ValueError(f"photon number must be positive, got {n!r}")
-    _validate_eta(eta)
 
 
 def _validate_phases(phi0: float, delta_phi: float) -> None:
@@ -308,7 +305,7 @@ def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
 
 def min_phase_opt_continuous(n: float, eta: float) -> float:
     """min_phase at the optimal operating phase, N treated as a real number."""
-    _validate_continuous(n, eta)
+    _validate_eta(eta, n)
     return _optimal_phase(n, eta)
 
 
@@ -324,7 +321,7 @@ def min_phase_opt(probe: NoonProbe, eta: float) -> float:
 
 def log_min_phase_opt_continuous(n: float, eta: float) -> float:
     """ln of the optimal-phase precision, stable for any N*|ln eta|."""
-    _validate_continuous(n, eta)
+    _validate_eta(eta, n)
     return 0.5 * _log_half_1p_exp(-n * math.log(eta)) - math.log(n)
 
 
@@ -337,7 +334,7 @@ def d_precision_dN(n_real: float, eta: float) -> float:
 
     -(1/N^2) sqrt((eta**-N + 1)/2) - (eta**-N ln eta)/(4N) / sqrt((eta**-N + 1)/2)
     """
-    _validate_continuous(n_real, eta)
+    _validate_eta(eta, n_real)
     log_eta = math.log(eta)
     a = -n_real * log_eta
     # factor out e**(a/2): both terms share it, and it is the only piece
@@ -355,7 +352,7 @@ def d_log_precision_dN(n_real: float, eta: float) -> float:
 
     Its root in N is the continuous minimizer of the precision for fixed eta.
     """
-    _validate_continuous(n_real, eta)
+    _validate_eta(eta, n_real)
     return -1.0 / n_real - math.log(eta) / (2.0 * (eta ** n_real + 1.0))
 
 

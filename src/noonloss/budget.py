@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analytics import _exp_or_inf, _float_range, _optimal_phase, _photon_number, _validate_continuous, _validate_eta
+from .analytics import _exp_or_inf, _float_range, _optimal_phase, _photon_number, _validate_eta
 from .roots import bisect_root, expand_upper, integer_argmin
 
 __all__ = [
@@ -58,14 +58,14 @@ def unentangled_precision(b: PhotonBudget, eta: float) -> float:
 
 def log_r_noon(n: float, eta: float) -> float:
     """ln R_NOON, finite even where the linear value overflows."""
-    _validate_continuous(n, eta)
+    _validate_eta(eta, n)
     a = -n * math.log(eta)
     return 0.5 * (math.log(eta) + a + math.log1p(math.exp(-a)) - math.log(2.0 * n))
 
 
 def r_noon_continuous(n: float, eta: float) -> float:
     """R_NOON with N treated as a real number (for derivative work)."""
-    _validate_continuous(n, eta)
+    _validate_eta(eta, n)
     return _optimal_phase(n, eta, ratio=True)
 
 

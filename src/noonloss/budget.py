@@ -97,7 +97,7 @@ def solve_nu_tilde() -> float:
 
     The budgeted optimum uses about nu_tilde/L photons per state at small loss.
     """
-    return bisect_root(lambda x: math.exp(-x) + 1.0 - x, 1.0, 2.0, tol=1e-12)
+    return bisect_root(lambda x: math.exp(-x) + 1.0 - x, 1.0, 2.0, tol=0.0)
 
 
 def mu_tilde() -> float:

@@ -50,7 +50,7 @@ def solve_nu() -> float:
 
     The small-loss optimal photon number approaches nu/L.
     """
-    return bisect_root(lambda x: 2.0 * (math.exp(-x) + 1.0) - x, 1.0, 4.0, tol=_ROOT_TOL)
+    return bisect_root(lambda x: 2.0 * (math.exp(-x) + 1.0) - x, 1.0, 4.0, tol=0.0)
 
 
 def mu_from_nu(nu: float) -> float:

@@ -1,7 +1,7 @@
 """The closed forms against 50-digit mpmath: variance_detection, min_phase_at,
 snr_lossy and log_min_phase_at at any operating point, the optimal-phase
-and budgeted forms on both sides of the overflow of eta**-N, and
-d_precision_dN.
+and budgeted forms on both sides of the overflow of eta**-N,
+d_precision_dN, and the constants nu and nu_tilde.
 
 The references take the operating angle N(phi0 + theta_t) as the functions
 form it in floating point, so that they measure the error of the closed
@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, d_precision_dN, log_min_phase_at,
                                 log_min_phase_opt_continuous, min_phase_at, min_phase_opt, min_phase_opt_continuous,
                                 snr_lossy, variance_detection)
-from noonloss.budget import PhotonBudget, log_r_noon, noon_precision_budgeted, r_noon, r_noon_continuous
+from noonloss.budget import (PhotonBudget, log_r_noon, noon_precision_budgeted, r_noon, r_noon_continuous,
+                             solve_nu_tilde)
+from noonloss.optimal_search import solve_nu
 
 mpmath.mp.dps = 50
 RTOL = 1e-13
@@ -167,3 +169,11 @@ def test_d_precision_dN_against_mpmath(n, eta):
         # the two terms cancel near the minimizer: the error is bounded relative to their size
         scale = abs(terms[0]) + abs(terms[1])
         assert abs(mpmath.mpf(got) - want) <= RTOL * max(1.0, abs(mpmath.log(scale))) * scale
+
+
+def test_root_constants_within_one_ulp():
+    # nu = 2(e**-nu + 1) and nu_tilde = e**-nu_tilde + 1; the optimizers divide them by -ln(eta)
+    for got, f in ((solve_nu(), lambda x: 2 * (mpmath.exp(-x) + 1) - x),
+                   (solve_nu_tilde(), lambda x: mpmath.exp(-x) + 1 - x)):
+        want = mpmath.findroot(f, got)
+        assert abs(mpmath.mpf(got) - want) <= math.ulp(got)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .analytics import _exp_or_inf, _float_range, _optimal_phase, _photon_number, _validate_eta
+# expand_upper is unused here; perfbench's tracer patches every roots function in budget by name
 from .roots import bisect_root, expand_upper, integer_argmin
 
 __all__ = [
@@ -118,23 +119,14 @@ def n_tilde_min_integer(eta: float, b: PhotonBudget) -> int:
     """Integer N in [1, N_T] minimizing R_NOON.
 
     At eta = 1 the whole budget goes into a single measurement.  Otherwise
-    the continuous minimizer of ln R_NOON is bracketed and bisected, the two
-    neighboring integers compared, and the result clamped to the budget.
+    d ln R_NOON/dN = 0 reduces to -N ln(eta) = nu_tilde, so the continuous
+    minimizer is ``solve_nu_tilde() / -ln(eta)``; the two neighboring
+    integers are compared and the result clamped to the budget.
     """
     _validate_eta(eta)
     if eta == 1.0:
         return b.n_total
-
-    log_eta = math.log(eta)
-
-    def slope(x: float) -> float:
-        # d/dN ln R_NOON
-        return 0.5 * (-log_eta / (1.0 + eta ** x) - 1.0 / x)
-
-    lo = 1e-9
-    hi = expand_upper(slope, lo, 1.0)
-    root = bisect_root(slope, lo, hi, tol=1e-12)
-
+    root = solve_nu_tilde() / -math.log(eta)
     return integer_argmin(root, b.n_total, lambda n: log_r_noon(n, eta))
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from noonloss import analytics
@@ -10,6 +10,7 @@ from noonloss.budget import (
     PhotonBudget,
     d_rnoon_dN_largeloss,
     l_tilde_critical,
+    log_r_noon,
     mu_tilde,
     n_tilde_min_integer,
     noon_precision_budgeted,
@@ -18,7 +19,7 @@ from noonloss.budget import (
     solve_nu_tilde,
     unentangled_precision,
 )
-from noonloss.roots import bisect_root
+from noonloss.roots import bisect_root, expand_upper, integer_argmin
 
 from _helpers import central_diff
 
@@ -101,6 +102,46 @@ def test_n_tilde_examples():
     a = -window * math.log(eta)
     log_r = 0.5 * (math.log(eta) + a + np.log1p(np.exp(-a)) - np.log(2.0 * window))
     assert got == int(window[np.argmin(log_r)])
+
+
+def bisected_n_tilde(eta, b):
+    """The bracket-and-bisect search on d ln R_NOON/dN that the closed-form root replaced."""
+    if eta == 1.0:
+        return b.n_total
+    log_eta = math.log(eta)
+
+    def slope(x):
+        return 0.5 * (-log_eta / (1.0 + eta ** x) - 1.0 / x)
+
+    lo = 1e-9
+    root = bisect_root(slope, lo, expand_upper(slope, lo, 1.0), tol=1e-12)
+    return integer_argmin(root, b.n_total, lambda n: log_r_noon(n, eta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eta=st.one_of(st.floats(-15.0, math.log10(0.99)).map(lambda u: 1.0 - 10.0 ** u),
+                  st.floats(-300.0, 0.0).map(lambda u: 10.0 ** u)),
+    n_total=st.integers(1, 10 ** 18),
+)
+# roots near 4.1e13 and 2.4e12 where the two searches pick neighbors that ln R_NOON ties in double precision
+@example(eta=0.9999999999999691, n_total=10 ** 18)
+@example(eta=0.9999999999994738, n_total=10 ** 18)
+def test_n_tilde_closed_form_matches_the_bisection(eta, n_total):
+    b = PhotonBudget(n_total)
+    got, want = n_tilde_min_integer(eta, b), bisected_n_tilde(eta, b)
+    if got != want:
+        # floor and ceil of a root past ~1e7 differ in ln R_NOON by less than its rounding error
+        assert abs(got - want) == 1
+        assert log_r_noon(got, eta) == pytest.approx(log_r_noon(want, eta), rel=1e-15, abs=0.0)
+
+
+def test_n_tilde_root_past_2_pow_51():
+    # the closed-form root 3838461625590109.0 is an integer, where the bisection stopped at ...108
+    eta, b = 0.9999999999999997, PhotonBudget(10 ** 16)
+    got = n_tilde_min_integer(eta, b)
+    assert abs(got - 3838461625590108) <= 1
+    assert log_r_noon(3838461625590108, eta) == log_r_noon(3838461625590109, eta)
 
 
 def test_solve_nu_tilde():

@@ -6,7 +6,7 @@ import math
 __all__ = ["bisect_root", "expand_upper", "integer_argmin"]
 
 
-def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 200) -> float:
+def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12) -> float:
     """Root of f on [lo, hi] by bisection, to absolute tolerance ``tol``.
 
     The endpoints must bracket a sign change.  Stops early once the midpoint
@@ -19,7 +19,7 @@ def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 
         return hi
     if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
@@ -35,16 +35,16 @@ def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 
     return 0.5 * (lo + hi)
 
 
-def expand_upper(f, lo: float, hi0: float = 1.0, *, factor: float = 2.0, max_doublings: int = 200) -> float:
-    """Grow an upper endpoint from ``hi0`` until f(hi) > 0.
+def expand_upper(f, lo: float, hi0: float = 1.0) -> float:
+    """Double an upper endpoint from ``hi0`` until f(hi) > 0.
 
     Meant for increasing f with f(lo) < 0; pairs with :func:`bisect_root`.
     """
     hi = max(hi0, lo)
-    for _ in range(max_doublings):
+    for _ in range(200):
         if f(hi) > 0.0:
             return hi
-        hi *= factor
+        hi *= 2.0
     raise RuntimeError("could not bracket a sign change")
 
 

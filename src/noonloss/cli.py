@@ -188,6 +188,8 @@ class SweepSpec:
             raise ValueError(f"start and stop must be finite, got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ValueError(f"start must be < stop, got [{self.start}, {self.stop}]")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"stop - start must be finite, got [{self.start}, {self.stop}]")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.scale not in ("linear", "log"):
@@ -196,10 +198,12 @@ class SweepSpec:
             raise ValueError("log scale requires start > 0")
 
     def grid(self) -> list:
-        if self.scale == "log":
-            values = np.geomspace(self.start, self.stop, self.steps)
-        else:
-            values = np.linspace(self.start, self.stop, self.steps)
+        # only the last point can round past DBL_MAX, and numpy sets that one to stop
+        with np.errstate(over="ignore"):
+            if self.scale == "log":
+                values = np.geomspace(self.start, self.stop, self.steps)
+            else:
+                values = np.linspace(self.start, self.stop, self.steps)
         if self.variable == "N":
             # rounded as floats: a cast to int64 would wrap past 2**63
             return [int(v) for v in np.unique(np.rint(values)) if v >= 1]

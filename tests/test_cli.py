@@ -307,6 +307,17 @@ def test_sweep_spec_validation():
     for start, stop in ((1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match=r"start and stop must be finite"):
             SweepSpec("N", start, stop, 10)
+    big = sys.float_info.max
+    for start, stop in ((-1e308, 1e308), (-big, big), (-big, 1e308)):
+        with pytest.raises(ValueError, match=r"stop - start must be finite"):
+            SweepSpec("eta", start, stop, 10)
+    # a last point that rounds past DBL_MAX inside numpy is pinned to stop, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eta_grid = SweepSpec("eta", -big, 0.0, 252).grid()
+        n_grid = SweepSpec("N", 1.0, big, 3, scale="log").grid()
+    assert eta_grid[0] == -big and eta_grid[-1] == 0.0 and all(map(math.isfinite, eta_grid))
+    assert n_grid[0] == 1 and n_grid[-1] == int(big)
     ns = SweepSpec("N", 1.0, 10.0, 10).grid()
     assert ns == list(range(1, 11))
     # photon numbers past 2**63 stay exact integers
@@ -314,15 +325,17 @@ def test_sweep_spec_validation():
 
 
 def test_sweep_infinite_range_is_one_usage_error_under_warnings_as_errors():
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "noonloss", "sweep", "--var", "N", "--eta", "0.5",
-         "--start", "1", "--stop", "inf", "--steps", "3"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == EXIT_USAGE
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: start and stop must be finite, got [1.0, inf]")
-    assert proc.stderr.count("\n") == 1
+    for ends, err in ((["--start", "1", "--stop", "inf"], "error: start and stop must be finite, got [1.0, inf]"),
+                      (["--start=-1e308", "--stop=1e308"], "error: stop - start must be finite, got [-1e+308, 1e+308]")):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "noonloss", "sweep", "--var", "N", "--eta", "0.5",
+             *ends, "--steps", "3"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(err)
+        assert proc.stderr.count("\n") == 1
 
 
 def test_overflowing_signal_gives_a_value_not_a_traceback():
@@ -389,6 +402,8 @@ def test_module_invocation_smoke():
 
 _RANGE_ENDS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e6, math.inf, -math.inf, math.nan]),
+    # finite ends whose difference or last grid point overflows
+    st.sampled_from([1e308, -1e308, sys.float_info.max, -sys.float_info.max]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 

@@ -172,7 +172,7 @@ def test_d_precision_dN_against_mpmath(n, eta):
 
 
 def test_root_constants_within_one_ulp():
-    # nu = 2(e**-nu + 1) and nu_tilde = e**-nu_tilde + 1; the optimizers divide them by -ln(eta)
+    # nu = 2(e**-nu + 1) and nu_tilde = e**-nu_tilde + 1; the budget optimum is nu_tilde / -ln(eta)
     for got, f in ((solve_nu(), lambda x: 2 * (mpmath.exp(-x) + 1) - x),
                    (solve_nu_tilde(), lambda x: mpmath.exp(-x) + 1 - x)):
         want = mpmath.findroot(f, got)

@@ -48,9 +48,10 @@ _POW_OVERFLOWS = math.log2(sys.float_info.max) + 1e-9
 
 def _validate_eta(eta: float, n: float = 1.0) -> None:
     """eta in (0, 1]; the forms that treat N as a real number also pass N,
-    which must be positive and is checked first."""
-    if n <= 0:
-        raise ValueError(f"photon number must be positive, got {n!r}")
+    which must be positive and finite and is checked first."""
+    # chained, as it runs in the bisection loop; inf, not DBL_MAX: an int past DBL_MAX may pass float()
+    if not 0 < n < math.inf:
+        raise ValueError(f"photon number must be positive and finite, got {n!r}")
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
@@ -432,7 +433,7 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False) -> list:
     _validate_eta(eta)
     column = []
     for n in ns:
-        if n <= 0:
-            raise ValueError(f"photon number must be positive, got {n!r}")
+        if not 0 < n < math.inf:
+            raise ValueError(f"photon number must be positive and finite, got {n!r}")
         column.append(_optimal_phase(n, eta, ratio=ratio))
     return column

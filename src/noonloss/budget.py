@@ -98,7 +98,7 @@ def solve_nu_tilde() -> float:
 
     The budgeted optimum uses about nu_tilde/L photons per state at small loss.
     """
-    return bisect_root(lambda x: math.exp(-x) + 1.0 - x, 1.0, 2.0, tol=0.0)
+    return bisect_root(lambda x: math.exp(-x) + 1.0 - x, 1.0, 2.0)
 
 
 def mu_tilde() -> float:
@@ -137,8 +137,8 @@ def d_rnoon_dN_largeloss(n: float, eta: float) -> float:
     only grows with N.  This is the limiting expression, not the exact
     derivative.
     """
-    if n <= 0:
-        raise ValueError(f"photon number must be positive, got {n!r}")
+    if not 0 < n < math.inf:
+        raise ValueError(f"photon number must be positive and finite, got {n!r}")
     if not (0.0 < eta < 1.0):
         raise ValueError(f"the large-loss form needs 0 < eta < 1, got {eta!r}")
     log_eta = math.log(eta)

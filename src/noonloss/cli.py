@@ -26,9 +26,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 VERIFY_TOL = 1e-10
-DENSE_ETAS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-FAST_ETAS = (0.3, 0.7, 1.0)
-DENSE_THETAS = (0.0, 0.37)
 
 SWEEP_VARIABLES = ("N", "eta", "L", "phi0")
 
@@ -213,17 +210,26 @@ class SweepSpec:
 # ---------------------------------------------------------------------------
 # verification grid
 
-def run_verification(max_n: int = 12, etas=DENSE_ETAS, thetas=DENSE_THETAS,
-                     phases: int = 16, extra_random: int = 0, seed=None,
+# name: (etas, thetas, phases evenly spaced over [0, 2 pi), cap on max_n); each
+# grid checks every (eta, theta_t, phi) of the three at each N
+VERIFY_GRIDS = {
+    "dense": ((0.1, 0.3, 0.5, 0.7, 0.9, 1.0), (0.0, 0.37), 16, fock_oracle.MAX_PHOTONS),
+    "fast": ((0.3, 0.7, 1.0), (0.0,), 8, 6),
+}
+
+
+def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
                      prefactor_scale: float = 1.0) -> tuple[float, int]:
-    """Compare oracle moments against the closed forms over a grid.
+    """Compare oracle moments against the closed forms over the named grid
+    of :data:`VERIFY_GRIDS`, at each N up to ``max_n``.
 
     Returns the maximum absolute deviation over means and variances, and the
-    number of grid points checked.  ``extra_random`` adds that many randomly
-    drawn (eta, theta_t, phi) cases per photon number when a seed is given.
-    ``prefactor_scale`` = s scales the oracle's detection operator (mean by s,
-    variance by s**2), so that the verify sentinel can prove the check bites.
+    number of grid points checked.  A seed adds 5 randomly drawn
+    (eta, theta_t, phi) cases per photon number.  ``prefactor_scale`` = s
+    scales the oracle's detection operator (mean by s, variance by s**2), so
+    that the verify sentinel can prove the check bites.
     """
+    etas, thetas, phases, _ = VERIFY_GRIDS[grid]
     rng = random.Random(seed)
     max_dev = 0.0
     points = 0
@@ -232,7 +238,7 @@ def run_verification(max_n: int = 12, etas=DENSE_ETAS, thetas=DENSE_THETAS,
                  for eta in etas for theta in thetas for k in range(phases)]
         if seed is not None:
             cases += [(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi),
-                       rng.uniform(0.0, 2.0 * math.pi)) for _ in range(extra_random)]
+                       rng.uniform(0.0, 2.0 * math.pi)) for _ in range(5)]
         probe = NoonProbe(n)
         for eta, theta, phi in cases:
             ch = LossChannel(eta, theta)
@@ -471,20 +477,10 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    max_n = args.max_n
-    if not 1 <= max_n <= fock_oracle.MAX_PHOTONS:
+    if not 1 <= args.max_n <= fock_oracle.MAX_PHOTONS:
         raise UsageError(f"--max-n must be in [1, {fock_oracle.MAX_PHOTONS}]")
-
-    if args.grid == "dense":
-        etas, thetas, phases = DENSE_ETAS, DENSE_THETAS, 16
-    else:
-        etas, thetas, phases = FAST_ETAS, (0.0,), 8
-        max_n = min(max_n, 6)
-
-    max_dev, points = run_verification(
-        max_n=max_n, etas=etas, thetas=thetas, phases=phases,
-        extra_random=5 if args.seed is not None else 0, seed=args.seed,
-        prefactor_scale=1.001 if args.corrupt_prefactor else 1.0)
+    max_n = min(args.max_n, VERIFY_GRIDS[args.grid][-1])
+    max_dev, points = run_verification(max_n, args.grid, args.seed, 1.001 if args.corrupt_prefactor else 1.0)
 
     passed = max_dev <= VERIFY_TOL
     table = Table.row(["max_n", "grid", "points", "max_abs_deviation", "tolerance", "passed"],
@@ -576,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check closed forms against the Fock-basis oracle")
     p.add_argument("--max-n", type=int, default=12, dest="max_n",
                    help=f"largest photon number checked (<= {fock_oracle.MAX_PHOTONS}, default 12)")
-    p.add_argument("--grid", choices=("dense", "fast"), default="dense")
+    p.add_argument("--grid", choices=tuple(VERIFY_GRIDS), default="dense")
     p.add_argument("--seed", type=int, default=None,
                    help="add randomly drawn channel/phase cases per N")
     p.add_argument("--corrupt-prefactor", action="store_true", help=argparse.SUPPRESS)

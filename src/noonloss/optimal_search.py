@@ -22,7 +22,6 @@ __all__ = [
 ]
 
 DEFAULT_N_CAP = 10 ** 9
-_ROOT_TOL = 1e-12
 
 
 class InvalidEta(ValueError):
@@ -50,14 +49,18 @@ def solve_nu() -> float:
 
     The small-loss optimal photon number approaches nu/L.
     """
-    return bisect_root(lambda x: 2.0 * (math.exp(-x) + 1.0) - x, 1.0, 4.0, tol=0.0)
+    return bisect_root(lambda x: 2.0 * (math.exp(-x) + 1.0) - x, 1.0, 4.0)
 
 
 def mu_from_nu(nu: float) -> float:
-    """(1/nu) * sqrt((exp(nu) + 1)/2): precision at the optimum is mu*L."""
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu!r}")
-    return math.sqrt(0.5 * (math.exp(nu) + 1.0)) / nu
+    """(1/nu) * sqrt((exp(nu) + 1)/2): precision at the optimum is mu*L.  Past
+    nu = ln(DBL_MAX), where exp(nu) overflows, it is taken from its log."""
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
+    try:
+        return math.sqrt(0.5 * (math.exp(nu) + 1.0)) / nu
+    except OverflowError:
+        return analytics._exp_or_inf(0.5 * analytics._log_half_1p_exp(nu) - math.log(nu))
 
 
 def asymptotic_optimum(loss: float) -> tuple[float, float]:
@@ -98,10 +101,8 @@ def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
     def slope(x: float) -> float:
         return analytics.d_log_precision_dN(x, eta)
 
-    # slope(lo) < 0 always: -1/N dominates |ln eta|/2 for any float eta
-    lo = 1e-9
-    hi = expand_upper(slope, lo, 1.0)
-    root = bisect_root(slope, lo, hi, tol=_ROOT_TOL)
+    # slope(1e-9) < 0 always: -1/N dominates |ln eta|/2 for any float eta
+    root = bisect_root(slope, 1e-9, expand_upper(slope))
 
     best = integer_argmin(root, n_cap, lambda n: analytics.log_min_phase_opt_continuous(n, eta))
 

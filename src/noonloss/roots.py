@@ -6,11 +6,11 @@ import math
 __all__ = ["bisect_root", "expand_upper", "integer_argmin"]
 
 
-def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12) -> float:
-    """Root of f on [lo, hi] by bisection, to absolute tolerance ``tol``.
+def bisect_root(f, lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] by bisection, to the last ulp.
 
-    The endpoints must bracket a sign change.  Stops early once the midpoint
-    can no longer be distinguished from an endpoint in floating point.
+    The endpoints must bracket a sign change.  Halves the bracket until its
+    midpoint equals an endpoint: the result and a float neighbour straddle it.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -27,20 +27,18 @@ def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12) -> float:
         if fmid == 0.0:
             return mid
         if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
+            lo = mid
         else:
-            hi, fhi = mid, fmid
-        if hi - lo <= tol:
-            break
+            hi = mid
     return 0.5 * (lo + hi)
 
 
-def expand_upper(f, lo: float, hi0: float = 1.0) -> float:
-    """Double an upper endpoint from ``hi0`` until f(hi) > 0.
+def expand_upper(f) -> float:
+    """The first of 1, 2, 4, ... where f > 0.
 
-    Meant for increasing f with f(lo) < 0; pairs with :func:`bisect_root`.
+    For increasing f, negative near 0; pairs with :func:`bisect_root`.
     """
-    hi = max(hi0, lo)
+    hi = 1.0
     for _ in range(200):
         if f(hi) > 0.0:
             return hi

@@ -24,7 +24,7 @@ def criterion(label: str, time_limit: float):
 
 def test_criterion_1_oracle_equivalence():
     with criterion("1: oracle equivalence, N <= 12, |dev| <= 1e-12", 5.0):
-        max_dev, points = cli.run_verification(max_n=12, phases=16)
+        max_dev, points = cli.run_verification(max_n=12)
         assert points == 12 * 6 * 2 * 16
         assert max_dev <= 1e-12
 
@@ -118,11 +118,11 @@ def test_criterion_8_threshold_exactness():
     with criterion("8: critical transmissivities located to 1e-9", 0.1):
         single = bisect_root(
             lambda e: analytics.min_phase_opt_continuous(1.0, e) - analytics.min_phase_opt_continuous(2.0, e),
-            0.05, 0.95, tol=1e-12)
+            0.05, 0.95)
         assert abs(single - (math.sqrt(7.0) - 2.0) / 3.0) <= 1e-9
         budgeted = bisect_root(
             lambda e: budget.r_noon_continuous(1.0, e) - budget.r_noon_continuous(2.0, e),
-            0.05, 0.95, tol=1e-12)
+            0.05, 0.95)
         assert abs(budgeted - (math.sqrt(2.0) - 1.0)) <= 1e-9
 
 

@@ -24,7 +24,7 @@ from noonloss.analytics import (
     snr_lossy,
     variance_detection,
 )
-from noonloss.budget import r_noon_continuous
+from noonloss.budget import d_rnoon_dN_largeloss, log_r_noon, r_noon_continuous
 
 from _helpers import central_diff, derivative_grid
 
@@ -194,6 +194,18 @@ def test_min_phase_opt_validation():
         min_phase_opt(NoonProbe(2), 0.0)
     with pytest.raises(ValueError):
         min_phase_opt_continuous(0.0, 0.5)
+
+
+@pytest.mark.parametrize("form", [
+    min_phase_opt_continuous, log_min_phase_opt_continuous, d_precision_dN, d_log_precision_dN,
+    r_noon_continuous, log_r_noon, d_rnoon_dN_largeloss,
+    pytest.param(lambda n, eta: optimal_phase_grid([2.0, n], eta), id="optimal_phase_grid"),
+    pytest.param(lambda n, eta: optimal_phase_grid([2.0, n], eta, ratio=True), id="optimal_phase_grid_ratio"),
+], ids=lambda form: form.__name__)
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+def test_real_n_forms_reject_non_finite_n(form, n):
+    with pytest.raises(ValueError, match="photon number"):
+        form(n, 0.5)
 
 
 # ---------------------------------------------------------------------------

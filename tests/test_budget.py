@@ -113,8 +113,7 @@ def bisected_n_tilde(eta, b):
     def slope(x):
         return 0.5 * (-log_eta / (1.0 + eta ** x) - 1.0 / x)
 
-    lo = 1e-9
-    root = bisect_root(slope, lo, expand_upper(slope, lo, 1.0), tol=1e-12)
+    root = bisect_root(slope, 1e-9, expand_upper(slope))
     return integer_argmin(root, b.n_total, lambda n: log_r_noon(n, eta))
 
 
@@ -177,7 +176,7 @@ def test_l_tilde_critical():
 
 
 def test_threshold_bisection():
-    root = bisect_root(lambda e: r_noon_continuous(1.0, e) - r_noon_continuous(2.0, e), 0.05, 0.95, tol=1e-12)
+    root = bisect_root(lambda e: r_noon_continuous(1.0, e) - r_noon_continuous(2.0, e), 0.05, 0.95)
     assert abs(root - (math.sqrt(2.0) - 1.0)) < 1e-9
 
 

@@ -235,7 +235,7 @@ def oracle_digest(seed=5):
         return mean, var
 
     with mock.patch.object(fock_oracle, "oracle_moments", recording):
-        _, points = run_verification(max_n=64, extra_random=5, seed=seed)
+        _, points = run_verification(max_n=64, seed=seed)
     return [points, digest.hexdigest()]
 
 

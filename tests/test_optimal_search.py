@@ -35,8 +35,9 @@ def test_solve_nu():
 def test_mu_from_nu():
     mu = mu_from_nu(solve_nu())
     assert abs(mu - 1.018) < 5e-4
-    with pytest.raises(ValueError):
-        mu_from_nu(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mu_from_nu(bad)
     # well-conditioned around the root
     assert abs(mu_from_nu(2.218) - mu_from_nu(2.218 + 1e-9)) < 1e-6
 

@@ -1,7 +1,8 @@
 """The closed forms against 50-digit mpmath: variance_detection, min_phase_at,
 snr_lossy and log_min_phase_at at any operating point, the optimal-phase
 and budgeted forms on both sides of the overflow of eta**-N,
-d_precision_dN, and the constants nu and nu_tilde.
+d_precision_dN, the constants nu and nu_tilde, mu_from_nu past the overflow of
+exp(nu), and the continuous single-measurement optimum nu / -ln(eta).
 
 The references take the operating angle N(phi0 + theta_t) as the functions
 form it in floating point, so that they measure the error of the closed
@@ -22,7 +23,7 @@ from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, d_precis
                                 snr_lossy, variance_detection)
 from noonloss.budget import (PhotonBudget, log_r_noon, noon_precision_budgeted, r_noon, r_noon_continuous,
                              solve_nu_tilde)
-from noonloss.optimal_search import solve_nu
+from noonloss.optimal_search import mu_from_nu, n_min_integer, solve_nu
 
 mpmath.mp.dps = 50
 RTOL = 1e-13
@@ -177,3 +178,25 @@ def test_root_constants_within_one_ulp():
                    (solve_nu_tilde(), lambda x: mpmath.exp(-x) + 1 - x)):
         want = mpmath.findroot(f, got)
         assert abs(mpmath.mpf(got) - want) <= math.ulp(got)
+
+
+@pytest.mark.parametrize("nu", [709.0, 710.0, 1e3, 1e5])
+def test_mu_from_nu_past_the_overflow_of_exp_nu(nu):
+    want = mpmath.sqrt((mpmath.exp(nu) + 1) / 2) / nu
+    got = mu_from_nu(nu)
+    if want > NORMAL[1]:
+        assert got == math.inf
+    else:
+        assert rel_err(got, want) <= RTOL
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-15.0, math.log10(0.99)).map(lambda u: 1.0 - 10.0 ** u),
+                 st.floats(-300.0, -1.0).map(lambda u: 10.0 ** u)))
+@example(0.1)
+@example(0.2)
+def test_continuous_optimum_within_four_ulps(eta):
+    # the root of d ln(precision)/dN is exactly nu / -ln(eta): N |ln eta| = 2(eta**N + 1)
+    want = mpmath.findroot(lambda x: 2 * (mpmath.exp(-x) + 1) - x, solve_nu()) / -mpmath.log(mpmath.mpf(eta))
+    got = n_min_integer(eta).continuous_n
+    assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(got)

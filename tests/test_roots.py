@@ -1,6 +1,54 @@
 import math
 
-from noonloss.roots import integer_argmin
+import pytest
+
+from noonloss.roots import bisect_root, expand_upper, integer_argmin
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: 2.0 - x * x, 0.0, 2.0),  # decreasing through the root
+    (lambda x: math.log(x) + 30.0, 1e-20, 1.0),
+])
+def test_bisect_root_float_neighbours_straddle_the_sign_change(f, lo, hi):
+    root = bisect_root(f, lo, hi)
+    below, above = math.nextafter(root, -math.inf), math.nextafter(root, math.inf)
+    # a float where f is exactly 0 may be returned as is
+    assert f(root) == 0.0 or (f(below) < 0.0) != (f(above) < 0.0)
+
+
+def test_bisect_root_returns_an_exact_zero_at_an_endpoint():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+
+    assert bisect_root(f, 1.0, 3.0) == 1.0
+    assert bisect_root(f, -1.0, 1.0) == 1.0
+    assert calls == [1.0, 3.0, -1.0, 1.0]
+
+
+def test_bisect_root_without_a_sign_change_raises():
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_expand_upper_returns_the_first_doubling_where_f_is_positive():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 5.0
+
+    assert expand_upper(f) == 8.0
+    assert seen == [1.0, 2.0, 4.0, 8.0]
+    assert expand_upper(lambda x: 1.0) == 1.0
+
+
+def test_expand_upper_raises_when_f_never_turns_positive():
+    with pytest.raises(RuntimeError, match="could not bracket"):
+        expand_upper(lambda x: -1.0)
 
 
 def test_integer_argmin_tie_keeps_smaller_n():

@@ -44,24 +44,25 @@ _LN2 = math.log(2.0)
 # eta**-N overflows for certain once -N log2(eta) passes log2(DBL_MAX), about
 # 1024, by more than the rounding of N log2(eta) (about 5e-13 there)
 _POW_OVERFLOWS = math.log2(sys.float_info.max) + 1e-9
+# the one upper bound of every check of N, int or float: past it float(N)
+# overflows or rounds an int down to DBL_MAX
+_N_MAX = sys.float_info.max
 
 
 def _validate_eta(eta: float, n: float = 1.0) -> None:
     """eta in (0, 1]; the forms that treat N as a real number also pass N,
-    which must be positive and finite and is checked first."""
-    # chained, as it runs in the bisection loop; inf, not DBL_MAX: an int past DBL_MAX may pass float()
-    if not 0 < n < math.inf:
+    which must be positive and at most DBL_MAX and is checked first."""
+    # chained and without float(), as it runs in the bisection loop
+    if not 0 < n <= _N_MAX:
         raise ValueError(f"photon number must be positive and finite, got {n!r}")
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
 
 def _float_range(value: int, name: str) -> int:
-    """``value``, or a ValueError naming it where float(value) overflows."""
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float, got {value}") from None
+    """``value``, or a ValueError naming it where it is past DBL_MAX."""
+    if not value <= _N_MAX:
+        raise ValueError(f"{name} is too large for a float, got {value}")
     return value
 
 
@@ -105,7 +106,7 @@ def _inv_eta_pow(n: float, eta: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossChannel:
     """One-arm loss channel: fraction ``eta`` of the intensity survives.
 
@@ -130,7 +131,7 @@ class LossChannel:
         return cls(1.0 - loss, theta_t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoonProbe:
     """An N-photon NOON probe state, (|N,0> + |0,N>)/sqrt(2)."""
 
@@ -140,7 +141,7 @@ class NoonProbe:
         object.__setattr__(self, "n", _photon_number(self.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatingPoint:
     """Operating phase phi0 and the small phase change delta_phi to detect."""
 
@@ -156,7 +157,7 @@ class SnrResult(NamedTuple):
     degenerate: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrecisionReport:
     """Bundle of detection statistics at one (N, eta, phi0) point."""
 
@@ -433,7 +434,7 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False) -> list:
     _validate_eta(eta)
     column = []
     for n in ns:
-        if not 0 < n < math.inf:
+        if not 0 < n <= _N_MAX:
             raise ValueError(f"photon number must be positive and finite, got {n!r}")
         column.append(_optimal_phase(n, eta, ratio=ratio))
     return column

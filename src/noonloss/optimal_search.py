@@ -28,7 +28,7 @@ class InvalidEta(ValueError):
     """Transmissivity outside the domain of the requested optimum."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimumResult:
     """Integer and continuous minimizers of the optimal-phase precision.
 
@@ -84,9 +84,11 @@ def loss_critical() -> float:
 def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
     """Smallest integer N in [1, n_cap] minimizing the optimal-phase precision.
 
-    Locates the sign change of d_log_precision_dN by bracketing and bisection
-    in continuous N, then compares the two neighboring integers; when the
-    derivative is already positive at N = 1 (large loss) the answer is 1.
+    d_log_precision_dN vanishes where -N ln(eta) = nu, so its sign change in
+    continuous N is bisected from a bracket around ``solve_nu() / -ln(eta)``
+    (from [1e-9, first power of 2 past the root] should that bracket hold no
+    sign change); then the two neighboring integers are compared, and a root
+    below 1 (large loss) gives 1.
     Ties between adjacent integers go to the smaller N.
 
     Raises :class:`InvalidEta` unless 0 < eta < 1; the lossless precision
@@ -101,13 +103,18 @@ def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
     def slope(x: float) -> float:
         return analytics.d_log_precision_dN(x, eta)
 
-    # slope(1e-9) < 0 always: -1/N dominates |ln eta|/2 for any float eta
-    root = bisect_root(slope, 1e-9, expand_upper(slope))
+    # the seeded bracket's sign change proves the closed form; slope(1e-9) < 0
+    # for any float eta, as -1/N dominates |ln eta|/2
+    nu = solve_nu()
+    guess = nu / -math.log(eta)
+    try:
+        root = bisect_root(slope, guess * (1.0 - 2.0 ** -40), guess * (1.0 + 2.0 ** -40))
+    except ValueError:
+        root = bisect_root(slope, 1e-9, expand_upper(slope))
 
     best = integer_argmin(root, n_cap, lambda n: analytics.log_min_phase_opt_continuous(n, eta))
 
     loss = 1.0 - eta
-    nu = solve_nu()
     return OptimumResult(
         n_star=best,
         precision_at_opt=analytics.min_phase_opt_continuous(best, eta),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -196,16 +197,38 @@ def test_min_phase_opt_validation():
         min_phase_opt_continuous(0.0, 0.5)
 
 
-@pytest.mark.parametrize("form", [
+REAL_N_FORMS = [
     min_phase_opt_continuous, log_min_phase_opt_continuous, d_precision_dN, d_log_precision_dN,
     r_noon_continuous, log_r_noon, d_rnoon_dN_largeloss,
     pytest.param(lambda n, eta: optimal_phase_grid([2.0, n], eta), id="optimal_phase_grid"),
     pytest.param(lambda n, eta: optimal_phase_grid([2.0, n], eta, ratio=True), id="optimal_phase_grid_ratio"),
-], ids=lambda form: form.__name__)
+]
+
+
+@pytest.mark.parametrize("form", REAL_N_FORMS, ids=lambda form: form.__name__)
 @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
 def test_real_n_forms_reject_non_finite_n(form, n):
     with pytest.raises(ValueError, match="photon number"):
         form(n, 0.5)
+
+
+@pytest.mark.parametrize("form", REAL_N_FORMS, ids=lambda form: form.__name__)
+def test_real_n_forms_reject_an_int_past_the_float_range(form):
+    # -N ln(eta) used to end in OverflowError: int too large to convert to float
+    with pytest.raises(ValueError, match="photon number"):
+        form(10 ** 400, 0.5)
+
+
+def test_one_upper_bound_for_n():
+    # an int just past DBL_MAX still passes float(), which rounds it down; the
+    # integer types and the real-N forms reject it alike
+    top = int(sys.float_info.max)
+    assert NoonProbe(top).n == top
+    assert d_log_precision_dN(top, 0.5) == d_log_precision_dN(sys.float_info.max, 0.5)
+    with pytest.raises(ValueError, match="too large for a float"):
+        NoonProbe(top + 1)
+    with pytest.raises(ValueError, match="photon number"):
+        d_log_precision_dN(top + 1, 0.5)
 
 
 # ---------------------------------------------------------------------------

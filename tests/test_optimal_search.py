@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from noonloss import analytics
+from noonloss import analytics, optimal_search
 from noonloss.optimal_search import (
+    DEFAULT_N_CAP,
     InvalidEta,
     asymptotic_optimum,
     eta_critical,
@@ -14,6 +15,7 @@ from noonloss.optimal_search import (
     n_min_integer,
     solve_nu,
 )
+from noonloss.roots import bisect_root, expand_upper, integer_argmin
 
 
 def _scan_argmin(eta, n_max):
@@ -95,6 +97,60 @@ def test_continuous_root_is_nu_over_log_eta():
     for eta in (0.4, 0.8, 0.99, 1.0 - 1e-5):
         root = n_min_integer(eta).continuous_n
         assert root == pytest.approx(solve_nu() / -math.log(eta), rel=1e-9)
+
+
+# eta from 1e-300 up to 1 - 1e-16: losses near 1, across the critical loss,
+# and down to the last float below 1
+SEEDED_GRID_ETAS = [*np.geomspace(1e-300, 0.5, 150), *(1.0 - np.geomspace(0.5, 1e-16, 150))]
+
+
+def _full_bracket_search(eta):
+    """n_min_integer's search from [1e-9, first power of 2 past the root]."""
+    def slope(x):
+        return analytics.d_log_precision_dN(x, eta)
+
+    root = bisect_root(slope, 1e-9, expand_upper(slope))
+    return integer_argmin(root, DEFAULT_N_CAP, lambda n: analytics.log_min_phase_opt_continuous(n, eta)), root
+
+
+def test_seeded_bracket_matches_full_bracket():
+    for eta in SEEDED_GRID_ETAS:
+        n_star, root = _full_bracket_search(eta)
+        res = n_min_integer(eta)
+        assert res.n_star == n_star, eta
+        assert abs(res.continuous_n - root) <= math.ulp(root), eta
+
+
+def test_seeded_bracket_falls_back_without_a_sign_change(monkeypatch):
+    # with nu doubled the seeded bracket lies wholly past the root
+    nu = solve_nu()
+    expansions = []
+
+    def counting_expand_upper(f):
+        expansions.append(f)
+        return expand_upper(f)
+
+    monkeypatch.setattr(optimal_search, "solve_nu", lambda: 2.0 * nu)
+    monkeypatch.setattr(optimal_search, "expand_upper", counting_expand_upper)
+    etas = (1e-300, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12)
+    for eta in etas:
+        assert n_min_integer(eta).n_star == _full_bracket_search(eta)[0]
+    assert len(expansions) == len(etas)
+
+
+def test_seeded_bracket_evaluates_the_slope_at_most_20_times(monkeypatch):
+    calls = []
+    slope = analytics.d_log_precision_dN
+
+    def counting_slope(n, eta):
+        calls.append(n)
+        return slope(n, eta)
+
+    monkeypatch.setattr(analytics, "d_log_precision_dN", counting_slope)
+    for eta in SEEDED_GRID_ETAS:
+        calls.clear()
+        n_min_integer(eta)
+        assert 0 < len(calls) <= 20, eta
 
 
 def test_scan_equivalence_random_etas():

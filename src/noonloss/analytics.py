@@ -54,7 +54,7 @@ def _validate_eta(eta: float, n: float = 1.0) -> None:
     which must be positive and at most DBL_MAX and is checked first."""
     # chained and without float(), as it runs in the bisection loop
     if not 0 < n <= _N_MAX:
-        raise ValueError(f"photon number must be positive and finite, got {n!r}")
+        raise ValueError(f"photon number must lie in (0, DBL_MAX], got {n!r}")
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
@@ -435,6 +435,6 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False) -> list:
     column = []
     for n in ns:
         if not 0 < n <= _N_MAX:
-            raise ValueError(f"photon number must be positive and finite, got {n!r}")
+            raise ValueError(f"photon number must lie in (0, DBL_MAX], got {n!r}")
         column.append(_optimal_phase(n, eta, ratio=ratio))
     return column

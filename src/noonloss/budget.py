@@ -138,7 +138,7 @@ def d_rnoon_dN_largeloss(n: float, eta: float) -> float:
     derivative.
     """
     if not 0 < n <= _N_MAX:
-        raise ValueError(f"photon number must be positive and finite, got {n!r}")
+        raise ValueError(f"photon number must lie in (0, DBL_MAX], got {n!r}")
     if not (0.0 < eta < 1.0):
         raise ValueError(f"the large-loss form needs 0 < eta < 1, got {eta!r}")
     log_eta = math.log(eta)

@@ -99,9 +99,9 @@ def test_continuous_root_is_nu_over_log_eta():
         assert root == pytest.approx(solve_nu() / -math.log(eta), rel=1e-9)
 
 
-# eta from 1e-300 up to 1 - 1e-16: losses near 1, across the critical loss,
-# and down to the last float below 1
-SEEDED_GRID_ETAS = [*np.geomspace(1e-300, 0.5, 150), *(1.0 - np.geomspace(0.5, 1e-16, 150))]
+# etas log-spaced from 1e-300 to 0.5, then losses log-spaced from 0.5 to
+# 1e-16, whose eta is the last float below 1
+SEEDED_GRID_ETAS = [float(eta) for eta in (*np.geomspace(1e-300, 0.5, 150), *(1.0 - np.geomspace(0.5, 1e-16, 150)))]
 
 
 def _full_bracket_search(eta):

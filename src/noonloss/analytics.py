@@ -106,7 +106,7 @@ def _inv_eta_pow(n: float, eta: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LossChannel:
     """One-arm loss channel: fraction ``eta`` of the intensity survives.
 
@@ -131,7 +131,7 @@ class LossChannel:
         return cls(1.0 - loss, theta_t)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class NoonProbe:
     """An N-photon NOON probe state, (|N,0> + |0,N>)/sqrt(2)."""
 
@@ -141,7 +141,7 @@ class NoonProbe:
         object.__setattr__(self, "n", _photon_number(self.n))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class OperatingPoint:
     """Operating phase phi0 and the small phase change delta_phi to detect."""
 
@@ -157,7 +157,7 @@ class SnrResult(NamedTuple):
     degenerate: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PrecisionReport:
     """Bundle of detection statistics at one (N, eta, phi0) point."""
 

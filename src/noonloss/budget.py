@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analytics import _N_MAX, _exp_or_inf, _float_range, _optimal_phase, _photon_number, _validate_eta
+from .analytics import _exp_or_inf, _float_range, _optimal_phase, _photon_number, _validate_eta
 # expand_upper is unused here; perfbench's tracer patches every roots function in budget by name
 from .roots import bisect_root, expand_upper, integer_argmin
 
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PhotonBudget:
     """Average total photon count N_T, with the baseline constant kappa.
 
@@ -137,9 +137,8 @@ def d_rnoon_dN_largeloss(n: float, eta: float) -> float:
     only grows with N.  This is the limiting expression, not the exact
     derivative.
     """
-    if not 0 < n <= _N_MAX:
-        raise ValueError(f"photon number must lie in (0, DBL_MAX], got {n!r}")
-    if not (0.0 < eta < 1.0):
+    _validate_eta(eta, n)
+    if eta == 1.0:
         raise ValueError(f"the large-loss form needs 0 < eta < 1, got {eta!r}")
     log_eta = math.log(eta)
     scale = _exp_or_inf(-0.5 * (n - 1.0) * log_eta)

@@ -121,21 +121,13 @@ def test_seeded_bracket_matches_full_bracket():
         assert abs(res.continuous_n - root) <= math.ulp(root), eta
 
 
-def test_seeded_bracket_falls_back_without_a_sign_change(monkeypatch):
-    # with nu doubled the seeded bracket lies wholly past the root
+def test_seeded_bracket_without_a_sign_change_raises(monkeypatch):
+    # with nu doubled the bracket lies wholly past the root: a wrong closed
+    # form is an error, not a silently wrong optimum
     nu = solve_nu()
-    expansions = []
-
-    def counting_expand_upper(f):
-        expansions.append(f)
-        return expand_upper(f)
-
     monkeypatch.setattr(optimal_search, "solve_nu", lambda: 2.0 * nu)
-    monkeypatch.setattr(optimal_search, "expand_upper", counting_expand_upper)
-    etas = (1e-300, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12)
-    for eta in etas:
-        assert n_min_integer(eta).n_star == _full_bracket_search(eta)[0]
-    assert len(expansions) == len(etas)
+    with pytest.raises(ValueError, match="no sign change"):
+        n_min_integer(0.9)
 
 
 def test_seeded_bracket_evaluates_the_slope_at_most_20_times(monkeypatch):

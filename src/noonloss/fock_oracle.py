@@ -5,9 +5,11 @@ detected mode ``b``, and the loss port ``V`` of the beam splitter that models
 the loss.  The detection operator is applied by expanding the beam-splitter
 ladder polynomials term by term.  The channel-free part of each term,
 binomial times factorial weight from exact integers, is tabulated once per
-photon number and memoized; only the channel's powers of t and r are
-computed per call.  Nothing here uses the closed-form moment formulas from
-:mod:`noonloss.analytics`; this module exists to check them.
+photon number and memoized.  The channel's terms, that table times powers
+of t and r, are computed once per channel and kept in a small bounded memo,
+so the phases that share one channel reuse them.  Nothing here uses the
+closed-form moment formulas from :mod:`noonloss.analytics`; this module
+exists to check them.
 """
 
 import cmath
@@ -76,8 +78,11 @@ class FockKet:
                 raise ValueError(f"negative occupation {occ}")
             if n_a + n_b + n_v > cap:
                 raise ValueError(f"occupation {occ} exceeds photon cap {cap}")
-            if abs(amp) >= _SUPPORT_EPS:
+            mag = abs(amp)
+            if _SUPPORT_EPS <= mag < math.inf:
                 cleaned[occ] = complex(amp)
+            elif not mag < _SUPPORT_EPS:  # NaN or infinite
+                raise ValueError(f"amplitude of {occ} must be finite, got {amp!r}")
         object.__setattr__(self, "amps", cleaned)
         object.__setattr__(self, "photon_cap", cap)
 
@@ -93,6 +98,8 @@ def build_noon_input(n: int, phi: float) -> FockKet:
     n = operator.index(n)
     if n < 1:
         raise ValueError("a NOON probe needs at least one photon")
+    if not math.isfinite(n * phi):
+        raise ValueError(f"N*phi must be finite, got N = {n}, phi = {phi!r}")
     amp = 1.0 / math.sqrt(2.0)
     return FockKet(
         {
@@ -109,6 +116,24 @@ def _ladder_coefficients(n: int) -> tuple[float, ...]:
     every term of an n-quantum ladder expansion.  Callers check
     1 <= n <= MAX_PHOTONS first, so the cache holds at most MAX_PHOTONS tables."""
     return tuple(comb(n, k) * math.sqrt(factorial(k) * factorial(n - k) / factorial(n)) for k in range(n + 1))
+
+
+@lru_cache(maxsize=64)
+def _detector_terms(n: int, eta: float, theta_t: float,
+                    reflection_phase: float) -> tuple[tuple[tuple[Occupation, complex], ...], tuple[complex, ...]]:
+    """The channel's terms of the n-photon detector: the raising branch as
+    (Occupation(0, k, n - k), coefficient) pairs with the zero coefficients
+    left out, and the lowering coefficient for each k = 0..n.  A verify pass
+    visits each channel for all its phases in a row, so a small bound keeps
+    every hit."""
+    t = cmath.rect(math.sqrt(eta), theta_t)
+    r = cmath.rect(math.sqrt(1.0 - eta), reflection_phase)
+    tc, rc = t.conjugate(), r.conjugate()
+    ladder = _ladder_coefficients(n)
+    raising = tuple((Occupation(0, k, n - k), coeff) for k in range(n + 1)
+                    if (coeff := ladder[k] * tc ** k * rc ** (n - k)) != 0)
+    lowering = tuple(ladder[k] * t ** k * r ** (n - k) for k in range(n + 1))
+    return raising, lowering
 
 
 def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: float = math.pi / 2) -> FockKet:
@@ -132,24 +157,19 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
         if occ.total > n:
             raise ValueError(f"ket component {occ} holds more than {n} photons")
 
-    t = cmath.rect(math.sqrt(ch.eta), ch.theta_t)
-    r = cmath.rect(math.sqrt(1.0 - ch.eta), reflection_phase)
-    tc, rc = t.conjugate(), r.conjugate()
-    ladder = _ladder_coefficients(n)
+    # float() keys the memo on plain floats whatever number types the channel holds
+    raising, lowering = _detector_terms(n, float(ch.eta), float(ch.theta_t), float(reflection_phase))
 
     out: dict[Occupation, complex] = defaultdict(complex)
     for occ, amp in ket.amps.items():
         if occ.n_a == n and occ.n_b == 0 and occ.n_v == 0:
             # raising branch: k quanta into b, n - k into the loss port
-            for k in range(n + 1):
-                coeff = ladder[k] * tc ** k * rc ** (n - k)
-                if coeff != 0:
-                    out[Occupation(0, k, n - k)] += amp * coeff
+            for key, coeff in raising:
+                out[key] += amp * coeff
         if occ.n_a == 0 and occ.n_b + occ.n_v == n:
             # lowering branch: only the term annihilating exactly n_b quanta
             # from b and n_v from V survives the vacuum projector
-            k = occ.n_b
-            coeff = ladder[k] * t ** k * r ** (n - k)
+            coeff = lowering[occ.n_b]
             if coeff != 0:
                 out[Occupation(n, 0, 0)] += amp * coeff
 
@@ -158,6 +178,9 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
 
 def inner(x: FockKet, y: FockKet) -> complex:
     """<x|y> over the shared support."""
+    if x is y:
+        # the general sum below in the same order, without a lookup per entry
+        return sum((amp.conjugate() * amp for amp in x.amps.values()), start=0j)
     if len(x.amps) > len(y.amps):
         return inner(y, x).conjugate()
     return sum(

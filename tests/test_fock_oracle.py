@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from noonloss.fock_oracle import (
     MAX_PHOTONS,
     FockKet,
     Occupation,
+    _detector_terms,
+    _ladder_coefficients,
     apply_detector,
     build_noon_input,
     inner,
@@ -192,3 +195,159 @@ def test_lossless_specialization():
             mean, var = oracle_moments(n, ch, phi)
             assert mean == pytest.approx(math.cos(n * phi), abs=1e-12)
             assert var == pytest.approx(math.sin(n * phi) ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan, 1e308])
+def test_non_finite_phase_is_rejected_not_dropped(phi):
+    # a NaN amplitude used to be pruned as if it were tiny, so
+    # oracle_moments(2, LossChannel(0.5), inf) returned (0.0, 0.5000000000000001);
+    # a finite phi whose N*phi overflows raised a bare "math domain error"
+    with pytest.raises(ValueError, match=re.escape(f"N*phi must be finite, got N = 2, phi = {phi!r}")):
+        build_noon_input(2, phi)
+    with pytest.raises(ValueError, match=re.escape("N*phi must be finite")):
+        oracle_moments(2, LossChannel(0.5), phi)
+
+
+@pytest.mark.parametrize("amp", [
+    complex(math.nan),
+    math.nan,
+    math.inf,
+    complex(0.0, -math.inf),
+    complex(1e-310, math.nan),
+    complex(math.inf, math.nan),
+])
+def test_fock_ket_rejects_non_finite_amplitudes(amp):
+    with pytest.raises(ValueError, match=re.escape(f"amplitude of Occupation(n_a=1, n_b=0, n_v=0) must be finite, got {amp!r}")):
+        FockKet({(1, 0, 0): amp}, photon_cap=1)
+    with pytest.raises(ValueError, match="must be finite"):
+        FockKet({Occupation(0, 1, 0): 0.5, Occupation(1, 0, 0): amp}, photon_cap=1)
+
+
+def test_nan_reflection_phase_is_rejected_not_dropped():
+    # r = NaN made every coefficient NaN, and the pruned output ket gave
+    # finite moments that were wrong
+    with pytest.raises(ValueError, match="must be finite"):
+        oracle_moments(3, LossChannel(0.5), 0.2, reflection_phase=math.nan)
+
+
+def _apply_detector_per_call(ket, n, ch, reflection_phase=math.pi / 2):
+    """apply_detector with every channel coefficient and output key built
+    afresh on each call: the expansion that the per-channel memo replaced,
+    kept as the bit-for-bit reference."""
+    t = cmath.rect(math.sqrt(ch.eta), ch.theta_t)
+    r = cmath.rect(math.sqrt(1.0 - ch.eta), reflection_phase)
+    tc, rc = t.conjugate(), r.conjugate()
+    ladder = _ladder_coefficients(n)
+    out = defaultdict(complex)
+    for occ, amp in ket.amps.items():
+        if occ.n_a == n and occ.n_b == 0 and occ.n_v == 0:
+            for k in range(n + 1):
+                coeff = ladder[k] * tc ** k * rc ** (n - k)
+                if coeff != 0:
+                    out[Occupation(0, k, n - k)] += amp * coeff
+        if occ.n_a == 0 and occ.n_b + occ.n_v == n:
+            k = occ.n_b
+            coeff = ladder[k] * t ** k * r ** (n - k)
+            if coeff != 0:
+                out[Occupation(n, 0, 0)] += amp * coeff
+    return FockKet(dict(out), photon_cap=n)
+
+
+def _bits(ket):
+    return [(occ, amp.real.hex(), amp.imag.hex()) for occ, amp in ket.amps.items()]
+
+
+def _mixed_ket(rng, n):
+    """|n,0,0>, several lowering components (0, k, n - k) that all fold into
+    |n,0,0>, and components below n photons that neither branch touches;
+    some parts are signed zeros."""
+    parts = [-0.0, 0.0, 1e-3, -0.7, 0.25, rng.uniform(-1, 1)]
+    amps = {Occupation(n, 0, 0): complex(rng.choice(parts), rng.uniform(-1, 1))}
+    for k in rng.sample(range(n + 1), min(n + 1, 4)):
+        amps[Occupation(0, k, n - k)] = complex(rng.uniform(-1, 1), rng.choice(parts))
+    if n > 1:
+        amps[Occupation(0, 1, n - 2)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return FockKet(amps, photon_cap=n)
+
+
+def test_memoized_detector_equals_the_per_call_expansion_bit_for_bit():
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, 7, 16, 33, MAX_PHOTONS])
+        eta = rng.choice([1.0, 1e-30, 0.5, rng.uniform(0.01, 1.0)])
+        ch = LossChannel(eta, rng.choice([0.0, -0.0, rng.uniform(-math.pi, math.pi)]))
+        phase = rng.choice([math.pi / 2, 0.0, rng.uniform(-4.0, 4.0)])
+        for ket in (_mixed_ket(rng, n), _random_ket(rng, n), build_noon_input(n, rng.uniform(0, 7))):
+            # twice: once filling the memo (or hitting it), once hitting it
+            for _ in range(2):
+                got = apply_detector(ket, n, ch, reflection_phase=phase)
+                assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch, phase))
+
+
+def test_lossless_detector_leaves_out_the_zero_terms():
+    # eta = 1: r = 0, so only k = n survives in the raising branch
+    for n in (1, 5, MAX_PHOTONS):
+        raising, lowering = _detector_terms(n, 1.0, 0.3, math.pi / 2)
+        assert [key for key, _ in raising] == [Occupation(0, n, 0)]
+        assert [c != 0 for c in lowering] == [False] * n + [True]
+        ket = _mixed_ket(random.Random(n), n)
+        got = apply_detector(ket, n, LossChannel(1.0, 0.3))
+        assert _bits(got) == _bits(_apply_detector_per_call(ket, n, LossChannel(1.0, 0.3)))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_signed_zero_channels_reuse_the_memo_bit_for_bit(zero):
+    # +0.0 and -0.0 are one cache key: each is queried after the other filled the memo
+    rng = random.Random(5)
+    for n in (1, 2, 6, 17):
+        ket = _mixed_ket(rng, n)
+        for eta in (0.5, 1.0, 0.9):
+            for (theta, phase), (warm_theta, warm_phase) in (((zero, 1.1), (-zero, 1.1)),
+                                                             ((0.4, zero), (0.4, -zero)),
+                                                             ((zero, zero), (-zero, -zero))):
+                apply_detector(ket, n, LossChannel(eta, warm_theta), reflection_phase=warm_phase)
+                hits = _detector_terms.cache_info().hits
+                ch = LossChannel(eta, theta)
+                got = apply_detector(ket, n, ch, reflection_phase=phase)
+                assert _detector_terms.cache_info().hits == hits + 1
+                assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch, phase))
+                assert oracle_moments(n, ch, 0.3, reflection_phase=phase) == \
+                    oracle_moments(n, LossChannel(eta, warm_theta), 0.3, reflection_phase=warm_phase)
+
+
+def test_detector_memo_stays_within_its_bound():
+    bound = _detector_terms.cache_info().maxsize
+    ket = build_noon_input(3, 0.2)
+    for i in range(bound + 40):
+        ch = LossChannel(0.2 + 0.7 * i / (bound + 40))
+        got = apply_detector(ket, 3, ch)
+        assert _bits(got) == _bits(_apply_detector_per_call(ket, 3, ch))
+        assert _detector_terms.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("wrap", [np.float64, np.array, lambda x: x])
+def test_detector_memo_takes_any_real_channel_values(wrap):
+    # a 0-d array is unhashable; the memo must still see the same floats
+    ket = build_noon_input(4, 0.3)
+    ch = LossChannel(wrap(0.625), wrap(0.25))
+    got = apply_detector(ket, 4, ch, reflection_phase=wrap(1.5))
+    assert _bits(got) == _bits(_apply_detector_per_call(ket, 4, LossChannel(0.625, 0.25), 1.5))
+
+
+def _inner_bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_inner_with_itself_equals_the_general_path_bit_for_bit():
+    rng = random.Random(11)
+    kets = [_random_ket(rng, n) for n in (1, 2, 5, 9) for _ in range(5)]
+    kets += [_mixed_ket(rng, n) for n in (1, 4, 30)]
+    kets.append(FockKet({Occupation(1, 0, 0): complex(-0.0, 0.5), Occupation(0, 1, 0): complex(0.3, -0.0),
+                         Occupation(0, 0, 1): complex(-0.0, -1e-3)}, photon_cap=1))
+    kets.append(FockKet({}, photon_cap=2))
+    kets.append(apply_detector(build_noon_input(6, 0.7), 6, LossChannel(0.4, 0.2)))
+    for x in kets:
+        copy = FockKet(dict(x.amps), x.photon_cap)
+        assert copy is not x
+        assert _inner_bits(inner(x, x)) == _inner_bits(inner(x, copy))
+    assert _inner_bits(inner(kets[-2], kets[-2])) == ((0.0).hex(), (0.0).hex())

@@ -9,11 +9,10 @@ ratio to the baseline kappa / sqrt(eta N_T).
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .analytics import _exp_or_inf, _float_range, _optimal_phase, _photon_number, _validate_eta
-# expand_upper is unused here; perfbench's tracer patches every roots function in budget by name
-from .roots import bisect_root, expand_upper, integer_argmin
+# bisect_root is unused here; perfbench's tracer patches every roots function in budget by name
+from .roots import bisect_root, integer_argmin
 
 __all__ = [
     "PhotonBudget",
@@ -92,27 +91,23 @@ def noon_precision_budgeted(n: int, b: PhotonBudget, eta: float) -> float:
     return _optimal_phase(n, eta, b.n_total)
 
 
-@lru_cache(maxsize=1)
 def solve_nu_tilde() -> float:
-    """Positive root of x = exp(-x) + 1, about 1.278.
-
-    The budgeted optimum uses about nu_tilde/L photons per state at small loss.
-    """
-    return bisect_root(lambda x: math.exp(-x) + 1.0 - x, 1.0, 2.0)
+    """Root of x = exp(-x) + 1, 1 + W(1/e) with W the Lambert W function,
+    correctly rounded: the budgeted optimum uses about nu_tilde/L photons per
+    state at small loss."""
+    return 1.2784645427610737
 
 
 def mu_tilde() -> float:
-    """sqrt((exp(nu_tilde) + 1) / (2 nu_tilde)), about 1.340.
-
-    The best budgeted precision approaches mu_tilde * sqrt(L / N_T).
-    """
-    nt = solve_nu_tilde()
-    return math.sqrt((math.exp(nt) + 1.0) / (2.0 * nt))
+    """sqrt((exp(nu_tilde) + 1) / (2 nu_tilde)), correctly rounded: the best
+    budgeted precision approaches mu_tilde * sqrt(L / N_T)."""
+    return 1.3399853500446604
 
 
 def l_tilde_critical() -> float:
-    """2 - sqrt(2): above this loss, R_NOON increases with N everywhere."""
-    return 2.0 - math.sqrt(2.0)
+    """2 - sqrt(2), correctly rounded: above this loss, R_NOON increases with
+    N everywhere."""
+    return 0.585786437626905
 
 
 def n_tilde_min_integer(eta: float, b: PhotonBudget) -> int:

@@ -195,10 +195,12 @@ class SweepSpec:
             raise ValueError("log scale requires start > 0")
 
     def grid(self) -> list:
-        # only the last point can round past DBL_MAX, and numpy sets that one to stop
+        # a linear grid can round past DBL_MAX only at its last point, which
+        # numpy sets to stop; a log grid near DBL_MAX can overflow anywhere
+        # inside, and each of its points lies in [start, stop]
         with np.errstate(over="ignore"):
             if self.scale == "log":
-                values = np.geomspace(self.start, self.stop, self.steps)
+                values = np.minimum(np.geomspace(self.start, self.stop, self.steps), self.stop)
             else:
                 values = np.linspace(self.start, self.stop, self.steps)
         if self.variable == "N":
@@ -471,7 +473,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
     columns = ["eta", "loss", "n_total", "kappa", "n", "m_nearest", "n_tilde",
                "delta_phi_noon", "delta_phi_un", "r_noon", "precision_ratio"]
     row = [eta, 1.0 - eta, b.n_total, b.kappa, n, round(b.n_total / n), n_tilde,
-           dp_noon, dp_un, r, dp_noon / dp_un]
+           dp_noon, dp_un, r, r / b.kappa]
     emit(Table.row(columns, row), args.format, args.out)
     return EXIT_OK
 

@@ -78,7 +78,10 @@ class FockKet:
                 raise ValueError(f"negative occupation {occ}")
             if n_a + n_b + n_v > cap:
                 raise ValueError(f"occupation {occ} exceeds photon cap {cap}")
-            mag = abs(amp)
+            try:
+                mag = abs(amp)
+            except OverflowError:  # finite components whose modulus passes DBL_MAX
+                raise ValueError(f"amplitude of {occ} has a modulus past the float range, got {amp!r}") from None
             if _SUPPORT_EPS <= mag < math.inf:
                 cleaned[occ] = complex(amp)
             elif not mag < _SUPPORT_EPS:  # NaN or infinite
@@ -87,7 +90,8 @@ class FockKet:
         object.__setattr__(self, "photon_cap", cap)
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
+        # abs(a) ** 2 raises OverflowError past about 1.3e154; this reads inf
+        return sum(a.real * a.real + a.imag * a.imag for a in self.amps.values())
 
 
 def build_noon_input(n: int, phi: float) -> FockKet:

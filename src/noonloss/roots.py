@@ -1,9 +1,9 @@
-"""Bracketed bisection for the transcendental equations behind the
-optimal-photon-number searches, and the integer step that ends each search."""
+"""Bisection of a bracketed sign change, used by the single-measurement
+optimum, and the integer step that ends both integer optimizers."""
 
 import math
 
-__all__ = ["bisect_root", "expand_upper", "integer_argmin"]
+__all__ = ["bisect_root", "integer_argmin"]
 
 
 def bisect_root(f, lo: float, hi: float) -> float:
@@ -31,19 +31,6 @@ def bisect_root(f, lo: float, hi: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def expand_upper(f) -> float:
-    """The first of 1, 2, 4, ... where f > 0.
-
-    For increasing f, negative near 0; pairs with :func:`bisect_root`.
-    """
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) > 0.0:
-            return hi
-        hi *= 2.0
-    raise RuntimeError("could not bracket a sign change")
 
 
 def integer_argmin(root: float, cap: int, log_objective) -> int:

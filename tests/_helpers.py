@@ -32,6 +32,16 @@ def parse_csv(text):
     return columns, rows
 
 
+def doubling_bracket(f):
+    """The first of 1, 2, 4, ... where f > 0: the upper end of a bisection
+    bracket for an increasing f that is negative near 0."""
+    hi = 1.0
+    while not f(hi) > 0.0:
+        assert hi < math.inf, "f never turns positive"
+        hi *= 2.0
+    return hi
+
+
 def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

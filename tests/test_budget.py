@@ -19,9 +19,9 @@ from noonloss.budget import (
     solve_nu_tilde,
     unentangled_precision,
 )
-from noonloss.roots import bisect_root, expand_upper, integer_argmin
+from noonloss.roots import bisect_root, integer_argmin
 
-from _helpers import central_diff
+from _helpers import central_diff, doubling_bracket
 
 
 def test_photon_budget_validation():
@@ -113,7 +113,7 @@ def bisected_n_tilde(eta, b):
     def slope(x):
         return 0.5 * (-log_eta / (1.0 + eta ** x) - 1.0 / x)
 
-    root = bisect_root(slope, 1e-9, expand_upper(slope))
+    root = bisect_root(slope, 1e-9, doubling_bracket(slope))
     return integer_argmin(root, b.n_total, lambda n: log_r_noon(n, eta))
 
 

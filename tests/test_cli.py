@@ -5,7 +5,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noonloss
@@ -391,6 +391,28 @@ def test_budget_whose_n_times_n_total_passes_the_float_range():
     assert doc["r_noon"] == pytest.approx(1e-100, rel=1e-15)
 
 
+def test_budget_where_the_baseline_underflows():
+    # kappa / sqrt(eta N_T) rounds to 0; the ratio is R_NOON / kappa, not a division by it
+    code, out, err = run_cli("budget", "--eta", "1", "--budget", str(10 ** 18), "--kappa", "5e-324",
+                             "--n", "2", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["delta_phi_un"] == 0.0
+    assert doc["precision_ratio"] == "inf"
+
+
+_LOG_SWEEP_NEAR_DBL_MAX = ["sweep", "--var", "N", "--eta", "0.5", "--scale", "log",
+                           "--start", "1.797693134862315e308", "--stop", "1.7976931348623157e+308", "--steps", "50"]
+
+
+def test_log_sweep_near_dbl_max():
+    # np.geomspace returned inf for 48 of the 50 points, and int(inf) raised OverflowError
+    code, out, err = run_cli(*_LOG_SWEEP_NEAR_DBL_MAX, "--format", "csv")
+    assert (code, err) == (EXIT_OK, "")
+    _, rows = parse_csv(out)
+    assert [int(row[0]) for row in rows] == [int(1.797693134862315e308), int(sys.float_info.max)]
+
+
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "noonloss", "constants", "--format", "json"],
@@ -430,6 +452,7 @@ def _sweep_argv(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_sweep_argv())
+@example(_LOG_SWEEP_NEAR_DBL_MAX)
 def test_sweep_range_fuzz(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

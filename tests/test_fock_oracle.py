@@ -223,6 +223,20 @@ def test_fock_ket_rejects_non_finite_amplitudes(amp):
         FockKet({Occupation(0, 1, 0): 0.5, Occupation(1, 0, 0): amp}, photon_cap=1)
 
 
+def test_fock_ket_amplitude_whose_modulus_overflows_is_a_value_error():
+    # abs() of it raised a bare OverflowError
+    amp = complex(1.7e308, 1.7e308)
+    with pytest.raises(ValueError, match=re.escape(f"amplitude of Occupation(n_a=1, n_b=0, n_v=0) has a modulus "
+                                                   f"past the float range, got {amp!r}")):
+        FockKet({(1, 0, 0): amp}, photon_cap=1)
+
+
+def test_fock_ket_norm_squared_past_the_float_range_is_inf():
+    # abs(a) ** 2 raised OverflowError past about 1.3e154
+    assert FockKet({(1, 0, 0): complex(1e200, 0)}, 1).norm_squared() == math.inf
+    assert FockKet({(1, 0, 0): complex(3.0, 4.0), (0, 1, 0): 1j}, 1).norm_squared() == 26.0
+
+
 def test_nan_reflection_phase_is_rejected_not_dropped():
     # r = NaN made every coefficient NaN, and the pruned output ket gave
     # finite moments that were wrong

@@ -15,7 +15,9 @@ from noonloss.optimal_search import (
     n_min_integer,
     solve_nu,
 )
-from noonloss.roots import bisect_root, expand_upper, integer_argmin
+from noonloss.roots import bisect_root, integer_argmin
+
+from _helpers import doubling_bracket
 
 
 def _scan_argmin(eta, n_max):
@@ -109,7 +111,7 @@ def _full_bracket_search(eta):
     def slope(x):
         return analytics.d_log_precision_dN(x, eta)
 
-    root = bisect_root(slope, 1e-9, expand_upper(slope))
+    root = bisect_root(slope, 1e-9, doubling_bracket(slope))
     return integer_argmin(root, DEFAULT_N_CAP, lambda n: analytics.log_min_phase_opt_continuous(n, eta)), root
 
 

@@ -1,8 +1,10 @@
 """The closed forms against 50-digit mpmath: variance_detection, min_phase_at,
 snr_lossy and log_min_phase_at at any operating point, the optimal-phase
 and budgeted forms on both sides of the overflow of eta**-N,
-d_precision_dN, the constants nu and nu_tilde, mu_from_nu past the overflow of
-exp(nu), and the continuous single-measurement optimum nu / -ln(eta).
+d_precision_dN, mu_from_nu past the overflow of exp(nu), and the continuous
+single-measurement optimum nu / -ln(eta).  The seven constants that
+``noonloss constants`` prints must equal the correctly rounded doubles of
+their closed forms at 60 digits.
 
 The references take the operating angle N(phi0 + theta_t) as the functions
 form it in floating point, so that they measure the error of the closed
@@ -21,9 +23,9 @@ from hypothesis import strategies as st
 from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, d_precision_dN, log_min_phase_at,
                                 log_min_phase_opt_continuous, min_phase_at, min_phase_opt, min_phase_opt_continuous,
                                 snr_lossy, variance_detection)
-from noonloss.budget import (PhotonBudget, log_r_noon, noon_precision_budgeted, r_noon, r_noon_continuous,
-                             solve_nu_tilde)
-from noonloss.optimal_search import mu_from_nu, n_min_integer, solve_nu
+from noonloss.budget import (PhotonBudget, l_tilde_critical, log_r_noon, mu_tilde, noon_precision_budgeted, r_noon,
+                             r_noon_continuous, solve_nu_tilde)
+from noonloss.optimal_search import eta_critical, loss_critical, mu_from_nu, n_min_integer, solve_nu
 
 mpmath.mp.dps = 50
 RTOL = 1e-13
@@ -172,12 +174,29 @@ def test_d_precision_dN_against_mpmath(n, eta):
         assert abs(mpmath.mpf(got) - want) <= RTOL * max(1.0, abs(mpmath.log(scale))) * scale
 
 
-def test_root_constants_within_one_ulp():
-    # nu = 2(e**-nu + 1) and nu_tilde = e**-nu_tilde + 1; the budget optimum is nu_tilde / -ln(eta)
-    for got, f in ((solve_nu(), lambda x: 2 * (mpmath.exp(-x) + 1) - x),
-                   (solve_nu_tilde(), lambda x: mpmath.exp(-x) + 1 - x)):
-        want = mpmath.findroot(f, got)
-        assert abs(mpmath.mpf(got) - want) <= math.ulp(got)
+def test_constants_are_correctly_rounded():
+    # the values `noonloss constants` prints; nu = 2(e**-nu + 1) and
+    # nu_tilde = e**-nu_tilde + 1 solved by Lambert W, and float(mpf) rounds
+    # to the nearest double
+    nu = solve_nu()
+    got = {"nu": nu, "mu": mu_from_nu(nu), "eta_c": eta_critical(), "L_c": loss_critical(),
+           "nu_tilde": solve_nu_tilde(), "mu_tilde": mu_tilde(), "L_tilde_c": l_tilde_critical()}
+    with mpmath.workdps(60):
+        nu = 2 + mpmath.lambertw(2 / mpmath.e ** 2).real
+        nu_t = 1 + mpmath.lambertw(1 / mpmath.e).real
+        assert abs(nu - 2 * (mpmath.exp(-nu) + 1)) < 1e-55 and abs(nu_t - mpmath.exp(-nu_t) - 1) < 1e-55
+        eta_c = (mpmath.sqrt(7) - 2) / 3
+        want = {
+            "nu": nu,
+            "mu": mpmath.sqrt((mpmath.exp(nu) + 1) / 2) / nu,
+            "eta_c": eta_c,
+            "L_c": 1 - eta_c,
+            "nu_tilde": nu_t,
+            "mu_tilde": mpmath.sqrt((mpmath.exp(nu_t) + 1) / (2 * nu_t)),
+            "L_tilde_c": 2 - mpmath.sqrt(2),
+        }
+        wrong = {name: (got[name], float(value)) for name, value in want.items() if got[name] != float(value)}
+    assert not wrong
 
 
 @pytest.mark.parametrize("nu", [709.0, 710.0, 1e3, 1e5])

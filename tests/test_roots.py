@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from noonloss.roots import bisect_root, expand_upper, integer_argmin
+from noonloss.roots import bisect_root, integer_argmin
 
 
 @pytest.mark.parametrize("f, lo, hi", [
@@ -32,23 +32,6 @@ def test_bisect_root_returns_an_exact_zero_at_an_endpoint():
 def test_bisect_root_without_a_sign_change_raises():
     with pytest.raises(ValueError, match="no sign change"):
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_expand_upper_returns_the_first_doubling_where_f_is_positive():
-    seen = []
-
-    def f(x):
-        seen.append(x)
-        return x - 5.0
-
-    assert expand_upper(f) == 8.0
-    assert seen == [1.0, 2.0, 4.0, 8.0]
-    assert expand_upper(lambda x: 1.0) == 1.0
-
-
-def test_expand_upper_raises_when_f_never_turns_positive():
-    with pytest.raises(RuntimeError, match="could not bracket"):
-        expand_upper(lambda x: -1.0)
 
 
 def test_integer_argmin_tie_keeps_smaller_n():

@@ -7,7 +7,11 @@ ladder polynomials term by term.  The channel-free part of each term,
 binomial times factorial weight from exact integers, is tabulated once per
 photon number and memoized.  The channel's terms, that table times powers
 of t and r, are computed once per channel and kept in a small bounded memo,
-so the phases that share one channel reuse them.  Nothing here uses the
+so the phases that share one channel reuse them.  The kets this module
+builds itself, the NOON input and each detector output, skip the key checks
+of the public :class:`FockKet` constructor: their keys are the
+``Occupation``s of ints within the cap that this module made.  Every ket,
+however built, keeps the amplitude checks.  Nothing here uses the
 closed-form moment formulas from :mod:`noonloss.analytics`; this module
 exists to check them.
 """
@@ -21,7 +25,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .analytics import LossChannel
+from .analytics import _N_MAX, LossChannel
 
 __all__ = [
     "MAX_PHOTONS",
@@ -51,6 +55,38 @@ class Occupation(NamedTuple):
         return self.n_a + self.n_b + self.n_v
 
 
+def _checked_key(occ, cap: int) -> Occupation:
+    """``occ`` as an Occupation of ints, or a ValueError if it has a negative
+    entry or holds more than ``cap`` photons."""
+    # an Occupation of exact ints is kept as is
+    if type(occ) is not Occupation or not (type(occ[0]) is type(occ[1]) is type(occ[2]) is int):
+        occ = Occupation(*map(operator.index, occ))
+    n_a, n_b, n_v = occ
+    if n_a < 0 or n_b < 0 or n_v < 0:
+        raise ValueError(f"negative occupation {occ}")
+    if n_a + n_b + n_v > cap:
+        raise ValueError(f"occupation {occ} exceeds photon cap {cap}")
+    return occ
+
+
+def _checked_amplitudes(pairs) -> dict:
+    """The amplitude rule of every ket: ``(occupation, amplitude)`` pairs as a
+    dict, the finite amplitudes below ``_SUPPORT_EPS`` dropped and the rest
+    kept as given.  A NaN or infinite amplitude, or one whose modulus passes
+    DBL_MAX, is a ValueError."""
+    kept = {}
+    for occ, amp in pairs:
+        try:
+            mag = abs(amp)
+        except OverflowError:  # finite components whose modulus passes DBL_MAX
+            raise ValueError(f"amplitude of {occ} has a modulus past the float range, got {amp!r}") from None
+        if _SUPPORT_EPS <= mag < math.inf:
+            kept[occ] = amp
+        elif not mag < _SUPPORT_EPS:  # NaN or infinite
+            raise ValueError(f"amplitude of {occ} must be finite, got {amp!r}")
+    return kept
+
+
 @dataclass(frozen=True)
 class FockKet:
     """Finite superposition of three-mode occupation states.
@@ -59,6 +95,13 @@ class FockKet:
     respect ``photon_cap``.  Kets are treated as immutable once built.
     Physically prepared states are normalized; unnormalized kets appear only
     as results of operator application.
+
+    The constructor converts each key to an ``Occupation`` of ints and checks
+    it against the cap.  The kets that :func:`build_noon_input` and
+    :func:`apply_detector` return skip those key checks, since their keys are
+    built that way already.  Every ket keeps the amplitude checks: a NaN or
+    infinite amplitude, or one whose modulus passes DBL_MAX, is a ValueError,
+    and finite amplitudes below 1e-300 are dropped.
     """
 
     amps: dict[Occupation, complex]
@@ -68,26 +111,19 @@ class FockKet:
         cap = operator.index(self.photon_cap)
         if cap < 0:
             raise ValueError(f"photon_cap must be >= 0, got {cap}")
-        cleaned: dict[Occupation, complex] = {}
-        for occ, amp in self.amps.items():
-            # an Occupation of exact ints (every key the oracle builds) is kept as is
-            if type(occ) is not Occupation or not (type(occ[0]) is type(occ[1]) is type(occ[2]) is int):
-                occ = Occupation(*map(operator.index, occ))
-            n_a, n_b, n_v = occ
-            if n_a < 0 or n_b < 0 or n_v < 0:
-                raise ValueError(f"negative occupation {occ}")
-            if n_a + n_b + n_v > cap:
-                raise ValueError(f"occupation {occ} exceeds photon cap {cap}")
-            try:
-                mag = abs(amp)
-            except OverflowError:  # finite components whose modulus passes DBL_MAX
-                raise ValueError(f"amplitude of {occ} has a modulus past the float range, got {amp!r}") from None
-            if _SUPPORT_EPS <= mag < math.inf:
-                cleaned[occ] = complex(amp)
-            elif not mag < _SUPPORT_EPS:  # NaN or infinite
-                raise ValueError(f"amplitude of {occ} must be finite, got {amp!r}")
-        object.__setattr__(self, "amps", cleaned)
+        # each key is checked just before its amplitude, so the first bad entry names the error
+        kept = _checked_amplitudes((_checked_key(occ, cap), amp) for occ, amp in self.amps.items())
+        object.__setattr__(self, "amps", {occ: complex(amp) for occ, amp in kept.items()})
         object.__setattr__(self, "photon_cap", cap)
+
+    @classmethod
+    def _of_checked_keys(cls, amps: dict[Occupation, complex], cap: int) -> "FockKet":
+        """A ket whose keys are already ``Occupation``s of ints within ``cap``,
+        an int, and whose amplitudes are complex: only the amplitude rule runs."""
+        ket = object.__new__(cls)
+        object.__setattr__(ket, "amps", _checked_amplitudes(amps.items()))
+        object.__setattr__(ket, "photon_cap", cap)
+        return ket
 
     def norm_squared(self) -> float:
         # abs(a) ** 2 raises OverflowError past about 1.3e154; this reads inf
@@ -102,15 +138,16 @@ def build_noon_input(n: int, phi: float) -> FockKet:
     n = operator.index(n)
     if n < 1:
         raise ValueError("a NOON probe needs at least one photon")
-    if not math.isfinite(n * phi):
+    # an int N past DBL_MAX would make n * phi an OverflowError
+    if not (n <= _N_MAX and math.isfinite(n * phi)):
         raise ValueError(f"N*phi must be finite, got N = {n}, phi = {phi!r}")
     amp = 1.0 / math.sqrt(2.0)
-    return FockKet(
+    return FockKet._of_checked_keys(
         {
             Occupation(n, 0, 0): complex(amp),
             Occupation(0, n, 0): cmath.exp(1j * n * phi) * amp,
         },
-        photon_cap=n,
+        n,
     )
 
 
@@ -129,7 +166,10 @@ def _detector_terms(n: int, eta: float, theta_t: float,
     (Occupation(0, k, n - k), coefficient) pairs with the zero coefficients
     left out, and the lowering coefficient for each k = 0..n.  A verify pass
     visits each channel for all its phases in a row, so a small bound keeps
-    every hit."""
+    every hit.  A non-finite reflection phase is a ValueError, checked here
+    so that only a memo miss pays for it."""
+    if not math.isfinite(reflection_phase):
+        raise ValueError(f"reflection_phase must be finite, got {reflection_phase!r}")
     t = cmath.rect(math.sqrt(eta), theta_t)
     r = cmath.rect(math.sqrt(1.0 - eta), reflection_phase)
     tc, rc = t.conjugate(), r.conjugate()
@@ -177,7 +217,7 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
             if coeff != 0:
                 out[Occupation(n, 0, 0)] += amp * coeff
 
-    return FockKet(dict(out), photon_cap=n)
+    return FockKet._of_checked_keys(out, n)
 
 
 def inner(x: FockKet, y: FockKet) -> complex:

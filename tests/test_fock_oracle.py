@@ -362,3 +362,55 @@ def test_inner_with_itself_equals_the_general_path_bit_for_bit():
         assert copy is not x
         assert _inner_bits(inner(x, x)) == _inner_bits(inner(x, copy))
     assert _inner_bits(inner(kets[-2], kets[-2])) == ((0.0).hex(), (0.0).hex())
+
+
+@pytest.mark.parametrize("n, phi", [(10**400, 0.5), (2**1100, 0.0), (2**1024, -1e-300)],
+                         ids=["10**400", "2**1100", "2**1024"])
+def test_photon_number_past_the_float_range_is_a_value_error(n, phi):
+    # n * phi raised a bare "OverflowError: int too large to convert to float"
+    with pytest.raises(ValueError, match=re.escape(f"N*phi must be finite, got N = {n}, phi = {phi!r}")):
+        build_noon_input(n, phi)
+    with pytest.raises(ValueError, match=re.escape("N*phi must be finite")):
+        oracle_moments(n, LossChannel(0.5), phi)
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_non_finite_reflection_phase_is_a_value_error(phase, eta):
+    # at eta < 1, inf gave "math domain error" and NaN a NaN amplitude; at
+    # eta = 1, r = 0 whatever its phase, so both were accepted
+    message = re.escape(f"reflection_phase must be finite, got {phase!r}")
+    with pytest.raises(ValueError, match=message):
+        oracle_moments(3, LossChannel(eta), 0.2, reflection_phase=phase)
+    with pytest.raises(ValueError, match=message):
+        apply_detector(build_noon_input(2, 0.1), 2, LossChannel(eta, 0.3), reflection_phase=phase)
+
+
+def test_oracle_built_kets_hold_occupations_of_int_within_the_cap():
+    # these kets skip the public constructor's key checks, so their keys must be built right
+    rng = random.Random(31)
+    for n in (1, 2, 5, 17, MAX_PHOTONS):
+        for eta in (1.0, 0.5, 1e-30, rng.uniform(0.01, 1.0)):
+            ch = LossChannel(eta, rng.uniform(-math.pi, math.pi))
+            noon = build_noon_input(n, rng.uniform(0.0, 7.0))
+            kets = [noon] + [apply_detector(ket, n, ch, reflection_phase=rng.uniform(-4.0, 4.0))
+                             for ket in (noon, _mixed_ket(rng, n), _random_ket(rng, n))]
+            for ket in kets:
+                assert type(ket.photon_cap) is int and ket.photon_cap == n
+                assert type(ket.amps) is dict and ket.amps
+                for occ, amp in ket.amps.items():
+                    assert type(occ) is Occupation
+                    assert [type(x) for x in occ] == [int, int, int]
+                    assert min(occ) >= 0 and occ.total <= n
+                    assert type(amp) is complex
+                    assert 1e-300 <= abs(amp) < math.inf
+
+
+def test_detector_output_keeps_the_amplitude_rule():
+    # finite inputs whose detector sum overflows still fail the finiteness check
+    ket = FockKet({(0, 1, 1): 1.7e308 + 0j, (0, 2, 0): 1.7e308 + 0j}, 2)
+    with pytest.raises(ValueError, match=re.escape("amplitude of Occupation(n_a=2, n_b=0, n_v=0) must be finite")):
+        apply_detector(ket, 2, LossChannel(0.5, 0.0), reflection_phase=0.0)
+    # and outputs below 1e-300 are dropped: 1.2e-300 times 0.5, 0.71 and 0.5
+    tiny = FockKet({(2, 0, 0): 1.2e-300 + 0j}, 2)
+    assert apply_detector(tiny, 2, LossChannel(0.5, 0.0), reflection_phase=0.0).amps == {}

@@ -7,13 +7,12 @@ ladder polynomials term by term.  The channel-free part of each term,
 binomial times factorial weight from exact integers, is tabulated once per
 photon number and memoized.  The channel's terms, that table times powers
 of t and r, are computed once per channel and kept in a small bounded memo,
-so the phases that share one channel reuse them.  The kets this module
-builds itself, the NOON input and each detector output, skip the key checks
-of the public :class:`FockKet` constructor: their keys are the
-``Occupation``s of ints within the cap that this module made.  Every ket,
-however built, keeps the amplitude checks.  Nothing here uses the
-closed-form moment formulas from :mod:`noonloss.analytics`; this module
-exists to check them.
+so the phases that share one channel reuse them.  The kets built here, the
+NOON input and each detector output, skip the public :class:`FockKet`
+constructor's key checks, as their keys are ``Occupation``s of ints within
+the cap by construction; every ket keeps the amplitude checks.  Nothing here
+uses the closed-form moment formulas from :mod:`noonloss.analytics`; this
+module exists to check them.
 """
 
 import cmath
@@ -56,8 +55,7 @@ class Occupation(NamedTuple):
 
 
 def _checked_key(occ, cap: int) -> Occupation:
-    """``occ`` as an Occupation of ints, or a ValueError if it has a negative
-    entry or holds more than ``cap`` photons."""
+    """``occ`` as an Occupation of ints, or a ValueError if it is negative or past ``cap``."""
     # an Occupation of exact ints is kept as is
     if type(occ) is not Occupation or not (type(occ[0]) is type(occ[1]) is type(occ[2]) is int):
         occ = Occupation(*map(operator.index, occ))
@@ -70,10 +68,8 @@ def _checked_key(occ, cap: int) -> Occupation:
 
 
 def _checked_amplitudes(pairs) -> dict:
-    """The amplitude rule of every ket: ``(occupation, amplitude)`` pairs as a
-    dict, the finite amplitudes below ``_SUPPORT_EPS`` dropped and the rest
-    kept as given.  A NaN or infinite amplitude, or one whose modulus passes
-    DBL_MAX, is a ValueError."""
+    """The amplitude rule of every ket (see :class:`FockKet`): a dict of the
+    ``(occupation, amplitude)`` pairs it keeps, amplitudes as given."""
     kept = {}
     for occ, amp in pairs:
         try:
@@ -97,11 +93,11 @@ class FockKet:
     as results of operator application.
 
     The constructor converts each key to an ``Occupation`` of ints and checks
-    it against the cap.  The kets that :func:`build_noon_input` and
-    :func:`apply_detector` return skip those key checks, since their keys are
-    built that way already.  Every ket keeps the amplitude checks: a NaN or
-    infinite amplitude, or one whose modulus passes DBL_MAX, is a ValueError,
-    and finite amplitudes below 1e-300 are dropped.
+    it against the cap; the kets of :func:`build_noon_input` and
+    :func:`apply_detector` skip that, as their keys are built so.  Every ket
+    keeps the amplitude checks: a NaN or infinite amplitude, or one whose
+    modulus passes DBL_MAX, is a ValueError, and finite amplitudes below
+    1e-300 are dropped.
     """
 
     amps: dict[Occupation, complex]
@@ -111,7 +107,8 @@ class FockKet:
         cap = operator.index(self.photon_cap)
         if cap < 0:
             raise ValueError(f"photon_cap must be >= 0, got {cap}")
-        # each key is checked just before its amplitude, so the first bad entry names the error
+        # each key is checked just before its amplitude, so the first bad entry
+        # names the error; complex() comes after, so messages show amplitudes as given
         kept = _checked_amplitudes((_checked_key(occ, cap), amp) for occ, amp in self.amps.items())
         object.__setattr__(self, "amps", {occ: complex(amp) for occ, amp in kept.items()})
         object.__setattr__(self, "photon_cap", cap)
@@ -138,8 +135,10 @@ def build_noon_input(n: int, phi: float) -> FockKet:
     n = operator.index(n)
     if n < 1:
         raise ValueError("a NOON probe needs at least one photon")
-    # an int N past DBL_MAX would make n * phi an OverflowError
-    if not (n <= _N_MAX and math.isfinite(n * phi)):
+    # past DBL_MAX, n * phi is an OverflowError and str(n) can pass the int digit limit
+    if not n <= _N_MAX:
+        raise ValueError(f"photon number must be at most DBL_MAX, got an int of {n.bit_length()} bits")
+    if not math.isfinite(n * phi):
         raise ValueError(f"N*phi must be finite, got N = {n}, phi = {phi!r}")
     amp = 1.0 / math.sqrt(2.0)
     return FockKet._of_checked_keys(

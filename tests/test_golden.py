@@ -105,6 +105,15 @@ CASES = {
     "sweep_var_eta_json_dense": (["sweep", "--var", "eta", "--start", "0.01", "--stop", "1.0",
                                   "--steps", "2000", "--n", "19", "--theta-t", "0.2", "--format", "json"],
                                  None),
+    # JSON across chunks of 1,000 rows: min_phase in [1e10, 1e16) at low eta and the integral eta = 1.0
+    # at the end; an int column on the template; blind points with snr 0.0 and min_phase "inf"
+    "sweep_var_eta_json_3000_rows": (["sweep", "--var", "eta", "--start", "0.2", "--stop", "1.0",
+                                      "--steps", "3000", "--n", "41", "--format", "json"], None),
+    "sweep_var_N_json_1001_rows": (["sweep", "--var", "N", "--loss", "0.1", "--start", "1", "--stop", "1001",
+                                    "--steps", "1001", "--format", "json"], None),
+    "sweep_var_phi0_json_blind": (["sweep", "--var", "phi0", "--eta", "0.5", "--start", "0",
+                                   "--stop", "3.141592653589793", "--steps", "1001", "--n", "2",
+                                   "--format", "json"], None),
     "sweep_var_N_log_csv": (["sweep", "--var", "N", "--loss", "1e-3", "--start", "1", "--stop", "1e7",
                              "--steps", "300", "--scale", "log", "--format", "csv"], None),
     "sweep_var_N_csv_2345_rows_inf": (["sweep", "--var", "N", "--loss", "0.5", "--start", "1", "--stop", "2345",

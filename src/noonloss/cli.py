@@ -10,6 +10,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -61,7 +62,13 @@ class Table:
 
 
 FLOAT_FORMAT = "%.12g"
-CSV_CHUNK_ROWS = 1000
+CHUNK_ROWS = 1000
+
+# where json.dumps(float(text)) differs from text = "%.12g" % value, besides a
+# text with no "." (integral values, inf, -inf and nan): an exponent of 12 to
+# 15, which repr writes out in full, and a subnormal, where repr keeps fewer
+# digits
+_REENCODE = re.compile(r"e(?:\+1[2-5](?!\d)|-3(?:0[89]|[12]\d))")
 
 
 def _numeric_format(column) -> str | None:
@@ -93,12 +100,10 @@ def _json_float(value: float) -> str:
     """What json.dumps writes for float("%.12g" % value), so that CSV and
     JSON agree; inf, -inf and nan become the strings "inf", "-inf", "nan"."""
     text = FLOAT_FORMAT % value
-    if "." in text and "e+1" not in text and "e-3" not in text:
+    if "." in text and not _REENCODE.search(text):
         return text
     if text[-1] in "fn":
         return f'"{text}"'
-    # repr differs from %.12g for integral values, 1e12 <= |x| < 1e16 and
-    # subnormals: it adds ".0", drops the exponent, or keeps fewer digits
     return repr(float(text))
 
 
@@ -106,14 +111,26 @@ def _json_cells(column):
     return _cells(column, _json_float, json.dumps)
 
 
+def _chunks(row: str, sep: str, table: Table):
+    """(rows, text) of each run of CHUNK_ROWS rows of a numeric table, the
+    last run shorter: the rows formatted by the % template ``row`` and
+    joined by ``sep``, one % string per run."""
+    width, length = len(table.columns), len(table)
+    cells = tuple(chain.from_iterable(zip(*table.columns)))
+    whole = sep.join([row] * CHUNK_ROWS)
+    for start in range(0, length, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, length - start)
+        template = whole if rows == CHUNK_ROWS else sep.join([row] * rows)
+        yield rows, template % cells[start * width:(start + rows) * width]
+
+
 def render_csv(table: Table) -> str:
     """The table as csv.writer writes it, one line per row.
 
     The header, and every table with a column that is not numeric, go
     through csv.writer.  A numeric cell never needs quoting, so a table of
-    numbers only is formatted CSV_CHUNK_ROWS rows at a time by one % template
-    (the last chunk by a shorter one), which is the same text at less than
-    half the cost.
+    numbers only is formatted CHUNK_ROWS rows at a time by one % template,
+    which is the same text at less than half the cost.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -122,25 +139,43 @@ def render_csv(table: Table) -> str:
     if None in conversions:
         writer.writerows(zip(*map(_text_cells, table.columns)))
         return buf.getvalue()
-    row, width = ",".join(conversions) + "\n", len(conversions)
-    cells = tuple(chain.from_iterable(zip(*table.columns)))
-    whole = len(table) - len(table) % CSV_CHUNK_ROWS
-    chunk = row * CSV_CHUNK_ROWS
-    buf.writelines(chunk % cells[k * width:(k + CSV_CHUNK_ROWS) * width] for k in range(0, whole, CSV_CHUNK_ROWS))
-    buf.write(row * (len(table) - whole) % cells[whole * width:])
+    buf.writelines(text for _, text in _chunks(",".join(conversions) + "\n", "", table))
     return buf.getvalue()
 
 
 def render_json(table: Table) -> str:
-    """The layout of json.dumps(records, indent=2), written from a template."""
+    """The layout of json.dumps(records, indent=2), written from a template.
+
+    A table of several rows and numbers only is formatted CHUNK_ROWS records
+    at a time by one % template, floats as FLOAT_FORMAT.  A chunk keeps that
+    text when each of its float cells has a "." and none matches _REENCODE,
+    which the count of dots and one search tell; otherwise the float cells
+    that _json_float writes differently are found by a pattern keyed on
+    their column names and re-encoded one by one.
+    """
     keys = [json.dumps(name) for name in table.names]
-    rows = zip(*map(_json_cells, table.columns))
+    conversions = [_numeric_format(column) for column in table.columns]
     if len(table) == 1 and table.json_object_if_single:
-        return "{\n" + ",\n".join(f"  {key}: {cell}" for key, cell in zip(keys, next(rows))) + "\n}\n"
+        row = next(zip(*map(_json_cells, table.columns)))
+        return "{\n" + ",\n".join(f"  {key}: {cell}" for key, cell in zip(keys, row)) + "\n}\n"
     if not len(table):
         return "[]\n"
-    record = "  {\n" + ",\n".join(f"    {key.replace('%', '%%')}: %s" for key in keys) + "\n  }"
-    return "[\n" + ",\n".join(map(record.__mod__, rows)) + "\n]\n"
+    fields = [f"    {key.replace('%', '%%')}: " for key in keys]
+    if None in conversions:
+        record = "  {\n" + ",\n".join(field + "%s" for field in fields) + "\n  }"
+        return "[\n" + ",\n".join(map(record.__mod__, zip(*map(_json_cells, table.columns)))) + "\n]\n"
+    record = "  {\n" + ",\n".join(map(str.__add__, fields, conversions)) + "\n  }"
+    float_keys = [re.escape(key) for key, conversion in zip(keys, conversions) if conversion == FLOAT_FORMAT]
+    dots = len(float_keys) + sum(key.count(".") for key in keys)
+    # a float cell, to the end of its line, with no "." or a match of _REENCODE
+    bad_cell = re.compile(rf"(\n    (?:{'|'.join(float_keys)}): )((?:[^.,\n]*|[^e,\n]*{_REENCODE.pattern})(?![^,\n]))")
+    parts = ["[\n"]
+    for rows, text in _chunks(record, ",\n", table):
+        if text.count(".") != rows * dots or _REENCODE.search(text):
+            text = bad_cell.sub(lambda cell: cell[1] + _json_float(float(cell[2])), text)
+        parts += text, ",\n"
+    parts[-1] = "\n]\n"
+    return "".join(parts)
 
 
 def render_text(table: Table) -> str:

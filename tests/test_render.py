@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -16,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noonloss import cli
 from noonloss.cli import Table, render_csv, render_json, render_text
+
+json_float = cli._json_float
 
 
 def _cell_text(value) -> str:
@@ -164,3 +168,75 @@ def test_long_numeric_and_mixed_tables_match_the_reference(rows):
     labels = [["x", "a,b", 'say "hi"', "≈", ""][k % 5] for k in range(rows)]
     check(["label", *kinds], [labels, *kinds.values()], False)
     check(["N", "bigint", "text"], [kinds["int64"], kinds["bigint"], labels], False)
+
+
+# ---------------------------------------------------------------------------
+# the chunked JSON template and its re-encode rule
+
+def _ordinary_floats(rows, seed):
+    """Floats from 1e-39 to 1e10 whose 12-digit text keeps its "." and no
+    exponent that _json_float rewrites, mean-like e-31 normals among them:
+    11 significant digits, the last nonzero, and at most 10 before the point."""
+    rng = random.Random(seed)
+    values = [rng.choice((-1, 1)) * (10 * rng.randrange(10 ** 9, 10 ** 10) + rng.randint(1, 9))
+              * 10.0 ** rng.randint(-49, -1) for _ in range(rows)]
+    values[::7] = [1.234567e-31 * (1.0 + k / 1e4) for k in range(0, rows, 7)]
+    return values
+
+
+# one float cell per case of the rule: no "." (integral, inf, -inf, nan, a
+# one-digit mantissa), an exponent of 12 to 15, and e-308 to e-324
+REENCODED = [1.0, 0.0, -0.0, 350000000000.0, -7.0, math.inf, -math.inf, math.nan, 1e20, 2e-31,
+             1.5e12, -123456789012345.6, 9.99999999999e15, 2.3e-308, 1e-309, -2.5e-320, 5e-324]
+
+
+def _fast_path_table(rows):
+    names = ["x.y", "100%", "e+12", "N", "flag", "mean"]
+    columns = [_ordinary_floats(rows, 1), _ordinary_floats(rows, 2), _ordinary_floats(rows, 3),
+               [np.int64(k * 37 - 500) if k % 2 else k * 37 - 500 for k in range(rows)],
+               [k % 3 == 0 for k in range(rows)], _ordinary_floats(rows, 4)]
+    return names, columns
+
+
+@pytest.fixture
+def json_float_calls(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return json_float(value)
+
+    monkeypatch.setattr(cli, "_json_float", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [999, 1000, 1001, 2345])
+def test_clean_numeric_table_is_not_re_encoded(rows, json_float_calls):
+    names, columns = _fast_path_table(rows)
+    for column in (columns[0], columns[-1]):
+        assert all("." in text and not cli._REENCODE.search(text) for text in map("%.12g".__mod__, column))
+    assert render_json(Table(names, columns, json_object_if_single=False)) == ref_json(names, rows_of(columns), False)
+    assert json_float_calls == []
+
+
+@pytest.mark.parametrize("rows", [999, 1000, 1001, 2345])
+@pytest.mark.parametrize("bad", REENCODED, ids=repr)
+def test_one_bad_cell_in_a_middle_chunk_is_re_encoded_alone(rows, bad, json_float_calls):
+    names, columns = _fast_path_table(rows)
+    columns[-1][rows // 2] = bad
+    out = render_json(Table(names, columns, json_object_if_single=False))
+    assert out == ref_json(names, rows_of(columns), False)
+    text = "%.12g" % bad
+    rewritten = "." not in text or cli._REENCODE.search(text)
+    assert ["%.12g" % value for value in json_float_calls] == ([text] if rewritten else [])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(floats, st.floats(min_value=1e-40, max_value=1e-28), st.floats(min_value=1e100, max_value=1e200),
+                 st.floats(min_value=1e11, max_value=1e17).map(lambda v: float("%.12g" % v))))
+def test_the_re_encode_rule_misses_no_float(value):
+    # render_json keeps the %.12g text of a whole chunk when it finds no cell
+    # without a "." and no match of _REENCODE: that text must be _json_float's
+    text = "%.12g" % value
+    if "." in text and not cli._REENCODE.search(text):
+        assert json_float(value) == text

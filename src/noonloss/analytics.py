@@ -49,27 +49,40 @@ _POW_OVERFLOWS = math.log2(sys.float_info.max) + 1e-9
 _N_MAX = sys.float_info.max
 
 
+def _int_text(value) -> str:
+    """``value`` as an error message shows it: an int past DBL_MAX either
+    way by its bit count, as its digits can pass the int-to-str limit."""
+    if isinstance(value, int) and not -_N_MAX <= value <= _N_MAX:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    return repr(value)
+
+
+def _real_n_error(n) -> ValueError:
+    return ValueError(f"photon number must lie in (0, DBL_MAX], got {_int_text(n)}")
+
+
 def _validate_eta(eta: float, n: float = 1.0) -> None:
     """eta in (0, 1]; the forms that treat N as a real number also pass N,
     which must be positive and at most DBL_MAX and is checked first."""
     # chained and without float(), as it runs in the bisection loop
     if not 0 < n <= _N_MAX:
-        raise ValueError(f"photon number must lie in (0, DBL_MAX], got {n!r}")
+        raise _real_n_error(n)
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
 
 
 def _float_range(value: int, name: str) -> int:
-    """``value``, or a ValueError naming it where it is past DBL_MAX."""
+    """``value``, or a ValueError naming it where it is past DBL_MAX: the
+    message of every int past the bound."""
     if not value <= _N_MAX:
-        raise ValueError(f"{name} is too large for a float, got {value}")
+        raise ValueError(f"{name} must be at most DBL_MAX, got {_int_text(value)}")
     return value
 
 
 def _photon_number(n) -> int:
     n = operator.index(n)
     if n < 1:
-        raise ValueError(f"photon number must be >= 1, got {n}")
+        raise ValueError(f"photon number must be >= 1, got {_int_text(n)}")
     return _float_range(n, "photon number")
 
 
@@ -435,6 +448,6 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False) -> list:
     column = []
     for n in ns:
         if not 0 < n <= _N_MAX:
-            raise ValueError(f"photon number must lie in (0, DBL_MAX], got {n!r}")
+            raise _real_n_error(n)
         column.append(_optimal_phase(n, eta, ratio=ratio))
     return column

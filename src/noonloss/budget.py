@@ -10,7 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .analytics import _exp_or_inf, _float_range, _optimal_phase, _photon_number, _validate_eta
+from .analytics import _exp_or_inf, _float_range, _int_text, _optimal_phase, _photon_number, _validate_eta
 # bisect_root is unused here; perfbench's tracer patches every roots function in budget by name
 from .roots import bisect_root, integer_argmin
 
@@ -43,7 +43,7 @@ class PhotonBudget:
     def __post_init__(self) -> None:
         n_total = operator.index(self.n_total)
         if n_total < 1:
-            raise ValueError(f"n_total must be >= 1, got {n_total}")
+            raise ValueError(f"n_total must be >= 1, got {_int_text(n_total)}")
         _float_range(n_total, "n_total")
         if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
             raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")

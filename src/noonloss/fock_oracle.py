@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .analytics import _N_MAX, LossChannel
+from .analytics import LossChannel, _float_range
 
 __all__ = [
     "MAX_PHOTONS",
@@ -135,9 +135,8 @@ def build_noon_input(n: int, phi: float) -> FockKet:
     n = operator.index(n)
     if n < 1:
         raise ValueError("a NOON probe needs at least one photon")
-    # past DBL_MAX, n * phi is an OverflowError and str(n) can pass the int digit limit
-    if not n <= _N_MAX:
-        raise ValueError(f"photon number must be at most DBL_MAX, got an int of {n.bit_length()} bits")
+    # past DBL_MAX, n * phi is an OverflowError
+    _float_range(n, "photon number")
     if not math.isfinite(n * phi):
         raise ValueError(f"N*phi must be finite, got N = {n}, phi = {phi!r}")
     amp = 1.0 / math.sqrt(2.0)

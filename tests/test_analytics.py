@@ -25,7 +25,7 @@ from noonloss.analytics import (
     snr_lossy,
     variance_detection,
 )
-from noonloss.budget import d_rnoon_dN_largeloss, log_r_noon, r_noon_continuous
+from noonloss.budget import PhotonBudget, d_rnoon_dN_largeloss, log_r_noon, r_noon_continuous
 
 from _helpers import central_diff, derivative_grid
 
@@ -225,10 +225,22 @@ def test_one_upper_bound_for_n():
     top = int(sys.float_info.max)
     assert NoonProbe(top).n == top
     assert d_log_precision_dN(top, 0.5) == d_log_precision_dN(sys.float_info.max, 0.5)
-    with pytest.raises(ValueError, match="too large for a float"):
+    with pytest.raises(ValueError, match="photon number must be at most DBL_MAX, got an int of 1024 bits"):
         NoonProbe(top + 1)
     with pytest.raises(ValueError, match="photon number"):
         d_log_precision_dN(top + 1, 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    NoonProbe, PhotonBudget, lambda n: min_phase_opt_continuous(n, 0.5), lambda n: optimal_phase_grid([2, n], 0.5),
+], ids=["NoonProbe", "PhotonBudget", "real_n_form", "optimal_phase_grid"])
+@pytest.mark.parametrize("n, shown", [(10 ** 5000, "an int of 16610 bits"), (-10 ** 5000, "a negative int of 16610 bits")],
+                         ids=["10**5000", "-10**5000"])
+def test_int_past_the_digit_limit_gets_the_bound_message(make, n, shown):
+    # the message formatted the int, which raised "Exceeds the limit (4300
+    # digits) for integer string conversion" in place of the bound's message
+    with pytest.raises(ValueError, match=f"(photon number|n_total) must .*, got {shown}$"):
+        make(n)
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,12 @@ def render_json(table: Table) -> str:
     their column names and re-encoded one by one.
     """
     keys = [json.dumps(name) for name in table.names]
-    conversions = [_numeric_format(column) for column in table.columns]
     if len(table) == 1 and table.json_object_if_single:
         row = next(zip(*map(_json_cells, table.columns)))
         return "{\n" + ",\n".join(f"  {key}: {cell}" for key, cell in zip(keys, row)) + "\n}\n"
     if not len(table):
         return "[]\n"
+    conversions = [_numeric_format(column) for column in table.columns]
     fields = [f"    {key.replace('%', '%%')}: " for key in keys]
     if None in conversions:
         record = "  {\n" + ",\n".join(field + "%s" for field in fields) + "\n  }"

@@ -213,7 +213,7 @@ def json_float_calls(monkeypatch):
 @pytest.mark.parametrize("rows", [999, 1000, 1001, 2345])
 def test_clean_numeric_table_is_not_re_encoded(rows, json_float_calls):
     names, columns = _fast_path_table(rows)
-    for column in (columns[0], columns[-1]):
+    for column in columns[:3] + columns[5:]:
         assert all("." in text and not cli._REENCODE.search(text) for text in map("%.12g".__mod__, column))
     assert render_json(Table(names, columns, json_object_if_single=False)) == ref_json(names, rows_of(columns), False)
     assert json_float_calls == []

@@ -69,6 +69,8 @@ CHUNK_ROWS = 1000
 # 15, which repr writes out in full, and a subnormal, where repr keeps fewer
 # digits
 _REENCODE = re.compile(r"e(?:\+1[2-5](?!\d)|-3(?:0[89]|[12]\d))")
+# the same exponent at the end of a JSON cell's line, which no key reaches
+_REENCODE_AT_END = re.compile(rf"(?:{_REENCODE.pattern}),?\n")
 
 
 def _numeric_format(column) -> str | None:
@@ -102,6 +104,12 @@ def _json_float(value: float) -> str:
     text = FLOAT_FORMAT % value
     if "." in text and not _REENCODE.search(text):
         return text
+    return _reencoded(text)
+
+
+def _reencoded(text: str) -> str:
+    """What _json_float writes for a %.12g ``text`` with no "." or a match
+    of _REENCODE."""
     if text[-1] in "fn":
         return f'"{text}"'
     return repr(float(text))
@@ -148,10 +156,10 @@ def render_json(table: Table) -> str:
 
     A table of several rows and numbers only is formatted CHUNK_ROWS records
     at a time by one % template, floats as FLOAT_FORMAT.  A chunk keeps that
-    text when each of its float cells has a "." and none matches _REENCODE,
-    which the count of dots and one search tell; otherwise the float cells
-    that _json_float writes differently are found by a pattern keyed on
-    their column names and re-encoded one by one.
+    text when each of its float cells has a "." and none ends in a match of
+    _REENCODE, which the count of dots and one search tell; otherwise
+    _reencode_cells finds the cells that break the rule, by the dots on
+    each line and the places of those matches, and re-encodes them alone.
     """
     keys = [json.dumps(name) for name in table.names]
     if len(table) == 1 and table.json_object_if_single:
@@ -165,17 +173,50 @@ def render_json(table: Table) -> str:
         record = "  {\n" + ",\n".join(field + "%s" for field in fields) + "\n  }"
         return "[\n" + ",\n".join(map(record.__mod__, zip(*map(_json_cells, table.columns)))) + "\n]\n"
     record = "  {\n" + ",\n".join(map(str.__add__, fields, conversions)) + "\n  }"
-    float_keys = [re.escape(key) for key, conversion in zip(keys, conversions) if conversion == FLOAT_FORMAT]
-    dots = len(float_keys) + sum(key.count(".") for key in keys)
-    # a float cell, to the end of its line, with no "." or a match of _REENCODE
-    bad_cell = re.compile(rf"(\n    (?:{'|'.join(float_keys)}): )((?:[^.,\n]*|[^e,\n]*{_REENCODE.pattern})(?![^,\n]))")
+    key_dots = [key.count(".") for key in keys]
+    is_float = [conversion == FLOAT_FORMAT for conversion in conversions]
+    dots = sum(key_dots) + sum(is_float)
+    # per line of a record, "  {", one line per field and "  }": the dots of
+    # a float cell's line (0 on any other), and where a cell starts after
+    # the newline before its line and stops before the one after it
+    line_dots = np.array([0, *(d + 1 if f else 0 for d, f in zip(key_dots, is_float)), 0])
+    value_start = np.array([0, *(len(f"    {key}: ") + 1 for key in keys), 0])
+    value_stop = np.array([0, *[1] * (len(keys) - 1), 0, 0])
+    chunk_dots = np.tile(line_dots, CHUNK_ROWS)
     parts = ["[\n"]
     for rows, text in _chunks(record, ",\n", table):
-        if text.count(".") != rows * dots or _REENCODE.search(text):
-            text = bad_cell.sub(lambda cell: cell[1] + _json_float(float(cell[2])), text)
+        if text.count(".") != rows * dots or _REENCODE_AT_END.search(text):
+            text = _reencode_cells(text, chunk_dots, value_start, value_stop)
         parts += text, ",\n"
     parts[-1] = "\n]\n"
     return "".join(parts)
+
+
+def _reencode_cells(text: str, line_dots, value_start, value_stop) -> str:
+    """The chunk ``text`` of render_json with each float cell that
+    _json_float writes differently from FLOAT_FORMAT passed through
+    _reencoded, the rest of the text kept.
+
+    Such a cell's line holds fewer dots than ``line_dots`` gives for it
+    (the key's and the one of the value), or it ends in a match of
+    _REENCODE.  ``line_dots`` runs over the lines of the chunk, the other
+    two over the lines of one record (see render_json).
+    """
+    # json.dumps writes the keys in ASCII, so characters are bytes here;
+    # line k ends at ends[k] and holds dots[k] dots
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.append(np.flatnonzero(chars == ord("\n")), len(text))
+    dots = np.bincount(np.searchsorted(ends, np.flatnonzero(chars == ord("."))), minlength=len(ends))
+    hits = [match.start() for match in _REENCODE_AT_END.finditer(text)]
+    lines = np.union1d(np.flatnonzero(dots < line_dots[:len(ends)]), np.searchsorted(ends, hits))
+    where = lines % len(value_start)
+    starts = (ends[lines - 1] + value_start[where]).tolist()
+    stops = (ends[lines] - value_stop[where]).tolist()
+    # the kept text before, between and after those cells, with the cells
+    out = [None] * (2 * len(starts) + 1)
+    out[0::2] = map(text.__getitem__, map(slice, [0, *stops], [*starts, None]))
+    out[1::2] = map(_reencoded, map(text.__getitem__, map(slice, starts, stops)))
+    return "".join(out)
 
 
 def render_text(table: Table) -> str:

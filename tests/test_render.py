@@ -199,34 +199,49 @@ def _fast_path_table(rows):
 
 
 @pytest.fixture
-def json_float_calls(monkeypatch):
+def reencoded_calls(monkeypatch):
+    """The %.12g texts that reach _reencoded, the one per-cell re-encoder."""
     calls = []
+    reencoded = cli._reencoded
 
-    def counted(value):
-        calls.append(value)
-        return json_float(value)
+    def counted(text):
+        calls.append(text)
+        return reencoded(text)
 
-    monkeypatch.setattr(cli, "_json_float", counted)
+    monkeypatch.setattr(cli, "_reencoded", counted)
     return calls
 
 
 @pytest.mark.parametrize("rows", [999, 1000, 1001, 2345])
-def test_clean_numeric_table_is_not_re_encoded(rows, json_float_calls):
+def test_clean_numeric_table_is_not_re_encoded(rows, reencoded_calls):
     names, columns = _fast_path_table(rows)
     for column in columns[:3] + columns[5:]:
         assert all("." in text and not cli._REENCODE.search(text) for text in map("%.12g".__mod__, column))
     assert render_json(Table(names, columns, json_object_if_single=False)) == ref_json(names, rows_of(columns), False)
-    assert json_float_calls == []
+    assert reencoded_calls == []
 
 
 @pytest.mark.parametrize("rows", [999, 1000, 1001, 2345])
 @pytest.mark.parametrize("bad", REENCODED, ids=repr)
-def test_one_bad_cell_in_a_middle_chunk_is_re_encoded_alone(rows, bad, json_float_calls):
+def test_one_bad_cell_in_a_middle_chunk_is_re_encoded_alone(rows, bad, reencoded_calls):
     names, columns = _fast_path_table(rows)
     columns[-1][rows // 2] = bad
     out = render_json(Table(names, columns, json_object_if_single=False))
     assert out == ref_json(names, rows_of(columns), False)
-    assert ["%.12g" % value for value in json_float_calls] == ["%.12g" % bad]
+    assert reencoded_calls == ["%.12g" % bad]
+
+
+@pytest.mark.parametrize("rows", [1000, 2345])
+def test_dense_bad_cells_in_several_columns_are_re_encoded_alone(rows, reencoded_calls):
+    names, columns = _fast_path_table(rows)
+    float_columns = [columns[j] for j in (0, 1, 2, 5)]
+    for j, column in enumerate(float_columns):
+        for k in range(j, rows, 3 + j):
+            column[k] = REENCODED[(k + j) % len(REENCODED)]
+    out = render_json(Table(names, columns, json_object_if_single=False))
+    assert out == ref_json(names, rows_of(columns), False)
+    texts = ["%.12g" % value for row in rows_of(float_columns) for value in row]
+    assert reencoded_calls == [text for text in texts if "." not in text or cli._REENCODE.search(text)]
 
 
 @settings(max_examples=2000, deadline=None)

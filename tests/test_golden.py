@@ -83,6 +83,12 @@ CASES = {
                                   "--steps", "2000", "--format", "csv"], None),
     "sweep_fig3_csv_1525_rows": (["sweep", "--fig3", "--loss", "1e-3", "--start", "1", "--stop", "1e7",
                                   "--steps", "2000", "--format", "csv"], None),
+    # chunks of 1,000 rows whose cells go from finite to inf past ln(DBL_MAX): fig2 near N = 1.45e6,
+    # fig3 near N = 1.43e6
+    "sweep_fig2_csv_exp_overflow": (["sweep", "--fig2", "--loss", "1e-3", "--start", "1e6", "--stop", "2e6",
+                                     "--steps", "2000", "--format", "csv"], None),
+    "sweep_fig3_csv_exp_overflow": (["sweep", "--fig3", "--loss", "1e-3", "--start", "1e6", "--stop", "2e6",
+                                     "--steps", "2000", "--format", "csv"], None),
     "sweep_fig3_text_overflow": (["sweep", "--fig3", "--loss", "0.99", "--start", "1", "--stop", "400",
                                   "--steps", "12"], None),
     "sweep_fig3_json_default_range": (["sweep", "--fig3", "--eta", "0.5", "--format", "json"], None),

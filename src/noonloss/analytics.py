@@ -44,6 +44,9 @@ _LN2 = math.log(2.0)
 # eta**-N overflows for certain once -N log2(eta) passes log2(DBL_MAX), about
 # 1024, by more than the rounding of N log2(eta) (about 5e-13 there)
 _POW_OVERFLOWS = math.log2(sys.float_info.max) + 1e-9
+# e**x overflows for certain once x passes ln(DBL_MAX), about 709.78, by more
+# than the rounding of x (about 1e-13 there)
+_EXP_OVERFLOWS = math.log(sys.float_info.max) + 1e-9
 # the one upper bound of every check of N, int or float: past it float(N)
 # overflows or rounds an int down to DBL_MAX
 _N_MAX = sys.float_info.max
@@ -92,6 +95,13 @@ def _validate_phases(phi0: float, delta_phi: float) -> None:
 
 
 def _exp_or_inf(x: float) -> float:
+    """e**x, or inf past DBL_MAX.
+
+    Decided without raising past _EXP_OVERFLOWS, since most log-form fig cells
+    overflow; the try catches the band below that line.
+    """
+    if x > _EXP_OVERFLOWS:
+        return math.inf
     try:
         return math.exp(x)
     except OverflowError:
@@ -101,6 +111,12 @@ def _exp_or_inf(x: float) -> float:
 def _log_half_1p_exp(a: float) -> float:
     """ln((e**a + 1)/2) for any a >= 0, without overflow."""
     return a + math.log1p(math.exp(-a)) - _LN2
+
+
+def _log_2n(n: float) -> float:
+    """ln(2N), also past DBL_MAX/2, where 2N overflows."""
+    two_n = 2.0 * n
+    return math.log(two_n) if two_n < math.inf else _LN2 + math.log(n)
 
 
 def _inv_eta_pow(n: float, eta: float) -> float:
@@ -302,7 +318,9 @@ def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
     inv = _inv_eta_pow(n, eta)
     if inv < math.inf:
         if ratio:
-            return math.sqrt(eta * (inv + 1.0) / (2.0 * n))
+            # past DBL_MAX/2, where 2N overflows, eta**-N is finite only at eta = 1
+            two_n = 2.0 * n
+            return math.sqrt(eta * (inv + 1.0) / two_n if two_n < math.inf else 0.5 * (eta * (inv + 1.0)) / n)
         root = math.sqrt(0.5 * (inv + 1.0))
         if n_total is None:
             return root / n
@@ -313,7 +331,7 @@ def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
     log_eta = math.log(eta)
     a = -n * log_eta
     if ratio:
-        return _exp_or_inf(0.5 * (log_eta + a - math.log(2.0 * n)))
+        return _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)))
     log_n = math.log(n) if n_total is None else 0.5 * math.log(n * n_total)
     return _exp_or_inf(0.5 * (a - _LN2) - log_n)
 
@@ -337,7 +355,11 @@ def min_phase_opt(probe: NoonProbe, eta: float) -> float:
 def log_min_phase_opt_continuous(n: float, eta: float) -> float:
     """ln of the optimal-phase precision, stable for any N*|ln eta|."""
     _validate_eta(eta, n)
-    return 0.5 * _log_half_1p_exp(-n * math.log(eta)) - math.log(n)
+    log_eta = math.log(eta)
+    a = -n * log_eta
+    if a == math.inf:  # a/2 may not overflow, and the other terms are far below its ulp
+        return -0.5 * n * log_eta
+    return 0.5 * _log_half_1p_exp(a) - math.log(n)
 
 
 def log_min_phase_opt(probe: NoonProbe, eta: float) -> float:
@@ -445,9 +467,30 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False) -> list:
     for bit, the scalar function's at that point.
     """
     _validate_eta(eta)
+    # the forms of _inv_eta_pow and _optimal_phase, written out: eta is fixed
+    # down the column, so its logs are taken once, and a call per point would
+    # cost more than the forms themselves
+    log2_eta, log_eta = math.log2(eta), math.log(eta)
+    inf, log, sqrt = math.inf, math.log, math.sqrt
     column = []
     for n in ns:
         if not 0 < n <= _N_MAX:
             raise _real_n_error(n)
-        column.append(_optimal_phase(n, eta, ratio=ratio))
+        if -n * log2_eta > _POW_OVERFLOWS:
+            inv = inf
+        else:
+            try:
+                inv = eta ** -n
+            except OverflowError:
+                inv = inf
+        if inv < inf:
+            if ratio:
+                two_n = 2.0 * n
+                value = sqrt(eta * (inv + 1.0) / two_n if two_n < inf else 0.5 * (eta * (inv + 1.0)) / n)
+            else:
+                value = sqrt(0.5 * (inv + 1.0)) / n
+        else:
+            a = -n * log_eta
+            value = _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)) if ratio else 0.5 * (a - _LN2) - log(n))
+        column.append(value)
     return column

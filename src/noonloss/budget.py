@@ -10,7 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .analytics import _exp_or_inf, _float_range, _int_text, _optimal_phase, _photon_number, _validate_eta
+from .analytics import _exp_or_inf, _float_range, _int_text, _log_2n, _optimal_phase, _photon_number, _validate_eta
 # bisect_root is unused here; perfbench's tracer patches every roots function in budget by name
 from .roots import bisect_root, integer_argmin
 
@@ -59,8 +59,11 @@ def unentangled_precision(b: PhotonBudget, eta: float) -> float:
 def log_r_noon(n: float, eta: float) -> float:
     """ln R_NOON, finite even where the linear value overflows."""
     _validate_eta(eta, n)
-    a = -n * math.log(eta)
-    return 0.5 * (math.log(eta) + a + math.log1p(math.exp(-a)) - math.log(2.0 * n))
+    log_eta = math.log(eta)
+    a = -n * log_eta
+    if a == math.inf:  # a/2 may not overflow, and the other terms are far below its ulp
+        return -0.5 * n * log_eta
+    return 0.5 * (log_eta + a + math.log1p(math.exp(-a)) - _log_2n(n))
 
 
 def r_noon_continuous(n: float, eta: float) -> float:
@@ -137,4 +140,6 @@ def d_rnoon_dN_largeloss(n: float, eta: float) -> float:
         raise ValueError(f"the large-loss form needs 0 < eta < 1, got {eta!r}")
     log_eta = math.log(eta)
     scale = _exp_or_inf(-0.5 * (n - 1.0) * log_eta)
+    if scale == math.inf:  # so is the value, also past DBL_MAX/2, where sqrt(2N) overflows
+        return math.inf
     return -log_eta * scale / (8.0 * math.sqrt(2.0 * n))

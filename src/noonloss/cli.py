@@ -280,8 +280,11 @@ class SweepSpec:
             else:
                 values = np.linspace(self.start, self.stop, self.steps)
         if self.variable == "N":
-            # rounded as floats: a cast to int64 would wrap past 2**63
-            return [int(v) for v in np.unique(np.rint(values)) if v >= 1]
+            # rounded as floats, sorted; a cast to int64 would wrap past 2**63,
+            # so only the points below it take that cast
+            ns = np.unique(np.rint(values))
+            lo, hi = np.searchsorted(ns, [1.0, 2.0 ** 63])
+            return ns[lo:hi].astype(np.int64).tolist() + list(map(int, ns[hi:].tolist()))
         return [float(v) for v in values]
 
 
@@ -451,6 +454,14 @@ def cmd_precision(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sql_reference(ns, eta: float) -> list:
+    """1/sqrt(2 eta N) at each N, the fig2 reference column; where 2 eta N
+    overflows, from the roots of 2 eta and N."""
+    two_eta = 2.0 * eta
+    return [1.0 / math.sqrt(x) if (x := two_eta * n) < math.inf else 1.0 / (math.sqrt(two_eta) * math.sqrt(n))
+            for n in ns]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.fig2 or args.fig3:
         eta = _resolve_eta(args)
@@ -482,7 +493,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep range contains no photon numbers >= 1")
     if args.fig2:
         names = ["N", "delta_phi_min", "sql_reference"]
-        columns = [grid, analytics.optimal_phase_grid(grid, eta), [1.0 / math.sqrt(2.0 * eta * n) for n in grid]]
+        columns = [grid, analytics.optimal_phase_grid(grid, eta), _sql_reference(grid, eta)]
     elif args.fig3:
         names, columns = ["N", "R_NOON"], [grid, analytics.optimal_phase_grid(grid, eta, ratio=True)]
     else:

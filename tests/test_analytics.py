@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noonloss import fock_oracle, optimal_search
+from noonloss import analytics, fock_oracle, optimal_search
 from noonloss.analytics import (
     LossChannel,
     NoonProbe,
@@ -254,6 +254,11 @@ def test_log_min_phase_opt_examples():
     assert log_min_phase_opt(NoonProbe(2), 0.5) == pytest.approx(math.log(math.sqrt(2.5) / 2.0), rel=1e-12)
 
 
+def test_log_min_phase_opt_where_n_ln_eta_overflows():
+    # N|ln eta| = 2.07e308 overflows, half of it does not: the value read inf
+    assert log_min_phase_opt_continuous(3e305, 1e-300) == pytest.approx(-0.5 * 3e305 * math.log(1e-300), rel=1e-15)
+
+
 def test_exp_log_consistency():
     for n in (1, 2, 7, 50, 400, 10 ** 5):
         for eta in (0.2, 0.6, 0.97, 1.0):
@@ -443,8 +448,11 @@ def _optimal_phase_reference(ns, eta, ratio):
     return [r_noon_continuous(n, eta) if ratio else min_phase_opt_continuous(n, eta) for n in ns]
 
 
-# N|ln eta| on both sides of ln(DBL_MAX) = 709.78, N real or integer
-optimal_ns = st.one_of(st.integers(1, 10 ** 9), st.floats(1e-3, 1e9), st.sampled_from([1, 1e-300, 1e300]))
+# N|ln eta| on both sides of ln(DBL_MAX) = 709.78, N real or integer up to DBL_MAX, past DBL_MAX/2
+# where 2N overflows
+optimal_ns = st.one_of(st.integers(1, 10 ** 9), st.integers(1, int(sys.float_info.max)),
+                       st.floats(1e-3, 1e9), st.floats(1e-3, sys.float_info.max),
+                       st.sampled_from([1, 1e-300, 1e300, 9e307, sys.float_info.max]))
 optimal_etas = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([1.0, 1.0 - 1e-16, 5e-324]),
                          st.floats(-12.0, -1.0).map(lambda x: 1.0 - 10.0 ** x))
 
@@ -460,3 +468,76 @@ def test_optimal_phase_grid_equals_the_scalar_forms_bit_for_bit(ns, eta, ratio):
        st.one_of(optimal_etas, BAD["etas"]), st.booleans())
 def test_optimal_phase_grid_raises_the_first_points_message(ns, eta, ratio):
     assert _first_error(optimal_phase_grid, ns, eta, ratio) == _first_error(_optimal_phase_reference, ns, eta, ratio)
+
+
+def _first_true(pred, lo, hi):
+    """The least float N in (lo, hi] where ``pred`` holds, for a ``pred``
+    false at lo, true at hi and monotone between."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+
+
+def _ulps_around(n, count=4):
+    """``count`` floats on each side of n, and n."""
+    below, above = [n], [n]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+@pytest.mark.parametrize("eta", [1e-300, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-12])
+@pytest.mark.parametrize("ratio", [False, True], ids=["min_phase", "r_noon"])
+def test_optimal_phase_grid_is_bit_identical_at_the_pow_and_exp_lines(eta, ratio):
+    # a few ulps of N on both sides of each line: where -N log2(eta) passes
+    # _POW_OVERFLOWS and where eta**-N itself overflows, which the try catches
+    # below that line; and where the log form's exponent passes ln(DBL_MAX)
+    scalar = r_noon_continuous if ratio else min_phase_opt_continuous
+    pow_line = analytics._POW_OVERFLOWS / -math.log2(eta)
+    pow_overflow = _first_true(lambda n: analytics._inv_eta_pow(n, eta) == math.inf, 1e-3, 1e300)
+    exp_overflow = _first_true(lambda n: scalar(n, eta) == math.inf, pow_overflow, 1e300)
+    assert pow_overflow < pow_line < exp_overflow
+    for line in (pow_line, pow_overflow, exp_overflow):
+        ns = _ulps_around(line)
+        want = [scalar(n, eta) for n in ns]
+        assert _bits([optimal_phase_grid(ns, eta, ratio)]) == _bits([want])
+    # the exp line is where the values turn from finite to inf
+    assert math.isfinite(want[3]) and want[4] == math.inf
+
+
+def _exp_reference(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def test_exp_or_inf_is_exp_on_both_sides_of_its_line():
+    # a few ulps around ln(DBL_MAX), where exp turns to overflow, and around
+    # _EXP_OVERFLOWS, past which it is not tried
+    for line in (math.log(sys.float_info.max), analytics._EXP_OVERFLOWS):
+        xs = _ulps_around(line)
+        assert _bits([[analytics._exp_or_inf(x) for x in xs]]) == _bits([[_exp_reference(x) for x in xs]])
+    assert math.isfinite(_exp_reference(math.log(sys.float_info.max)))
+
+
+def test_optimal_phase_grid_calls_no_scalar_form_per_point(monkeypatch):
+    calls = []
+    for name in ("_optimal_phase", "_inv_eta_pow"):
+        real = getattr(analytics, name)
+        monkeypatch.setattr(analytics, name, lambda *args, _real=real: calls.append(args) or _real(*args))
+    ns = list(range(1, 2_000_001, 1000))  # 2,000 points across the overflow of eta**-N
+    for ratio in (False, True):
+        assert len(optimal_phase_grid(ns, 0.999, ratio)) == 2000
+    assert calls == []
+    min_phase_opt_continuous(2.0, 0.999)  # the scalar form is counted
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("eta, want", [(0.5, math.inf), (1.0, 1e-154)])
+def test_optimal_phase_grid_ratio_past_half_dbl_max(eta, want):
+    # 2N overflows at N = 1e308: R_NOON read 0.0 at both points
+    assert optimal_phase_grid([1e308], eta, ratio=True)[0] == pytest.approx(want, rel=1e-15, abs=0.0)

@@ -209,6 +209,29 @@ def test_d_rnoon_largeloss_tracks_exact_derivative_shape():
         assert ratio == pytest.approx(expected, rel=5e-2)
 
 
+# past DBL_MAX/2, where 2N overflows, each of these read 0, -inf or nan
+
+
+def test_r_noon_continuous_past_half_dbl_max():
+    assert r_noon_continuous(9e307, 0.5) == math.inf
+    assert r_noon_continuous(1e308, 1.0) == pytest.approx(1e-154, rel=1e-15, abs=0.0)
+
+
+def test_log_r_noon_past_half_dbl_max():
+    # 0.5 (ln eta + N|ln eta| + ln(1 + eta**N) - ln 2N): at eta = 0.5 the N term leaves the others below its ulp
+    assert log_r_noon(9e307, 0.5) == pytest.approx(0.5 * 9e307 * math.log(2.0), rel=1e-15)
+    assert log_r_noon(1e308, 1.0) == pytest.approx(-0.5 * math.log(1e308), rel=1e-15)
+
+
+def test_log_r_noon_where_n_ln_eta_overflows():
+    # N|ln eta| = 2.07e308 overflows, half of it does not: the value read inf
+    assert log_r_noon(3e305, 1e-300) == pytest.approx(-0.5 * 3e305 * math.log(1e-300), rel=1e-15)
+
+
+def test_d_rnoon_largeloss_past_half_dbl_max():
+    assert d_rnoon_dN_largeloss(9e307, 0.5) == math.inf
+
+
 def test_lossless_advantage():
     # with no loss the NOON scheme wins by kappa * sqrt(N_T)
     b = PhotonBudget(400, kappa=2.0)

@@ -4,8 +4,9 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import noonloss
@@ -322,6 +323,35 @@ def test_sweep_spec_validation():
     assert ns == list(range(1, 11))
     # photon numbers past 2**63 stay exact integers
     assert SweepSpec("N", 1.0, 1e20, 3).grid() == [1, 5 * 10 ** 19, 10 ** 20]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(0.0, 1e300), st.integers(2, 50), st.sampled_from(["linear", "log"]))
+@example(1.0, 2.0 ** 64, 9, "linear")  # points on both sides of 2**63
+@example(-3.0, 7.0, 11, "linear")
+def test_n_grid_equals_the_rounded_points(start, width, steps, scale):
+    stop = start + width
+    assume(start < stop and (scale == "linear" or start > 0))
+    spec = SweepSpec("N", start, stop, steps, scale)
+    with np.errstate(over="ignore"):
+        if scale == "log":
+            points = np.minimum(np.geomspace(start, stop, steps), stop)
+        else:
+            points = np.linspace(start, stop, steps)
+    want = [int(v) for v in np.unique(np.rint(points)) if v >= 1]
+    got = spec.grid()
+    assert got == want and all(type(n) is int for n in got)
+
+
+def test_sql_reference_past_half_dbl_max():
+    # 2 eta N overflows past N = DBL_MAX/2 at eta = 1: the column read 0 there
+    code, out, _ = run_cli("sweep", "--fig2", "--eta", "1", "--start", "1e307", "--stop", "1.7e308",
+                           "--steps", "3", "--scale", "linear", "--format", "csv")
+    assert code == EXIT_OK
+    _, rows = parse_csv(out)
+    assert len(rows) == 3
+    for n, _, sql in rows:
+        assert sql == pytest.approx(math.sqrt(0.5 / n), rel=1e-11, abs=0.0)
 
 
 def test_sweep_infinite_range_is_one_usage_error_under_warnings_as_errors():

@@ -89,6 +89,9 @@ CASES = {
                                      "--steps", "2000", "--format", "csv"], None),
     "sweep_fig3_csv_exp_overflow": (["sweep", "--fig3", "--loss", "1e-3", "--start", "1e6", "--stop", "2e6",
                                      "--steps", "2000", "--format", "csv"], None),
+    # 2N overflows past DBL_MAX/2, where R_NOON read 0
+    "sweep_fig3_csv_past_half_dbl_max": (["sweep", "--fig3", "--eta", "0.5", "--start", "1e307", "--stop", "1.7e308",
+                                          "--steps", "3", "--scale", "linear", "--format", "csv"], None),
     "sweep_fig3_text_overflow": (["sweep", "--fig3", "--loss", "0.99", "--start", "1", "--stop", "400",
                                   "--steps", "12"], None),
     "sweep_fig3_json_default_range": (["sweep", "--fig3", "--eta", "0.5", "--format", "json"], None),

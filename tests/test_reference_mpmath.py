@@ -115,12 +115,14 @@ exponents = st.one_of(st.floats(0.0, 500.0), st.floats(500.0, LN_DBL_MAX), st.fl
 
 @st.composite
 def optimal_points(draw):
-    """(n, eta, n_total) with n an integer in [1, 1e9], a = N|ln eta| drawn from
-    ``exponents`` and n_total in [n, 1e6 n]."""
+    """(n, eta, n_total, x) with n an integer in [1, 1e9], a = N|ln eta| drawn
+    from ``exponents`` or 0 (eta = 1), n_total in [n, 1e6 n], and x, the real N
+    of the continuous forms: n plus a fraction, or any real in [1, DBL_MAX]."""
     n = draw(st.one_of(st.integers(1, 64), st.integers(1, 10 ** 9)))
-    eta = math.exp(-draw(exponents) / n)
+    eta = math.exp(-draw(st.one_of(st.just(0.0), exponents)) / n)
     assume(eta > 0.0)
-    return n, eta, n * draw(st.integers(1, 10 ** 6))
+    x = draw(st.one_of(st.floats(0.0, 1.0).map(lambda frac: n + frac), st.floats(1.0, NORMAL[1])))
+    return n, eta, n * draw(st.integers(1, 10 ** 6)), x
 
 
 def check_linear(got, want, power_finite):
@@ -132,15 +134,24 @@ def check_linear(got, want, power_finite):
         assert rel_err(got, want) <= tol
 
 
+def check_log(got, want):
+    """Within 1e-13 max(1, |want|), or the infinity of its sign past DBL_MAX."""
+    if abs(want) > NORMAL[1]:
+        assert got == math.copysign(math.inf, want)
+    else:
+        assert abs(got - want) <= RTOL * max(1.0, abs(want))
+
+
 @settings(max_examples=400, deadline=None)
-@given(optimal_points(), st.floats(0.0, 1.0))
-@example((1193, 0.6, 1193), 0.0)  # N|ln eta| = 609: errors near 1e-13 under the former 500 cutoff
-@example((6891946, 1.0 - 1e-4, 10 ** 9), 0.0)
-@example((6736, 0.9, 6736), 0.5)  # N|ln eta| = 709.73, just below ln(DBL_MAX)
-@example((1, 1.0 - 1e-16, 1), 0.0)
-def test_overflow_rule_against_mpmath(point, frac):
-    n, eta, n_total = point
-    x = n + frac  # a real N for the continuous forms
+@given(optimal_points())
+@example((1193, 0.6, 1193, 1193.0))  # N|ln eta| = 609: errors near 1e-13 under the former 500 cutoff
+@example((6891946, 1.0 - 1e-4, 10 ** 9, 6891946.0))
+@example((6736, 0.9, 6736, 6736.5))  # N|ln eta| = 709.73, just below ln(DBL_MAX)
+@example((1, 1.0 - 1e-16, 1, 1.0))
+@example((1, 0.5, 1, 9e307))  # 2N overflows: R_NOON read 0 and ln R_NOON -inf
+@example((1, 1.0, 1, NORMAL[1]))
+def test_overflow_rule_against_mpmath(point):
+    n, eta, n_total, x = point
     for k, got in ((n, [min_phase_opt(NoonProbe(n), eta), r_noon(n, eta),
                         noon_precision_budgeted(n, PhotonBudget(n_total), eta)]),
                    (x, [min_phase_opt_continuous(x, eta), r_noon_continuous(x, eta)])):
@@ -150,9 +161,8 @@ def test_overflow_rule_against_mpmath(point, frac):
         want = [mpmath.sqrt(half) / k_mp, mpmath.sqrt(eta_mp * half / k_mp), mpmath.sqrt(half / (k_mp * n_total))]
         for g, w in zip(got, want):
             check_linear(g, w, inv < NORMAL[1] * (1 - POWER_RTOL))
-        for g, w in ((log_min_phase_opt_continuous(k, eta), mpmath.log(want[0])),
-                     (log_r_noon(k, eta), mpmath.log(want[1]))):
-            assert abs(g - w) <= RTOL * max(1.0, abs(w))
+        check_log(log_min_phase_opt_continuous(k, eta), mpmath.log(want[0]))
+        check_log(log_r_noon(k, eta), mpmath.log(want[1]))
 
 
 @settings(max_examples=300, deadline=None)

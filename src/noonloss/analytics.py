@@ -122,8 +122,9 @@ def _log_2n(n: float) -> float:
 def _inv_eta_pow(n: float, eta: float) -> float:
     """eta**-n, exact to an ulp, or inf past DBL_MAX.
 
-    This is the one place that decides whether eta**-N overflows; every caller
-    takes its own log form where it gets inf.
+    This decides whether eta**-N overflows for every scalar form, each of
+    which takes its own log form where it gets inf; optimal_phase_grid writes
+    the same test out inline, and a test holds the two to each other.
     """
     # decided without raising, since most fig rows overflow; math.log2 costs about a
     # third of math.log in CPython
@@ -471,26 +472,25 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False) -> list:
     # down the column, so its logs are taken once, and a call per point would
     # cost more than the forms themselves
     log2_eta, log_eta = math.log2(eta), math.log(eta)
-    inf, log, sqrt = math.inf, math.log, math.sqrt
     column = []
     for n in ns:
         if not 0 < n <= _N_MAX:
             raise _real_n_error(n)
         if -n * log2_eta > _POW_OVERFLOWS:
-            inv = inf
+            inv = math.inf
         else:
             try:
                 inv = eta ** -n
             except OverflowError:
-                inv = inf
-        if inv < inf:
+                inv = math.inf
+        if inv < math.inf:
             if ratio:
                 two_n = 2.0 * n
-                value = sqrt(eta * (inv + 1.0) / two_n if two_n < inf else 0.5 * (eta * (inv + 1.0)) / n)
+                value = math.sqrt(eta * (inv + 1.0) / two_n if two_n < math.inf else 0.5 * (eta * (inv + 1.0)) / n)
             else:
-                value = sqrt(0.5 * (inv + 1.0)) / n
+                value = math.sqrt(0.5 * (inv + 1.0)) / n
         else:
             a = -n * log_eta
-            value = _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)) if ratio else 0.5 * (a - _LN2) - log(n))
+            value = _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)) if ratio else 0.5 * (a - _LN2) - math.log(n))
         column.append(value)
     return column

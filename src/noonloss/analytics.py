@@ -50,6 +50,8 @@ _EXP_OVERFLOWS = math.log(sys.float_info.max) + 1e-9
 # the one upper bound of every check of N, int or float: past it float(N)
 # overflows or rounds an int down to DBL_MAX
 _N_MAX = sys.float_info.max
+# N * N is a finite normal double exactly for N in [2**-511, 2**512)
+_SQUARE_NORMAL = (2.0 ** -511, 2.0 ** 512)
 
 
 def _int_text(value) -> str:
@@ -240,10 +242,13 @@ def _log_min_phase(n: int, eta: float, s: float) -> float:
     a blind operating point."""
     if s <= DEGENERACY_TOL:
         return math.inf
-    a = -n * math.log(eta)
+    # a = N|ln eta| may overflow where a/2 does not; halving commutes with
+    # rounding, so a/2 is formed first and 2 * (a/2) is a, or inf
+    half_a = (0.5 * n) * -math.log(eta)
+    a = 2.0 * half_a
     # noise / s^2 = e**a * (-expm1(-a)/(2 s^2) + e**-a): both terms are
     # nonnegative, and at eta = 1 the bracket is exactly 1
-    return 0.5 * (a + math.log(-0.5 * math.expm1(-a) / (s * s) + math.exp(-a))) - math.log(n)
+    return half_a + 0.5 * math.log(-0.5 * math.expm1(-a) / (s * s) + math.exp(-a)) - math.log(n)
 
 
 def _snr_min_phase(n: int, eta: float, s: float, delta_phi: float):
@@ -379,10 +384,17 @@ def d_precision_dN(n_real: float, eta: float) -> float:
     # that can overflow; it can do so where the product does not, so it is
     # applied as a/2 + ln|bracket|
     s = math.sqrt(0.5 * (1.0 + math.exp(-a)))
-    bracket = -s / (n_real * n_real) - log_eta / (4.0 * n_real * s)
+    if _SQUARE_NORMAL[0] <= n_real < _SQUARE_NORMAL[1]:
+        bracket = -s / (n_real * n_real) - log_eta / (4.0 * n_real * s)
+        log_n = 0.0
+    else:
+        # N * N would leave the normal range (and 4N overflow past DBL_MAX/4):
+        # this is N times the bracket, and ln N comes off its log
+        bracket = -s / n_real - log_eta / (4.0 * s)
+        log_n = math.log(n_real)
     if bracket == 0.0:
         return 0.0
-    return math.copysign(_exp_or_inf(0.5 * a + math.log(abs(bracket))), bracket)
+    return math.copysign(_exp_or_inf(0.5 * a + math.log(abs(bracket)) - log_n), bracket)
 
 
 def d_log_precision_dN(n_real: float, eta: float) -> float:

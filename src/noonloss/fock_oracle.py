@@ -7,18 +7,21 @@ ladder polynomials term by term.  The channel-free part of each term,
 binomial times factorial weight from exact integers, is tabulated once per
 photon number and memoized.  The channel's terms, that table times powers
 of t and r, are computed once per channel and kept in a small bounded memo,
-so the phases that share one channel reuse them.  The kets built here, the
-NOON input and each detector output, skip the public :class:`FockKet`
-constructor's key checks, as their keys are ``Occupation``s of ints within
-the cap by construction; every ket keeps the amplitude checks.  Nothing here
-uses the closed-form moment formulas from :mod:`noonloss.analytics`; this
-module exists to check them.
+so the phases that share one channel reuse them.  The raising branch's image
+of |N,0,0> depends on the channel and that one amplitude only, which is
+1/sqrt(2) for every NOON input, so it too is kept in a small bounded memo,
+after the amplitude checks; each call copies it and forms only the lowering
+sum into |N,0,0>.  The kets built here, the NOON input and each detector
+output, skip the public :class:`FockKet` constructor's key checks, as their
+keys are ``Occupation``s of ints within the cap by construction; every
+amplitude they hold has passed the amplitude checks.  Nothing here uses the
+closed-form moment formulas from :mod:`noonloss.analytics`; this module
+exists to check them.
 """
 
 import cmath
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -94,10 +97,10 @@ class FockKet:
 
     The constructor converts each key to an ``Occupation`` of ints and checks
     it against the cap; the kets of :func:`build_noon_input` and
-    :func:`apply_detector` skip that, as their keys are built so.  Every ket
-    keeps the amplitude checks: a NaN or infinite amplitude, or one whose
-    modulus passes DBL_MAX, is a ValueError, and finite amplitudes below
-    1e-300 are dropped.
+    :func:`apply_detector` skip that, as their keys are built so.  Every
+    amplitude of every ket passes the amplitude checks: a NaN or infinite
+    amplitude, or one whose modulus passes DBL_MAX, is a ValueError, and
+    finite amplitudes below 1e-300 are dropped.
     """
 
     amps: dict[Occupation, complex]
@@ -114,11 +117,12 @@ class FockKet:
         object.__setattr__(self, "photon_cap", cap)
 
     @classmethod
-    def _of_checked_keys(cls, amps: dict[Occupation, complex], cap: int) -> "FockKet":
-        """A ket whose keys are already ``Occupation``s of ints within ``cap``,
-        an int, and whose amplitudes are complex: only the amplitude rule runs."""
+    def _of_checked_entries(cls, amps: dict[Occupation, complex], cap: int) -> "FockKet":
+        """A ket that checks nothing: the keys of ``amps`` are already
+        ``Occupation``s of ints within ``cap``, an int, and its amplitudes
+        complex and kept by the amplitude rule."""
         ket = object.__new__(cls)
-        object.__setattr__(ket, "amps", _checked_amplitudes(amps.items()))
+        object.__setattr__(ket, "amps", amps)
         object.__setattr__(ket, "photon_cap", cap)
         return ket
 
@@ -140,11 +144,11 @@ def build_noon_input(n: int, phi: float) -> FockKet:
     if not math.isfinite(n * phi):
         raise ValueError(f"N*phi must be finite, got N = {n}, phi = {phi!r}")
     amp = 1.0 / math.sqrt(2.0)
-    return FockKet._of_checked_keys(
-        {
-            Occupation(n, 0, 0): complex(amp),
-            Occupation(0, n, 0): cmath.exp(1j * n * phi) * amp,
-        },
+    return FockKet._of_checked_entries(
+        _checked_amplitudes((
+            (Occupation(n, 0, 0), complex(amp)),
+            (Occupation(0, n, 0), cmath.exp(1j * n * phi) * amp),
+        )),
         n,
     )
 
@@ -178,6 +182,20 @@ def _detector_terms(n: int, eta: float, theta_t: float,
     return raising, lowering
 
 
+@lru_cache(maxsize=64)
+def _raising_image(n: int, eta: float, theta_t: float, reflection_phase: float,
+                   amp: complex) -> dict[Occupation, complex]:
+    """The raising branch's image of ``amp`` |n,0,0>, as the amplitude rule
+    keeps it.  Keyed like :func:`_detector_terms` plus the amplitude, which is
+    the same for every NOON input, so a verify pass hits it at every phase
+    of a channel.  Complex keys are equal only where their parts are, and a
+    signed zero in ``amp`` can change only a zero part of a product, which
+    ``0j +`` makes +0.0, so each entry holds the bits that a fresh sum would.
+    Callers only copy the dict; it is never handed out."""
+    raising, _ = _detector_terms(n, eta, theta_t, reflection_phase)
+    return _checked_amplitudes((key, 0j + amp * coeff) for key, coeff in raising)
+
+
 def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: float = math.pi / 2) -> FockKet:
     """Apply the lossy N-photon detection operator to ``ket``.
 
@@ -199,30 +217,36 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
         if occ.total > n:
             raise ValueError(f"ket component {occ} holds more than {n} photons")
 
-    # float() keys the memo on plain floats whatever number types the channel holds
-    raising, lowering = _detector_terms(n, float(ch.eta), float(ch.theta_t), float(reflection_phase))
+    # float() keys the memos on plain floats whatever number types the channel holds
+    channel = (n, float(ch.eta), float(ch.theta_t), float(reflection_phase))
+    _, lowering = _detector_terms(*channel)
 
-    out: dict[Occupation, complex] = defaultdict(complex)
+    top = Occupation(n, 0, 0)
+    out: dict[Occupation, complex] = {}
     for occ, amp in ket.amps.items():
-        if occ.n_a == n and occ.n_b == 0 and occ.n_v == 0:
-            # raising branch: k quanta into b, n - k into the loss port
-            for key, coeff in raising:
-                out[key] += amp * coeff
-        if occ.n_a == 0 and occ.n_b + occ.n_v == n:
+        if occ == top:
+            # raising branch: k quanta into b, n - k into the loss port, each
+            # key written once, so its checked image is copied whole
+            out.update(_raising_image(*channel, amp))
+        elif occ.n_a == 0 and occ.n_b + occ.n_v == n:
             # lowering branch: only the term annihilating exactly n_b quanta
             # from b and n_v from V survives the vacuum projector
             coeff = lowering[occ.n_b]
             if coeff != 0:
-                out[Occupation(n, 0, 0)] += amp * coeff
-
-    return FockKet._of_checked_keys(out, n)
+                out[top] = out.get(top, 0j) + amp * coeff
+    # the one amplitude summed here, the lowering sum, takes the amplitude rule
+    if top in out and not _checked_amplitudes(((top, out[top]),)):
+        del out[top]
+    return FockKet._of_checked_entries(out, n)
 
 
 def inner(x: FockKet, y: FockKet) -> complex:
     """<x|y> over the shared support."""
     if x is y:
         # the general sum below in the same order, without a lookup per entry
-        return sum((amp.conjugate() * amp for amp in x.amps.values()), start=0j)
+        # or a generator step
+        amps = x.amps.values()
+        return sum(map(operator.mul, map(complex.conjugate, amps), amps), start=0j)
     if len(x.amps) > len(y.amps):
         return inner(y, x).conjugate()
     return sum(

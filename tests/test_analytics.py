@@ -259,6 +259,17 @@ def test_log_min_phase_opt_where_n_ln_eta_overflows():
     assert log_min_phase_opt_continuous(3e305, 1e-300) == pytest.approx(-0.5 * 3e305 * math.log(1e-300), rel=1e-15)
 
 
+def test_log_min_phase_at_where_n_ln_eta_overflows():
+    # N|ln eta| = 2.07e308 overflows, half of it does not: the value read inf;
+    # at the optimal phase it is the optimal-phase form
+    n = 3 * 10 ** 305
+    got = log_min_phase_at(NoonProbe(n), LossChannel(1e-300), math.pi / (2 * n))
+    assert got == log_min_phase_opt_continuous(n, 1e-300)
+    assert got == pytest.approx(1.0361632918473204e308, rel=1e-15)
+    report = precision_report(NoonProbe(n), LossChannel(1e-300), OperatingPoint(phi0=math.pi / (2 * n), delta_phi=0.01))
+    assert report.log_min_phase == got
+
+
 def test_exp_log_consistency():
     for n in (1, 2, 7, 50, 400, 10 ** 5):
         for eta in (0.2, 0.6, 0.97, 1.0):
@@ -274,6 +285,32 @@ def test_exp_log_consistency():
 def test_d_precision_examples():
     assert d_precision_dN(1.0, 1.0) == pytest.approx(-1.0, rel=1e-12)
     assert d_precision_dN(2.0, 0.01) > 0.0  # large loss: more photons only hurt
+
+
+def test_d_precision_dN_past_a_quarter_of_dbl_max_overflows():
+    # 4.0 * N overflowed, so the second term read 0 and so did the derivative
+    assert d_precision_dN(4e307, 0.5) == math.inf
+    assert d_precision_dN(9e307, 0.5) == math.inf
+    assert d_precision_dN(sys.float_info.max, 1.0 - 1e-16) == math.inf
+
+
+def test_d_precision_dN_where_n_squared_underflows_overflows_to_minus_inf():
+    # N * N underflowed to 0: ZeroDivisionError; -1/N**2 is past -DBL_MAX
+    assert d_precision_dN(1e-200, 0.5) == -math.inf
+    assert d_precision_dN(5e-324, 1e-300) == -math.inf
+    assert d_precision_dN(1e-200, 1.0) == -math.inf
+
+
+def test_d_precision_dN_keeps_its_value_outside_the_normal_range_of_n_squared():
+    # at eta = 1 the derivative is -1/N**2: a subnormal at N = 1.5e154, where
+    # N * N overflowed and the value read 0.0
+    for n in (1.5e154, 2.0 ** 512, 1e160):
+        assert d_precision_dN(n, 1.0) == pytest.approx(-1.0 / n / n, rel=1e-9, abs=1e-322)
+        assert d_precision_dN(n, 1.0) < 0.0
+    assert d_precision_dN(1e300, 1.0) == 0.0
+    # just below 2**-511, where N * N was subnormal, as just above it
+    for n in (1.2e-154, 1.49e-154, 1.5e-154):
+        assert d_precision_dN(n, 0.5) == pytest.approx(-1.0 / n / n, rel=1e-12)
 
 
 def test_d_precision_vanishes_at_continuous_minimizer():

@@ -3,11 +3,12 @@ import math
 import random
 import re
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from noonloss import analytics
+from noonloss import analytics, fock_oracle
 from noonloss.analytics import LossChannel, NoonProbe
 from noonloss.fock_oracle import (
     MAX_PHOTONS,
@@ -15,6 +16,7 @@ from noonloss.fock_oracle import (
     Occupation,
     _detector_terms,
     _ladder_coefficients,
+    _raising_image,
     apply_detector,
     build_noon_input,
     inner,
@@ -334,6 +336,74 @@ def test_detector_memo_stays_within_its_bound():
         got = apply_detector(ket, 3, ch)
         assert _bits(got) == _bits(_apply_detector_per_call(ket, 3, ch))
         assert _detector_terms.cache_info().currsize <= bound
+
+
+def test_raising_image_memo_stays_within_its_bound():
+    assert _raising_image.cache_info().maxsize == 64
+    for n in (3, MAX_PHOTONS):
+        ket = build_noon_input(n, 0.2)
+        for i in range(64 + 40):
+            ch = LossChannel(0.2 + 0.7 * i / (64 + 40), 0.1)
+            got = apply_detector(ket, n, ch)
+            assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
+            assert _raising_image.cache_info().currsize <= 64
+
+
+@pytest.mark.parametrize("amp", [complex(0.5, 0.0), complex(0.5, -0.0), complex(0.0, 0.5), complex(-0.0, 0.5),
+                                 complex(0.3, -0.2)])
+def test_signed_zero_source_amplitudes_share_an_image_bit_for_bit(amp):
+    # the |n,0,0> amplitude with the signs of its zero parts flipped is the
+    # same memo key: the image filled by the other sign must hold this sign's
+    # bits; at theta = 0 the (0, n, 0) coefficient is real, and -0.0 times it
+    # less 0.5 times its +0.0 imaginary part is -0.0
+    flipped = complex(-amp.real if amp.real == 0 else amp.real, -amp.imag if amp.imag == 0 else amp.imag)
+    for n in (1, 4, 17):
+        for eta, theta in ((0.5, 0.0), (1.0, 0.0), (1.0, -0.0), (1.0, math.pi), (0.8, 1.3), (1e-30, -2.0)):
+            ch = LossChannel(eta, theta)
+            warm = FockKet({Occupation(n, 0, 0): flipped}, photon_cap=n)
+            ket = FockKet({Occupation(n, 0, 0): amp}, photon_cap=n)
+            assert _bits(apply_detector(warm, n, ch)) == _bits(_apply_detector_per_call(warm, n, ch))
+            hits = _raising_image.cache_info().hits
+            got = apply_detector(ket, n, ch)
+            assert _raising_image.cache_info().hits == hits + 1
+            assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
+
+
+def test_lowering_components_before_the_source_keep_the_dict_order():
+    # |n,0,0> is then summed into first and the image follows it
+    n, ch = 5, LossChannel(0.6, 0.4)
+    lowering = {Occupation(0, k, n - k): complex(0.1 * k + 0.05, -0.2) for k in (3, 0, 5)}
+    ket = FockKet({**lowering, Occupation(n, 0, 0): complex(0.6, 0.1)}, photon_cap=n)
+    for _ in range(2):
+        got = apply_detector(ket, n, ch)
+        assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
+        assert list(got.amps)[0] == Occupation(n, 0, 0)
+        assert list(got.amps)[1:] == [Occupation(0, k, n - k) for k in range(n + 1)]
+
+
+def test_raising_image_terms_below_the_support_floor_are_pruned():
+    # 1e-299 |n,0,0> at eta = 0.1: the raising terms with most quanta in b fall
+    # below 1e-300 and are dropped, as by the per-call expansion
+    n, ch = 6, LossChannel(0.1, 0.3)
+    ket = FockKet({Occupation(n, 0, 0): complex(1e-299, 0.0)}, photon_cap=n)
+    for _ in range(2):
+        got = apply_detector(ket, n, ch)
+        assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
+        assert 0 < len(got.amps) < n + 1
+        assert all(abs(amp) >= 1e-300 for amp in got.amps.values())
+    # and the lowering sum into |n,0,0> keeps the same rule
+    tiny = FockKet({Occupation(0, 1, n - 1): complex(1e-300, 0.0)}, photon_cap=n)
+    assert apply_detector(tiny, n, ch).amps == {}
+
+
+def test_oracle_moments_calls_the_module_global_detector_and_inner():
+    # the benchmark's tracer wraps these by name among the module's globals
+    with mock.patch.object(fock_oracle, "build_noon_input", wraps=build_noon_input) as build, \
+            mock.patch.object(fock_oracle, "apply_detector", wraps=apply_detector) as detector, \
+            mock.patch.object(fock_oracle, "inner", wraps=inner) as product:
+        got = fock_oracle.oracle_moments(3, LossChannel(0.7, 0.2), 0.4)
+    assert (build.call_count, detector.call_count, product.call_count) == (1, 1, 2)
+    assert got == oracle_moments(3, LossChannel(0.7, 0.2), 0.4)
 
 
 @pytest.mark.parametrize("wrap", [np.float64, np.array, lambda x: x])

@@ -165,10 +165,16 @@ def test_overflow_rule_against_mpmath(point):
         check_log(log_r_noon(k, eta), mpmath.log(want[1]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.floats(1e-3, 1e6), etas)
+@settings(max_examples=400, deadline=None)
+# N from 5e-324 to DBL_MAX, where N * N and 4N leave the float range
+@given(st.one_of(st.floats(1e-3, 1e6), st.floats(-323.3, 308.25).map(lambda u: 10.0 ** u)), etas)
 @example(5784.284426816044, 0.7819844212390401)  # e**(a/2) overflows, the derivative is 1.155e304
 @example(1.0, 1.0)
+@example(9e307, 0.5)  # 4N overflowed: the derivative read 0.0
+@example(1e-200, 0.5)  # N * N underflowed: ZeroDivisionError
+@example(1.2e-154, 0.5)  # N * N is subnormal
+@example(1e-154, 1.0)
+@example(1.5e154, 1.0)  # N * N overflows, the derivative -1/N**2 is a subnormal
 def test_d_precision_dN_against_mpmath(n, eta):
     n_mp, eta_mp = mpmath.mpf(n), mpmath.mpf(eta)
     inv = eta_mp ** -n_mp

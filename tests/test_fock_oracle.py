@@ -347,6 +347,9 @@ def test_raising_image_memo_stays_within_its_bound():
             got = apply_detector(ket, n, ch)
             assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
             assert _raising_image.cache_info().currsize <= 64
+            # each ket holds a copy: clearing one leaves the memo's entry whole
+            got.amps.clear()
+            assert _bits(apply_detector(ket, n, ch)) == _bits(_apply_detector_per_call(ket, n, ch))
 
 
 @pytest.mark.parametrize("amp", [complex(0.5, 0.0), complex(0.5, -0.0), complex(0.0, 0.5), complex(-0.0, 0.5),

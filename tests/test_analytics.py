@@ -407,7 +407,7 @@ def sweeps(draw, etas, phases, ns):
 
 
 VALID = dict(
-    etas=st.one_of(st.floats(1e-3, 0.99), st.sampled_from([0.5, 0.9, 1e-9, 0.3])),
+    etas=st.one_of(st.floats(1e-3, 0.99), st.sampled_from([0.5, 0.9, 1e-9, 0.3, 1.0, 1.0 - 1e-16])),
     phases=st.one_of(st.floats(-10.0, 10.0), st.just(0.0)),
     ns=st.one_of(st.integers(1, 80), st.just(2000)),
 )
@@ -543,6 +543,34 @@ def test_optimal_phase_grid_is_bit_identical_at_the_pow_and_exp_lines(eta, ratio
         assert _bits([optimal_phase_grid(ns, eta, ratio)]) == _bits([want])
     # the exp line is where the values turn from finite to inf
     assert math.isfinite(want[3]) and want[4] == math.inf
+
+
+@pytest.mark.parametrize("dphi", [0.01, 0.0, 1e200, 1e308], ids=["dphi", "zero", "signal_sq_overflows",
+                                                                  "signal_overflows"])
+@pytest.mark.parametrize("theta_t, phi0", [(0.0, None), (0.37, None), (0.0, 0.0), (0.37, 1.1)],
+                         ids=["optimal", "optimal_theta", "blind", "arbitrary"])
+@pytest.mark.parametrize("n", [2000, 10 ** 6, 10 ** 9, 2 ** 53 + 1])
+def test_precision_grid_eta_sweep_is_bit_identical_at_the_pow_and_exp_lines(n, theta_t, phi0, dphi):
+    # a few ulps of eta on both sides of each line: where -N log2(eta) passes
+    # _POW_OVERFLOWS, where eta**-N itself overflows, and where the log forms
+    # of min_phase_opt and (off the blind points) min_phase pass ln(DBL_MAX);
+    # then eta = 1, 1 - 1e-16 and the least subnormal
+    probe = NoonProbe(n)
+    phi = 0.5 * math.pi / n - theta_t if phi0 is None else phi0
+    pow_line = 2.0 ** (-analytics._POW_OVERFLOWS / n)
+    pow_overflow = _first_true(lambda eta: analytics._inv_eta_pow(n, eta) < math.inf, 5e-324, 1.0)
+    opt_line = _first_true(lambda eta: min_phase_opt(probe, eta) < math.inf, 5e-324, pow_overflow)
+    lines = [pow_line, pow_overflow, opt_line]
+    if min_phase_at(probe, LossChannel(1.0, theta_t), phi) < math.inf:
+        lines.append(_first_true(lambda eta: min_phase_at(probe, LossChannel(eta, theta_t), phi) < math.inf,
+                                 5e-324, pow_overflow))
+    etas = [eta for line in lines for eta in _ulps_around(line)] + [1.0, 1.0 - 1e-16, 5e-324]
+    sweep = (n, etas, theta_t, phi0, dphi)
+    want = _grid_reference(*sweep)
+    assert _bits(precision_grid(*sweep)) == _bits(want)
+    # min_phase_opt turns from inf to finite at its exp line, below the overflow of eta**-N
+    assert opt_line < pow_overflow
+    assert want[4][18 + 3] == math.inf and math.isfinite(want[4][18 + 4])
 
 
 def _exp_reference(x):

@@ -118,6 +118,13 @@ CASES = {
     # at the end; an int column on the template; blind points with snr 0.0 and min_phase "inf"
     "sweep_var_eta_json_3000_rows": (["sweep", "--var", "eta", "--start", "0.2", "--stop", "1.0",
                                       "--steps", "3000", "--n", "41", "--format", "json"], None),
+    # an eta sweep across the overflow of eta**-N (eta near 0.094 at N = 300) and past ln(DBL_MAX) in the
+    # log forms (eta near 0.0085), where min_phase and min_phase_opt turn to "inf"
+    "sweep_var_eta_json_pow_and_exp_overflow": (["sweep", "--var", "eta", "--start", "1e-3", "--stop", "1",
+                                                 "--steps", "1500", "--n", "300", "--format", "json"], None),
+    # a loss sweep at a blind phase: snr 0 and min_phase inf at every point, eta = 1 in the first row
+    "sweep_var_L_csv_blind": (["sweep", "--var", "L", "--start", "0", "--stop", "0.99", "--steps", "1200",
+                               "--n", "5", "--phi0", "0", "--format", "csv"], None),
     "sweep_var_N_json_1001_rows": (["sweep", "--var", "N", "--loss", "0.1", "--start", "1", "--stop", "1001",
                                     "--steps", "1001", "--format", "json"], None),
     "sweep_var_phi0_json_blind": (["sweep", "--var", "phi0", "--eta", "0.5", "--start", "0",

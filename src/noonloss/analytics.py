@@ -125,8 +125,9 @@ def _inv_eta_pow(n: float, eta: float) -> float:
     """eta**-n, exact to an ulp, or inf past DBL_MAX.
 
     This decides whether eta**-N overflows for every scalar form, each of
-    which takes its own log form where it gets inf; optimal_phase_grid writes
-    the same test out inline, and a test holds the two to each other.
+    which takes its own log form where it gets inf.  The two grid loops,
+    optimal_phase_grid and precision_grid's eta sweep, write the same test out
+    inline, and tests hold both to it bit for bit across its lines.
     """
     # decided without raising, since most fig rows overflow; math.log2 costs about a
     # third of math.log in CPython
@@ -435,6 +436,10 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
     that point.  Points are checked in grid order, and the first one outside
     the domain raises the ValueError its LossChannel, NoonProbe or
     OperatingPoint would.
+
+    An eta sweep (the CLI's ``--var eta`` and ``--var L``) runs in one loop
+    of its own, with the angle's sin and cos taken once; N and phi0 sweeps
+    evaluate the scalar forms at each point.
     """
     n_seq, eta_seq, phi_seq = (hasattr(x, "__len__") for x in (n, eta, phi0))
     if n_seq + eta_seq + phi_seq != 1:
@@ -444,17 +449,14 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
     # the first point holds every fixed value; after it only the swept one can fail
     probe, _, op = _build_point(n[0] if n_seq else n, eta[0] if eta_seq else eta, theta_t,
                                 phi0[0] if phi_seq else phi0, delta_phi)
+    if eta_seq:
+        return _eta_columns(probe.n, eta, _angle(probe.n, op.phi0, theta_t), delta_phi)
 
     def points():
         """(N, eta, angle) of each point, in grid order."""
         if n_seq:
             for k in map(_photon_number, n):
                 yield k, eta, _angle(k, _optimal_phi0(k, theta_t) if phi0 is None else phi0, theta_t)
-        elif eta_seq:
-            angle = _angle(probe.n, op.phi0, theta_t)
-            for e in eta:
-                _validate_eta(e)
-                yield probe.n, e, angle
         else:
             for p in phi0:
                 _validate_phases(p, delta_phi)
@@ -469,6 +471,55 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
         snr.append(snr_k)
         min_phase.append(min_phase_k)
         opt.append(_optimal_phase(k, e))
+    return mean, variance, snr, min_phase, opt
+
+
+def _eta_columns(n: int, etas, angle: float, delta_phi: float):
+    """precision_grid's five columns over the checked etas of an eta sweep at
+    fixed N and angle, in grid order.
+
+    The forms of _mean, _variance, _snr_min_phase, _inv_eta_pow and
+    _optimal_phase, written out: the angle's sin and cos, and the signal, are
+    fixed down the sweep, and each point takes log(eta) and eta**-N once, for
+    the noise term and min_phase_opt alike.  Only the paths past ln(DBL_MAX)
+    call the scalar log forms.
+    """
+    n = float(n)  # as each form converts an int N, once here
+    c, s = math.cos(angle), abs(math.sin(angle))
+    ss, half_n, log_n = s * s, n / 2.0, math.log(n)
+    blind = s <= DEGENERACY_TOL
+    ns = n * s
+    try:
+        signal = (ns * delta_phi) ** 2
+    except OverflowError:  # the log path at every point, as in _snr_min_phase; an inf product squares to inf
+        signal = None
+    mean, variance, snr, min_phase, opt = [], [], [], [], []
+    for e in etas:
+        if not 0.0 < e <= 1.0:
+            _validate_eta(e)
+        n_log = n * math.log(e)
+        mean.append(e ** half_n * c)
+        variance.append(-0.5 * math.expm1(n_log) + e ** n * ss)
+        if -n * math.log2(e) > _POW_OVERFLOWS:
+            inv = math.inf
+        else:
+            try:
+                inv = e ** -n
+            except OverflowError:
+                inv = math.inf
+        if blind:
+            snr.append(0.0)
+            min_phase.append(math.inf)
+        else:
+            noise = 0.5 * (math.expm1(-n_log) if inv < math.e else inv - 1.0) + ss
+            if noise < math.inf and signal is not None:
+                snr.append(signal / noise)
+                min_phase.append(math.sqrt(noise) / ns)
+            else:
+                log_min_phase = _log_min_phase(n, e, s)
+                snr.append(0.0 if delta_phi == 0.0 else _exp_or_inf(2.0 * (math.log(abs(delta_phi)) - log_min_phase)))
+                min_phase.append(math.sqrt(noise) / ns if noise < math.inf else _exp_or_inf(log_min_phase))
+        opt.append(math.sqrt(0.5 * (inv + 1.0)) / n if inv < math.inf else _exp_or_inf(0.5 * (-n_log - _LN2) - log_n))
     return mean, variance, snr, min_phase, opt
 
 

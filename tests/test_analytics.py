@@ -602,6 +602,19 @@ def test_optimal_phase_grid_calls_no_scalar_form_per_point(monkeypatch):
     assert len(calls) == 2
 
 
+def test_precision_grid_eta_sweep_calls_no_scalar_form_per_point(monkeypatch):
+    calls = []
+    for name in ("_mean", "_variance", "_snr_min_phase", "_optimal_phase", "_inv_eta_pow"):
+        real = getattr(analytics, name)
+        monkeypatch.setattr(analytics, name, lambda *args, _real=real: calls.append(args) or _real(*args))
+    etas = [k / 2000 for k in range(1, 2001)]  # 2,000 points across the overflow of eta**-N at N = 300
+    for theta_t, phi0 in ((0.0, None), (0.0, 0.0), (0.37, 1.1)):
+        assert all(len(column) == 2000 for column in precision_grid(300, etas, theta_t, phi0, 0.01))
+    assert calls == []
+    precision_report(NoonProbe(2), LossChannel(0.5), OperatingPoint(0.3, 0.01))  # the scalar forms are counted
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("eta, want", [(0.5, math.inf), (1.0, 1e-154)])
 def test_optimal_phase_grid_ratio_past_half_dbl_max(eta, want):
     # 2N overflows at N = 1e308: R_NOON read 0.0 at both points

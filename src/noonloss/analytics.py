@@ -92,8 +92,13 @@ def _photon_number(n) -> int:
 
 
 def _validate_phases(phi0: float, delta_phi: float) -> None:
-    if not (math.isfinite(phi0) and math.isfinite(delta_phi)):
-        raise ValueError("phi0 and delta_phi must be finite")
+    try:
+        if math.isfinite(phi0) and math.isfinite(delta_phi):
+            return
+    except OverflowError:  # an int past DBL_MAX
+        raise ValueError(f"phi0 and delta_phi must be finite, got phi0 = {_int_text(phi0)}, "
+                         f"delta_phi = {_int_text(delta_phi)}") from None
+    raise ValueError("phi0 and delta_phi must be finite")
 
 
 def _exp_or_inf(x: float) -> float:
@@ -152,8 +157,12 @@ class LossChannel:
 
     def __post_init__(self) -> None:
         _validate_eta(self.eta)
-        if not math.isfinite(self.theta_t):
-            raise ValueError(f"theta_t must be finite, got {self.theta_t!r}")
+        try:
+            if math.isfinite(self.theta_t):
+                return
+        except OverflowError:  # an int past DBL_MAX
+            pass
+        raise ValueError(f"theta_t must be finite, got {_int_text(self.theta_t)}")
 
     @property
     def loss(self) -> float:
@@ -209,11 +218,16 @@ def _optimal_phi0(n: int, theta_t: float) -> float:
 
 def _angle(n: int, phi: float, theta_t: float) -> float:
     """N(phi + theta_t), the argument of every sin and cos below; finite phases
-    can still give an infinite product, which is rejected here."""
-    angle = n * (phi + theta_t)
-    if not math.isfinite(angle):
-        raise ValueError(f"N*(phi0 + theta_t) must be finite, got N = {n}, phi0 = {phi!r}, theta_t = {theta_t!r}")
-    return angle
+    can still give an infinite product, which is rejected here, as is an int
+    phase past DBL_MAX."""
+    try:
+        angle = n * (phi + theta_t)
+        if math.isfinite(angle):
+            return angle
+    except OverflowError:  # an int phase past DBL_MAX
+        pass
+    raise ValueError(f"N*(phi0 + theta_t) must be finite, got N = {n}, phi0 = {_int_text(phi)}, "
+                     f"theta_t = {_int_text(theta_t)}")
 
 
 def _mean(n: int, eta: float, c: float) -> float:

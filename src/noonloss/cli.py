@@ -306,23 +306,31 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
 
     Returns the maximum absolute deviation over means and variances, and the
     number of grid points checked.  A seed adds 5 randomly drawn
-    (eta, theta_t, phi) cases per photon number.  ``prefactor_scale`` = s
-    scales the oracle's detection operator (mean by s, variance by s**2), so
-    that the verify sentinel can prove the check bites.
+    (eta, theta_t, phi) cases per photon number, drawn in that order.
+    ``prefactor_scale`` = s scales the oracle's detection operator (mean by
+    s, variance by s**2), so that the verify sentinel can prove the check
+    bites.
+
+    The grid's channels and phases are the same at every N, so each channel
+    is built once per call; each seeded case builds its own.  Each N visits
+    every channel for all its phases in a row, the order the oracle's memos
+    are sized for.
     """
     etas, thetas, phases, _ = VERIFY_GRIDS[grid]
+    angles = [2.0 * math.pi * k / phases for k in range(phases)]
+    grid_cases = [(ch, phi) for ch in (LossChannel(eta, theta) for eta in etas for theta in thetas)
+                  for phi in angles]
     rng = random.Random(seed)
     max_dev = 0.0
     points = 0
     for n in range(1, max_n + 1):
-        cases = [(eta, theta, 2.0 * math.pi * k / phases)
-                 for eta in etas for theta in thetas for k in range(phases)]
+        cases = grid_cases
         if seed is not None:
-            cases += [(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi),
-                       rng.uniform(0.0, 2.0 * math.pi)) for _ in range(5)]
+            drawn = [(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi),
+                      rng.uniform(0.0, 2.0 * math.pi)) for _ in range(5)]
+            cases = grid_cases + [(LossChannel(eta, theta), phi) for eta, theta, phi in drawn]
         probe = NoonProbe(n)
-        for eta, theta, phi in cases:
-            ch = LossChannel(eta, theta)
+        for ch, phi in cases:
             mean_o, var_o = fock_oracle.oracle_moments(n, ch, phi)
             mean_o, var_o = prefactor_scale * mean_o, prefactor_scale ** 2 * var_o
             dev = max(abs(mean_o - analytics.mean_detection(probe, ch, phi)),

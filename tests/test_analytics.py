@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -620,3 +621,38 @@ def test_precision_grid_eta_sweep_calls_no_scalar_form_per_point(monkeypatch):
 def test_optimal_phase_grid_ratio_past_half_dbl_max(eta, want):
     # 2N overflows at N = 1e308: R_NOON read 0.0 at both points
     assert optimal_phase_grid([1e308], eta, ratio=True)[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+# an int phase past DBL_MAX: float conversion raised OverflowError: int too large to convert to float
+INT_PHASES = [(10 ** 400, "an int of 1329 bits"), (-10 ** 5000, "a negative int of 16610 bits")]
+
+
+@pytest.mark.parametrize("form", [mean_detection, variance_detection, min_phase_at, log_min_phase_at])
+@pytest.mark.parametrize("phi, shown", INT_PHASES, ids=["10**400", "-10**5000"])
+def test_int_phase_past_dbl_max_in_the_angle_is_a_value_error(form, phi, shown):
+    # phi + theta_t in analytics._angle raised the OverflowError
+    for theta in (0.0, 0):
+        with pytest.raises(ValueError, match=re.escape(f"N*(phi0 + theta_t) must be finite, got N = 2, "
+                                                       f"phi0 = {shown}, theta_t = {theta!r}")):
+            form(NoonProbe(2), LossChannel(0.5, theta), phi)
+
+
+@pytest.mark.parametrize("theta, shown", INT_PHASES, ids=["10**400", "-10**5000"])
+def test_loss_channel_int_theta_past_dbl_max_is_a_value_error(theta, shown):
+    with pytest.raises(ValueError, match=f"^theta_t must be finite, got {shown}$"):
+        LossChannel(0.5, theta)
+    assert LossChannel(0.5, 10 ** 300).theta_t == 10 ** 300
+
+
+@pytest.mark.parametrize("phi, shown", INT_PHASES, ids=["10**400", "-10**5000"])
+def test_operating_point_int_phase_past_dbl_max_is_a_value_error(phi, shown):
+    with pytest.raises(ValueError, match=f"^phi0 and delta_phi must be finite, got phi0 = {shown}, delta_phi = 0.01$"):
+        OperatingPoint(phi, 0.01)
+    with pytest.raises(ValueError, match=f"^phi0 and delta_phi must be finite, got phi0 = 0.1, delta_phi = {shown}$"):
+        OperatingPoint(0.1, phi)
+    # the phi0 sweep checks each point's phases
+    with pytest.raises(ValueError, match=f"got phi0 = {shown}, delta_phi = 0.01$"):
+        precision_grid(2, 0.5, 0.0, [0.1, phi], 0.01)
+    # a non-finite float keeps the message without values
+    with pytest.raises(ValueError, match="^phi0 and delta_phi must be finite$"):
+        OperatingPoint(math.nan, phi)

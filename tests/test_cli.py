@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -10,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import noonloss
-from noonloss import fock_oracle
-from noonloss.analytics import LossChannel
+from noonloss import analytics, cli, fock_oracle
+from noonloss.analytics import LossChannel, NoonProbe
 from noonloss.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, SweepSpec
 
 from _helpers import parse_csv, run_cli
@@ -252,6 +253,65 @@ def test_verify_corrupt_prefactor_does_not_leak(monkeypatch):
     code, _, _ = run_cli("verify", "--grid", "fast", "--corrupt-prefactor", "--format", "json")
     assert code == EXIT_VERIFY_FAIL
     assert direct and abs(direct[0] - 1.0) <= 1e-12
+
+
+def _verification_per_point(max_n, grid, seed, prefactor_scale):
+    """run_verification with a fresh LossChannel and phase at every point:
+    the loop that building the grid's channels once per call replaced, kept
+    as the bit-for-bit reference."""
+    etas, thetas, phases, _ = cli.VERIFY_GRIDS[grid]
+    rng = random.Random(seed)
+    max_dev = 0.0
+    points = 0
+    for n in range(1, max_n + 1):
+        cases = [(eta, theta, 2.0 * math.pi * k / phases)
+                 for eta in etas for theta in thetas for k in range(phases)]
+        if seed is not None:
+            cases += [(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi),
+                       rng.uniform(0.0, 2.0 * math.pi)) for _ in range(5)]
+        probe = NoonProbe(n)
+        for eta, theta, phi in cases:
+            ch = LossChannel(eta, theta)
+            mean_o, var_o = fock_oracle.oracle_moments(n, ch, phi)
+            mean_o, var_o = prefactor_scale * mean_o, prefactor_scale ** 2 * var_o
+            dev = max(abs(mean_o - analytics.mean_detection(probe, ch, phi)),
+                      abs(var_o - analytics.variance_detection(probe, ch, phi)))
+            max_dev = max(max_dev, dev)
+            points += 1
+    return max_dev, points
+
+
+@pytest.mark.parametrize("prefactor_scale", [1.0, 1.001])
+@pytest.mark.parametrize("seed", [None, 0, 5])
+@pytest.mark.parametrize("grid, max_n", [("fast", 6), ("dense", 5)])
+def test_verification_matches_the_per_point_loop_bit_for_bit(grid, max_n, seed, prefactor_scale, monkeypatch):
+    # every oracle call sees the same (N, eta, theta_t, phi), in the same
+    # order, so the seeded draws still come out as (eta, theta_t, phi) per case
+    calls = []
+    real = fock_oracle.oracle_moments
+
+    def recording(n, ch, phi):
+        calls.append((n, ch.eta.hex(), ch.theta_t.hex(), phi.hex()))
+        return real(n, ch, phi)
+
+    monkeypatch.setattr(fock_oracle, "oracle_moments", recording)
+    got = cli.run_verification(max_n, grid, seed, prefactor_scale)
+    got_calls, calls[:] = calls[:], []
+    want = _verification_per_point(max_n, grid, seed, prefactor_scale)
+    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+    assert got_calls == calls and len(calls) == want[1]
+    if seed is not None:
+        # the last 5 points of each N are its seeded cases, drawn eta, theta_t, phi
+        per_n = len(calls) // max_n
+        rng = random.Random(seed)
+        drawn = []
+        for n in range(1, max_n + 1):
+            for _ in range(5):
+                eta = rng.uniform(0.05, 1.0)
+                theta = rng.uniform(-math.pi, math.pi)
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                drawn.append((n, eta.hex(), theta.hex(), phi.hex()))
+        assert [call for i, call in enumerate(got_calls) if i % per_n >= per_n - 5] == drawn
 
 
 def test_verify_max_n_bound():

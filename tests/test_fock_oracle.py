@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import random
 import re
 from collections import defaultdict
@@ -8,14 +9,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from noonloss import analytics, fock_oracle
+from noonloss import analytics, cli, fock_oracle
 from noonloss.analytics import LossChannel, NoonProbe
 from noonloss.fock_oracle import (
     MAX_PHOTONS,
     FockKet,
     Occupation,
     _detector_terms,
-    _ladder_coefficients,
+    _ladder_table,
     _raising_image,
     apply_detector,
     build_noon_input,
@@ -253,7 +254,7 @@ def _apply_detector_per_call(ket, n, ch, reflection_phase=math.pi / 2):
     t = cmath.rect(math.sqrt(ch.eta), ch.theta_t)
     r = cmath.rect(math.sqrt(1.0 - ch.eta), reflection_phase)
     tc, rc = t.conjugate(), r.conjugate()
-    ladder = _ladder_coefficients(n)
+    ladder = _ladder_table(n).coefficients
     out = defaultdict(complex)
     for occ, amp in ket.amps.items():
         if occ.n_a == n and occ.n_b == 0 and occ.n_v == 0:
@@ -488,3 +489,105 @@ def test_detector_output_keeps_the_amplitude_rule():
     # and outputs below 1e-300 are dropped: 1.2e-300 times 0.5, 0.71 and 0.5
     tiny = FockKet({(2, 0, 0): 1.2e-300 + 0j}, 2)
     assert apply_detector(tiny, 2, LossChannel(0.5, 0.0), reflection_phase=0.0).amps == {}
+
+
+@pytest.mark.parametrize("phi, shown", [(10 ** 400, "an int of 1329 bits"), (-10 ** 5000, "a negative int of 16610 bits")],
+                         ids=["10**400", "-10**5000"])
+def test_build_noon_input_int_phase_past_dbl_max_is_a_value_error(phi, shown):
+    # math.isfinite(n * phi) raised OverflowError: int too large to convert to float
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"N*phi must be finite, got N = 2, phi = {shown}")):
+            build_noon_input(2, phi)
+
+
+def test_oracle_moments_int_phase_past_dbl_max_is_a_value_error():
+    with pytest.raises(ValueError, match=re.escape("N*phi must be finite, got N = 2, phi = an int of 1329 bits")):
+        oracle_moments(2, LossChannel(0.5), 10 ** 400)
+    # an int phase within the float range is a phase like any other
+    assert oracle_moments(2, LossChannel(0.5), 10 ** 300) == oracle_moments(2, LossChannel(0.5), float(10 ** 300))
+
+
+def _noon_input_per_call(n, phi):
+    """The NOON input built afresh through the public FockKet constructor: the
+    build that the memo replaced, kept as the bit-for-bit reference."""
+    n = operator.index(n)
+    amp = 1.0 / math.sqrt(2.0)
+    return FockKet({Occupation(n, 0, 0): complex(amp), Occupation(0, n, 0): cmath.exp(1j * n * phi) * amp}, n)
+
+
+_rng = random.Random(17)
+# (n, phi) and an "equal" twin that Python may key as the same entry
+NOON_TWINS = [
+    ((3, 0.0), (3, -0.0)),
+    ((3, -0.0), (3, 0.0)),
+    ((64, np.float64(-0.0)), (64, np.float64(0.0))),
+    ((5, np.float32(-0.0)), (5, np.float32(0.0))),
+    ((2, 0), (2, -0.0)),
+    ((2, 3), (2, 3.0)),
+    ((2, 3.0), (2, np.float64(3.0))),
+    ((10 ** 20, np.float32(0.5)), (10 ** 20, 0.5)),
+    ((7, -2 ** 60), (7, float(-2 ** 60))),
+    ((True, 0.3), (1, 0.3)),
+    ((1, 0.3), (True, 0.3)),
+    ((np.int64(5), 0.3), (5, 0.3)),
+    ((5, 0.3), (np.int64(5), np.float64(0.3))),
+    ((1, 1.7e308), (1, np.float64(1.7e308))),
+    ((2, -8.9e307), (np.int64(2), -8.9e307)),
+    ((64, 2.8e306), (64, np.float64(2.8e306))),
+    *(((n, phi), (n, np.float64(phi))) for n, phi in
+      ((_rng.randint(1, MAX_PHOTONS), _rng.uniform(-10.0, 10.0)) for _ in range(20))),
+]
+
+
+@pytest.mark.parametrize("key, twin", NOON_TWINS)
+def test_memoized_noon_input_equals_a_fresh_build_bit_for_bit(key, twin):
+    # each key is queried after its twin filled the memo, then again as a hit
+    fock_oracle._noon_input.cache_clear()
+    build_noon_input(*twin)
+    for _ in range(2):
+        got = build_noon_input(*key)
+        want = _noon_input_per_call(*key)
+        assert _bits(got) == _bits(want)
+        assert got.photon_cap == want.photon_cap and type(got.photon_cap) is int
+        assert all(type(x) is int for occ in got.amps for x in occ)
+
+
+@pytest.mark.parametrize("n, phi, message", [
+    (0, 0.0, "a NOON probe needs at least one photon"),
+    (np.int64(-1), 0.3, "a NOON probe needs at least one photon"),
+    (10 ** 400, 0.0, "photon number must be at most DBL_MAX, got an int of 1329 bits"),
+    (2, math.inf, "N*phi must be finite, got N = 2, phi = inf"),
+    (2, math.nan, "N*phi must be finite, got N = 2, phi = nan"),
+    (2, 1e308, "N*phi must be finite, got N = 2, phi = 1e+308"),
+    (2, 10 ** 308, "N*phi must be finite, got N = 2, phi = "),
+    (2, 10 ** 400, "N*phi must be finite, got N = 2, phi = an int of 1329 bits"),
+])
+def test_bad_noon_inputs_raise_on_every_call_and_are_never_stored(n, phi, message):
+    fock_oracle._noon_input.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_noon_input(n, phi)
+        assert fock_oracle._noon_input.cache_info().currsize == 0
+
+
+def test_noon_input_memo_stays_within_its_bound():
+    bound = fock_oracle._noon_input.cache_info().maxsize
+    assert bound == 32
+    for n in (1, 2, 40):
+        for k in range(bound + 40):
+            phi = 0.1 * k
+            assert _bits(build_noon_input(n, phi)) == _bits(_noon_input_per_call(n, phi))
+            assert fock_oracle._noon_input.cache_info().currsize <= bound
+
+
+def test_each_verify_pass_takes_the_same_noon_input_misses():
+    # a pass starts cold at N = 1 whatever an earlier pass left: an unbounded
+    # memo, or one keyed without N, would let the second pass miss less often
+    fock_oracle._noon_input.cache_clear()
+    counts = []
+    for _ in range(2):
+        before = fock_oracle._noon_input.cache_info()
+        assert cli.run_verification(64, "dense", 5) == (5.806466418789569e-14, 12608)
+        after = fock_oracle._noon_input.cache_info()
+        counts.append((after.hits - before.hits, after.misses - before.misses))
+    assert counts == [(11264, 1344)] * 2

@@ -179,6 +179,10 @@ CASES = {
     "optimize_budget_kappa_csv": (["optimize", "--loss", "0.3", "--budget", "1000", "--kappa", "2",
                                    "--format", "csv"], None),
     "optimize_lossless_no_budget": (["optimize", "--eta", "1"], None),
+    # the larger neighbour of each root is better by 1.9e-17 (n_tilde) and 3.4e-17 (n_star) in the log,
+    # far below 1e-15: a 60-digit mpmath argmin picks n_tilde = 127846453 and n_star = 73923836
+    "optimize_budget_root_near_half": (["optimize", "--loss", "1e-8", "--budget", "1000000000000000"], None),
+    "optimize_root_near_half": (["optimize", "--loss", "3e-8"], None),
     # budget
     "budget_text": (["budget", "--eta", "0.5", "--budget", "100"], None),
     "budget_json_fixed_n": (["budget", "--loss", "0.01", "--budget", "10000", "--n", "50", "--kappa", "1.2",

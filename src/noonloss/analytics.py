@@ -50,6 +50,11 @@ _EXP_OVERFLOWS = math.log(sys.float_info.max) + 1e-9
 # the one upper bound of every check of N, int or float: past it float(N)
 # overflows or rounds an int down to DBL_MAX
 _N_MAX = sys.float_info.max
+# _log_step's float form is within about eps*L of the exact difference by a
+# count of its roundings, and within 0.78 eps*L of its 60-digit value at the
+# 20,000 steps of 10,000 seeded losses in [1e-16, 0.99]; outside four times
+# that its sign is exact
+_STEP_SLACK = 4.0 * sys.float_info.epsilon
 # N * N is a finite normal double exactly for N in [2**-511, 2**512)
 _SQUARE_NORMAL = (2.0 ** -511, 2.0 ** 512)
 
@@ -118,6 +123,30 @@ def _exp_or_inf(x: float) -> float:
 def _log_half_1p_exp(a: float) -> float:
     """ln((e**a + 1)/2) for any a >= 0, without overflow."""
     return a + math.log1p(math.exp(-a)) - _LN2
+
+
+def _log_step(n: int, eta: float, big_l: float, weight: float) -> float:
+    """ln f(N + 1) - ln f(N) of f = sqrt(e**(NL) + 1) / N**weight at
+    L = -ln(eta) > 0: the forward difference whose sign ends both integer
+    optimizers, with weight 1 for the optimal-phase precision and 1/2 for
+    R_NOON, each up to a constant factor.
+
+    Its square-root part is half of ln((e**((N+1)L) + 1)/(e**(NL) + 1)),
+    written L + log1p(expm1(-L)/(1 + e**(NL))) so that no large term forms;
+    past the overflow of e**(NL) it is exactly L.  Within _STEP_SLACK * L of
+    0, where the float form's sign may be its rounding's, the difference is
+    taken at 60 digits from the exact eta instead.
+    """
+    d = 0.5 * (big_l + math.log1p(math.expm1(-big_l) / (1.0 + _exp_or_inf(n * big_l)))) \
+        - weight * math.log1p(1.0 / n)
+    if abs(d) > _STEP_SLACK * big_l:
+        return d
+    import decimal  # here, as few solves get this far: at import it costs about 4 ms
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        big_l = -decimal.Decimal(eta).ln()
+        ratio = (((n + 1) * big_l).exp() + 1) / ((n * big_l).exp() + 1)
+        return float(ratio.ln() / 2 - decimal.Decimal(weight) * (decimal.Decimal(n + 1) / n).ln())
 
 
 def _log_2n(n: float) -> float:
@@ -221,6 +250,10 @@ def _angle(n: int, phi: float, theta_t: float) -> float:
     can still give an infinite product, which is rejected here, as is an int
     phase past DBL_MAX."""
     try:
+        if type(phi) is not float or type(theta_t) is not float:
+            # numpy scalars as Python floats: numpy's own sum and product would
+            # overflow with a RuntimeWarning before the check, or wrap in int64
+            phi, theta_t = (x if type(x) is int else float(x) for x in (phi, theta_t))
         angle = n * (phi + theta_t)
         if math.isfinite(angle):
             return angle

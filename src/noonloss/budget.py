@@ -10,7 +10,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .analytics import _exp_or_inf, _float_range, _int_text, _log_2n, _optimal_phase, _photon_number, _validate_eta
+from .analytics import (_exp_or_inf, _float_range, _int_text, _log_2n, _log_step, _optimal_phase, _photon_number,
+                        _validate_eta)
 # bisect_root is unused here; perfbench's tracer patches every roots function in budget by name
 from .roots import bisect_root, integer_argmin
 
@@ -119,13 +120,14 @@ def n_tilde_min_integer(eta: float, b: PhotonBudget) -> int:
     At eta = 1 the whole budget goes into a single measurement.  Otherwise
     d ln R_NOON/dN = 0 reduces to -N ln(eta) = nu_tilde, so the continuous
     minimizer is ``solve_nu_tilde() / -ln(eta)``; the two neighboring
-    integers are compared and the result clamped to the budget.
+    integers are compared by the sign of the forward difference of ln R_NOON
+    (an exact tie goes to the smaller N) and the result clamped to the budget.
     """
     _validate_eta(eta)
     if eta == 1.0:
         return b.n_total
-    root = solve_nu_tilde() / -math.log(eta)
-    return integer_argmin(root, b.n_total, lambda n: log_r_noon(n, eta))
+    big_l = -math.log(eta)
+    return integer_argmin(solve_nu_tilde() / big_l, b.n_total, lambda n: _log_step(n, eta, big_l, 0.5))
 
 
 def d_rnoon_dN_largeloss(n: float, eta: float) -> float:

@@ -28,6 +28,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .analytics import LossChannel, _float_range, _int_text
@@ -139,8 +140,8 @@ def build_noon_input(n: int, phi: float) -> FockKet:
 
     (|N,0,0> + e**(i N phi) |0,N,0>) / sqrt(2)
 
-    The ket is memoized (see :func:`_noon_input`) and shared between calls;
-    like every ket, it is never mutated.
+    The ket is memoized (see :func:`_noon_input`) and shared between calls,
+    so its ``amps`` is a read-only mapping.
     """
     return _noon_input(operator.index(n), phi)
 
@@ -165,17 +166,21 @@ def _noon_input(n: int, phi: float) -> FockKet:
     # past DBL_MAX, n * phi is an OverflowError
     _float_range(n, "photon number")
     try:
-        finite = math.isfinite(n * phi)
+        # a numpy scalar phase is checked as a Python float, the factor that
+        # 1j * n * phi multiplies by: numpy's own product would overflow with a
+        # RuntimeWarning before the check, or wrap in int64
+        finite = math.isfinite(n * (phi if type(phi) is int else float(phi)))
     except OverflowError:  # an int phase whose product with N passes DBL_MAX
         finite = False
     if not finite:
         raise ValueError(f"N*phi must be finite, got N = {n}, phi = {_int_text(phi)}")
     amp = 1.0 / math.sqrt(2.0)
+    # read-only, as every caller shares it
     return FockKet._of_checked_entries(
-        _checked_amplitudes((
+        MappingProxyType(_checked_amplitudes((
             (Occupation(n, 0, 0), complex(amp)),
             (Occupation(0, n, 0), cmath.exp(1j * n * phi) * amp),
-        )),
+        ))),
         n,
     )
 

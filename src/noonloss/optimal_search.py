@@ -59,6 +59,10 @@ def mu_from_nu(nu: float) -> float:
         return analytics._exp_or_inf(0.5 * analytics._log_half_1p_exp(nu) - math.log(nu))
 
 
+# mu, the small-loss precision constant, taken once
+_MU = mu_from_nu(solve_nu())
+
+
 def asymptotic_optimum(loss: float) -> tuple[float, float]:
     """Small-loss predictions (nu/L, mu*L) for the optimal N and precision."""
     if not (0.0 < loss < 1.0):
@@ -83,9 +87,9 @@ def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
 
     d_log_precision_dN vanishes where -N ln(eta) = nu, so its sign change in
     continuous N is bisected from a narrow bracket around
-    ``solve_nu() / -ln(eta)``; then the two neighboring integers are compared,
-    and a root below 1 (large loss) gives 1.
-    Ties between adjacent integers go to the smaller N.
+    ``solve_nu() / -ln(eta)``; then the two neighboring integers are compared
+    by the sign of the forward difference of the log precision, and a root
+    below 1 (large loss) gives 1.  An exact tie goes to the smaller N.
 
     Raises :class:`InvalidEta` unless 0 < eta < 1; the lossless precision
     improves monotonically with N and has no interior optimum.
@@ -109,10 +113,11 @@ def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
     # in n_tilde_min_integer, waits on a change to that test.  A bracket
     # without a sign change raises ValueError in bisect_root.
     nu = solve_nu()
-    guess = nu / -math.log(eta)
+    big_l = -math.log(eta)
+    guess = nu / big_l
     root = bisect_root(slope, guess * (1.0 - 2.0 ** -40), guess * (1.0 + 2.0 ** -40))
 
-    best = integer_argmin(root, n_cap, lambda n: analytics.log_min_phase_opt_continuous(n, eta))
+    best = integer_argmin(root, n_cap, lambda n: analytics._log_step(n, eta, big_l, 1.0))
 
     loss = 1.0 - eta
     return OptimumResult(
@@ -120,5 +125,5 @@ def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
         precision_at_opt=analytics.min_phase_opt_continuous(best, eta),
         continuous_n=root,
         asymptotic_n=nu / loss,
-        asymptotic_precision=mu_from_nu(nu) * loss,
+        asymptotic_precision=_MU * loss,
     )

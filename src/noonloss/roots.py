@@ -33,14 +33,16 @@ def bisect_root(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def integer_argmin(root: float, cap: int, log_objective) -> int:
-    """The better of floor(root) and ceil(root), each clamped to [1, cap],
-    by ``log_objective``.  A tie within 1e-15 keeps the smaller N, which is
-    cheaper to prepare.
+def integer_argmin(root: float, cap: int, step) -> int:
+    """The better of floor(root) and ceil(root), each clamped to [1, cap], of
+    an objective f convex in N, given its forward difference in the log,
+    ``step(N) = ln f(N + 1) - ln f(N)``: ceil iff step(floor) < 0.
+
+    The caller writes the difference so that the large terms of the two logs
+    never meet; an exact 0 keeps the smaller N, which is cheaper to prepare.
     """
     small = min(max(1, math.floor(root)), cap)
     large = min(max(1, math.ceil(root)), cap)
     if small == large:
         return small
-    f_small = log_objective(small)
-    return large if log_objective(large) < f_small - 1e-15 else small
+    return large if step(small) < 0.0 else small

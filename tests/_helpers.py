@@ -5,6 +5,8 @@ import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import mpmath
+
 from noonloss.cli import main
 
 
@@ -57,3 +59,28 @@ def derivative_grid(solve_nu):
         n_star = nu / (-math.log(eta))
         points.extend((ratio * n_star, eta) for ratio in ratios)
     return points
+
+
+def mp_log_precision(n, eta):
+    """ln of the optimal-phase precision sqrt((eta**-N + 1)/2) / N at 60 digits."""
+    with mpmath.workdps(60):
+        eta = mpmath.mpf(eta)
+        return 0.5 * mpmath.log((eta ** -n + 1) / 2) - mpmath.log(n)
+
+
+def mp_log_r_noon(n, eta):
+    """ln R_NOON = ln sqrt(eta (eta**-N + 1) / (2N)) at 60 digits."""
+    with mpmath.workdps(60):
+        eta = mpmath.mpf(eta)
+        return 0.5 * mpmath.log(eta * (eta ** -n + 1) / (2 * n))
+
+
+def exact_integer_argmin(root, cap, mp_log_objective, eta):
+    """The better of floor(root) and ceil(root), each clamped to [1, cap], by
+    ``mp_log_objective(N, eta)`` at 60 digits, a tie keeping the smaller N: the
+    integer step that roots.integer_argmin takes in floating point."""
+    small = min(max(1, math.floor(root)), cap)
+    large = min(max(1, math.ceil(root)), cap)
+    if small == large:
+        return small
+    return large if mp_log_objective(large, eta) < mp_log_objective(small, eta) else small

@@ -1,7 +1,9 @@
 import math
 import re
 import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -635,6 +637,23 @@ def test_int_phase_past_dbl_max_in_the_angle_is_a_value_error(form, phi, shown):
         with pytest.raises(ValueError, match=re.escape(f"N*(phi0 + theta_t) must be finite, got N = 2, "
                                                        f"phi0 = {shown}, theta_t = {theta!r}")):
             form(NoonProbe(2), LossChannel(0.5, theta), phi)
+
+
+@pytest.mark.parametrize("form", [mean_detection, variance_detection, min_phase_at, log_min_phase_at])
+def test_numpy_scalar_phases_in_the_angle_take_python_arithmetic(form):
+    # numpy's scalar sum and product overflowed with a RuntimeWarning before the check, an
+    # exception under -W error, and an int64 product wrapped
+    probe, ch = NoonProbe(2), LossChannel(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("N*(phi0 + theta_t) must be finite, got N = 2, "
+                                                       "phi0 = 1e+308, theta_t = 0.0")):
+            form(probe, ch, np.float64(1e308))
+        with pytest.raises(ValueError, match=re.escape("N*(phi0 + theta_t) must be finite")):
+            form(probe, LossChannel(0.5, np.float64(1.7e308)), np.float64(1.7e308))
+        assert form(probe, ch, np.int64(2 ** 62)) == form(probe, ch, 2 ** 62)
+        assert form(probe, LossChannel(0.5, np.float64(0.25)), np.float64(0.3)) == \
+            form(probe, LossChannel(0.5, 0.25), 0.3)
 
 
 @pytest.mark.parametrize("theta, shown", INT_PHASES, ids=["10**400", "-10**5000"])

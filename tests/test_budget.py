@@ -19,9 +19,9 @@ from noonloss.budget import (
     solve_nu_tilde,
     unentangled_precision,
 )
-from noonloss.roots import bisect_root, integer_argmin
+from noonloss.roots import bisect_root
 
-from _helpers import central_diff, doubling_bracket
+from _helpers import central_diff, doubling_bracket, exact_integer_argmin, mp_log_r_noon
 
 
 def test_photon_budget_validation():
@@ -105,7 +105,8 @@ def test_n_tilde_examples():
 
 
 def bisected_n_tilde(eta, b):
-    """The bracket-and-bisect search on d ln R_NOON/dN that the closed-form root replaced."""
+    """The bracket-and-bisect search on d ln R_NOON/dN that the closed-form root replaced,
+    ended by a 60-digit comparison of the neighbours."""
     if eta == 1.0:
         return b.n_total
     log_eta = math.log(eta)
@@ -114,7 +115,7 @@ def bisected_n_tilde(eta, b):
         return 0.5 * (-log_eta / (1.0 + eta ** x) - 1.0 / x)
 
     root = bisect_root(slope, 1e-9, doubling_bracket(slope))
-    return integer_argmin(root, b.n_total, lambda n: log_r_noon(n, eta))
+    return exact_integer_argmin(root, b.n_total, mp_log_r_noon, eta)
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,16 +124,12 @@ def bisected_n_tilde(eta, b):
                   st.floats(-300.0, 0.0).map(lambda u: 10.0 ** u)),
     n_total=st.integers(1, 10 ** 18),
 )
-# roots near 4.1e13 and 2.4e12 where the two searches pick neighbors that ln R_NOON ties in double precision
+# roots near 4.1e13 and 2.4e12 whose neighbours ln R_NOON ties in double precision
 @example(eta=0.9999999999999691, n_total=10 ** 18)
 @example(eta=0.9999999999994738, n_total=10 ** 18)
 def test_n_tilde_closed_form_matches_the_bisection(eta, n_total):
     b = PhotonBudget(n_total)
-    got, want = n_tilde_min_integer(eta, b), bisected_n_tilde(eta, b)
-    if got != want:
-        # floor and ceil of a root past ~1e7 differ in ln R_NOON by less than its rounding error
-        assert abs(got - want) == 1
-        assert log_r_noon(got, eta) == pytest.approx(log_r_noon(want, eta), rel=1e-15, abs=0.0)
+    assert n_tilde_min_integer(eta, b) == bisected_n_tilde(eta, b)
 
 
 def test_n_tilde_root_past_2_pow_51():

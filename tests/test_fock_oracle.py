@@ -3,7 +3,9 @@ import math
 import operator
 import random
 import re
+import warnings
 from collections import defaultdict
+from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
@@ -470,9 +472,10 @@ def test_oracle_built_kets_hold_occupations_of_int_within_the_cap():
             noon = build_noon_input(n, rng.uniform(0.0, 7.0))
             kets = [noon] + [apply_detector(ket, n, ch, reflection_phase=rng.uniform(-4.0, 4.0))
                              for ket in (noon, _mixed_ket(rng, n), _random_ket(rng, n))]
-            for ket in kets:
+            # the memoized NOON input is shared, so its mapping is read-only
+            for ket, mapping in zip(kets, (MappingProxyType, dict, dict, dict)):
                 assert type(ket.photon_cap) is int and ket.photon_cap == n
-                assert type(ket.amps) is dict and ket.amps
+                assert type(ket.amps) is mapping and ket.amps
                 for occ, amp in ket.amps.items():
                     assert type(occ) is Occupation
                     assert [type(x) for x in occ] == [int, int, int]
@@ -550,6 +553,36 @@ def test_memoized_noon_input_equals_a_fresh_build_bit_for_bit(key, twin):
         assert _bits(got) == _bits(want)
         assert got.photon_cap == want.photon_cap and type(got.photon_cap) is int
         assert all(type(x) is int for occ in got.amps for x in occ)
+
+
+def test_numpy_scalar_phases_are_checked_as_python_floats():
+    # numpy's scalar product overflowed with a RuntimeWarning before the check, an exception
+    # under -W error; an int64 product wrapped, and an int N past int64 did not convert
+    fock_oracle._noon_input.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi in (np.float64(1e308), np.float64(-1e308)):
+            with pytest.raises(ValueError, match=re.escape("N*phi must be finite, got N = 2, phi = ")):
+                build_noon_input(2, phi)
+            with pytest.raises(ValueError, match=re.escape("N*phi must be finite")):
+                oracle_moments(2, LossChannel(0.5), phi)
+        for n, phi in ((2, np.int64(2 ** 62)), (3, np.int64(-2 ** 62)), (2 ** 70, np.int64(2))):
+            assert _bits(build_noon_input(n, phi)) == _bits(_noon_input_per_call(n, phi))
+
+
+def test_memoized_noon_input_is_read_only():
+    # a caller that cleared the shared ket's dict emptied every later build of (2, 0.3)
+    fock_oracle._noon_input.cache_clear()
+    ket, want = build_noon_input(2, 0.3), _bits(_noon_input_per_call(2, 0.3))
+    moments = oracle_moments(2, LossChannel(0.5), 0.3)
+    with pytest.raises(AttributeError):
+        ket.amps.clear()
+    with pytest.raises(TypeError):
+        ket.amps[Occupation(1, 1, 0)] = 1.0
+    with pytest.raises(TypeError):
+        del ket.amps[Occupation(2, 0, 0)]
+    assert build_noon_input(2, 0.3) is ket and _bits(ket) == want
+    assert oracle_moments(2, LossChannel(0.5), 0.3) == moments
 
 
 @pytest.mark.parametrize("n, phi, message", [

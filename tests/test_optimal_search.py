@@ -15,9 +15,9 @@ from noonloss.optimal_search import (
     n_min_integer,
     solve_nu,
 )
-from noonloss.roots import bisect_root, integer_argmin
+from noonloss.roots import bisect_root
 
-from _helpers import doubling_bracket
+from _helpers import doubling_bracket, exact_integer_argmin, mp_log_precision
 
 
 def _scan_argmin(eta, n_max):
@@ -107,12 +107,13 @@ SEEDED_GRID_ETAS = [float(eta) for eta in (*np.geomspace(1e-300, 0.5, 150), *(1.
 
 
 def _full_bracket_search(eta):
-    """n_min_integer's search from [1e-9, first power of 2 past the root]."""
+    """n_min_integer's search from [1e-9, first power of 2 past the root], ended by a
+    60-digit comparison of the neighbours."""
     def slope(x):
         return analytics.d_log_precision_dN(x, eta)
 
     root = bisect_root(slope, 1e-9, doubling_bracket(slope))
-    return integer_argmin(root, DEFAULT_N_CAP, lambda n: analytics.log_min_phase_opt_continuous(n, eta)), root
+    return exact_integer_argmin(root, DEFAULT_N_CAP, mp_log_precision, eta), root
 
 
 def test_seeded_bracket_matches_full_bracket():

@@ -1,8 +1,10 @@
 """The closed forms against 50-digit mpmath: variance_detection, min_phase_at,
 snr_lossy and log_min_phase_at at any operating point, the optimal-phase
 and budgeted forms on both sides of the overflow of eta**-N,
-d_precision_dN, mu_from_nu past the overflow of exp(nu), and the continuous
-single-measurement optimum nu / -ln(eta).  The seven constants that
+d_precision_dN, mu_from_nu past the overflow of exp(nu), the continuous
+single-measurement optimum nu / -ln(eta), and both integer optimizers' picks
+between the neighbours of their roots, with the forward difference that
+decides them.  The seven constants that
 ``noonloss constants`` prints must equal the correctly rounded doubles of
 their closed forms at 60 digits.
 
@@ -14,18 +16,23 @@ a test-only dependency.
 
 import math
 import sys
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from noonloss import analytics
 from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, d_precision_dN, log_min_phase_at,
                                 log_min_phase_opt_continuous, min_phase_at, min_phase_opt, min_phase_opt_continuous,
                                 snr_lossy, variance_detection)
-from noonloss.budget import (PhotonBudget, l_tilde_critical, log_r_noon, mu_tilde, noon_precision_budgeted, r_noon,
-                             r_noon_continuous, solve_nu_tilde)
-from noonloss.optimal_search import eta_critical, loss_critical, mu_from_nu, n_min_integer, solve_nu
+from noonloss.budget import (PhotonBudget, l_tilde_critical, log_r_noon, mu_tilde, n_tilde_min_integer,
+                             noon_precision_budgeted, r_noon, r_noon_continuous, solve_nu_tilde)
+from noonloss.optimal_search import (DEFAULT_N_CAP, eta_critical, loss_critical, mu_from_nu, n_min_integer,
+                                     solve_nu)
+
+from _helpers import exact_integer_argmin, mp_log_precision, mp_log_r_noon
 
 mpmath.mp.dps = 50
 RTOL = 1e-13
@@ -235,3 +242,42 @@ def test_continuous_optimum_within_four_ulps(eta):
     want = mpmath.findroot(lambda x: 2 * (mpmath.exp(-x) + 1) - x, solve_nu()) / -mpmath.log(mpmath.mpf(eta))
     got = n_min_integer(eta).continuous_n
     assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(got)
+
+
+# the loss bands where the former 1e-15 tie margin picked the wrong neighbour of the root most
+# often (N_T = 10**18, cap 1e9), and the large losses where the neighbours are far apart
+optimum_losses = st.one_of(st.floats(-15.0, -12.0), st.floats(-9.0, -6.0),
+                           st.floats(-6.0, math.log10(0.79))).map(lambda u: 10.0 ** u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(optimum_losses)
+@example(1e-8)  # the golden optimize cases: ln R_NOON and the log precision of the
+@example(3e-8)  # neighbours differ by 1.9e-17 and 3.4e-17
+@example(1.0 - 0.9999999999999838)  # the float difference reads +7.9e-31, the exact one -4.6e-31
+@example(1.0 - 0.9999999999999994)  # a root of ...064.5: the float difference reads exactly 0
+def test_integer_optima_are_the_exact_argmin_of_their_neighbours(loss):
+    eta = 1.0 - loss
+    res = n_min_integer(eta)
+    assert res.n_star == exact_integer_argmin(res.continuous_n, DEFAULT_N_CAP, mp_log_precision, eta)
+    root = solve_nu_tilde() / -math.log(eta)
+    assert n_tilde_min_integer(eta, PhotonBudget(10 ** 18)) == exact_integer_argmin(root, 10 ** 18, mp_log_r_noon, eta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(optimum_losses, st.floats(-16.0, math.log10(0.99)).map(lambda u: 10.0 ** u)),
+       st.integers(-2, 2))
+@example(1.0 - 0.9999999999999838, 0)
+def test_log_step_float_form_is_within_a_quarter_of_its_slack(loss, offset):
+    # where its sign is read from the float form, that sign is exact: the form is within eps*L
+    # of the 60-digit difference (0.78 eps*L at worst over 10,000 seeded losses), and it is
+    # read only outside _STEP_SLACK*L = 4 eps*L of 0
+    eta = 1.0 - loss
+    big_l = -math.log(eta)
+    # (nu, weight of ln N) of the optimal-phase precision and of R_NOON
+    for nu, weight, mp_log_objective in ((solve_nu(), 1.0, mp_log_precision), (solve_nu_tilde(), 0.5, mp_log_r_noon)):
+        n = max(1, math.floor(nu / big_l) + offset)
+        want = mp_log_objective(n + 1, eta) - mp_log_objective(n, eta)
+        with mock.patch.object(analytics, "_STEP_SLACK", 0.0):
+            got = analytics._log_step(n, eta, big_l, weight)
+        assert abs(got - want) <= sys.float_info.epsilon * big_l, weight

@@ -34,36 +34,38 @@ def test_bisect_root_without_a_sign_change_raises():
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_integer_argmin_tie_keeps_smaller_n():
+def _never_called(n):
+    raise AssertionError(f"step evaluated at {n}")
+
+
+def test_integer_argmin_takes_ceil_iff_the_step_at_floor_is_negative():
     calls = []
 
-    def flat(n):
-        calls.append(n)
-        return 1.0 if n == 3 else 1.0 - 5e-16
+    def step(value):
+        def at(n):
+            calls.append(n)
+            return value
+        return at
 
-    assert integer_argmin(3.4, 100, flat) == 3
-    assert calls == [3, 4]
-    assert integer_argmin(3.4, 100, lambda n: 1.0 if n == 3 else 1.0 - 2e-15) == 4
+    assert integer_argmin(3.4, 100, step(-5e-324)) == 4
+    assert integer_argmin(3.4, 100, step(5e-324)) == 3
+    # an exact tie keeps the smaller N
+    assert integer_argmin(3.4, 100, step(0.0)) == 3
+    assert integer_argmin(3.4, 100, step(-0.0)) == 3
+    assert calls == [3, 3, 3, 3]
 
 
 def test_integer_argmin_clamps_to_cap():
-    assert integer_argmin(7.5, 5, lambda n: -n) == 5
-    assert integer_argmin(5.5, 5, lambda n: -n) == 5
-    assert integer_argmin(4.5, 5, lambda n: -n) == 5
-    assert integer_argmin(4.5, 5, lambda n: n) == 4
+    assert integer_argmin(7.5, 5, _never_called) == 5
+    assert integer_argmin(5.5, 5, _never_called) == 5
+    assert integer_argmin(4.5, 5, lambda n: -1.0) == 5
+    assert integer_argmin(4.5, 5, lambda n: 1.0) == 4
 
 
 def test_integer_argmin_root_below_one_returns_one():
-    assert integer_argmin(1e-9, 10, lambda n: -n) == 1
-    assert integer_argmin(0.5, 10, lambda n: -n) == 1
+    assert integer_argmin(1e-9, 10, _never_called) == 1
+    assert integer_argmin(0.5, 10, _never_called) == 1
 
 
 def test_integer_argmin_integral_root_has_one_candidate():
-    calls = []
-
-    def objective(n):
-        calls.append(n)
-        return math.log(n)
-
-    assert integer_argmin(6.0, 10, objective) == 6
-    assert calls == []
+    assert integer_argmin(6.0, 10, _never_called) == 6

@@ -2,9 +2,9 @@
 snr_lossy and log_min_phase_at at any operating point, the optimal-phase
 and budgeted forms on both sides of the overflow of eta**-N,
 d_precision_dN, mu_from_nu past the overflow of exp(nu), the continuous
-single-measurement optimum nu / -ln(eta), and both integer optimizers' picks
-between the neighbours of their roots, with the forward difference that
-decides them.  The seven constants that
+single-measurement optimum nu / -ln(eta), and, at 60 digits, both integer
+optimizers' picks between the neighbours of their roots, with the forward
+difference that decides them.  The seven constants that
 ``noonloss constants`` prints must equal the correctly rounded doubles of
 their closed forms at 60 digits.
 

@@ -76,11 +76,14 @@ def mp_log_r_noon(n, eta):
 
 
 def exact_integer_argmin(root, cap, mp_log_objective, eta):
-    """The better of floor(root) and ceil(root), each clamped to [1, cap], by
-    ``mp_log_objective(N, eta)`` at 60 digits, a tie keeping the smaller N: the
-    integer step that roots.integer_argmin takes in floating point."""
-    small = min(max(1, math.floor(root)), cap)
-    large = min(max(1, math.ceil(root)), cap)
-    if small == large:
-        return small
-    return large if mp_log_objective(large, eta) < mp_log_objective(small, eta) else small
+    """The integer N in [1, cap] minimizing the convex ``mp_log_objective(N, eta)``
+    at 60 digits, a tie keeping the smaller N, walked from floor(root) clamped to
+    [1, cap]: exact also where a float root past 2**52 lies an integer or more
+    from the argmin."""
+    n = min(max(1, math.floor(root)), cap)
+    f = lambda m: mp_log_objective(m, eta)
+    while n < cap and f(n + 1) < f(n):
+        n += 1
+    while n > 1 and f(n - 1) <= f(n):
+        n -= 1
+    return n

@@ -127,6 +127,8 @@ def bisected_n_tilde(eta, b):
 # roots near 4.1e13 and 2.4e12 whose neighbours ln R_NOON ties in double precision
 @example(eta=0.9999999999999691, n_total=10 ** 18)
 @example(eta=0.9999999999994738, n_total=10 ** 18)
+# a float root past 2**53 at ...326.0, where the bisected one rounds to ...328 (the real one is ...326.35)
+@example(eta=0.9999999999999999, n_total=11_515_384_876_770_327)
 def test_n_tilde_closed_form_matches_the_bisection(eta, n_total):
     b = PhotonBudget(n_total)
     assert n_tilde_min_integer(eta, b) == bisected_n_tilde(eta, b)

@@ -256,6 +256,11 @@ optimum_losses = st.one_of(st.floats(-15.0, -12.0), st.floats(-9.0, -6.0),
 @example(3e-8)  # neighbours differ by 1.9e-17 and 3.4e-17
 @example(1.0 - 0.9999999999999838)  # the float difference reads +7.9e-31, the exact one -4.6e-31
 @example(1.0 - 0.9999999999999994)  # a root of ...064.5: the float difference reads exactly 0
+# roots past 2**52 an integer or more from the argmin: n_star 19975401847803104 -> ...101,
+# n_tilde 5757692438385162 -> ...163, n_star 6658467282601034 -> ...033
+@example(1.0 - 0.9999999999999999)
+@example(1.0 - 0.9999999999999998)
+@example(1.0 - 0.9999999999999997)
 def test_integer_optima_are_the_exact_argmin_of_their_neighbours(loss):
     eta = 1.0 - loss
     res = n_min_integer(eta)

@@ -69,3 +69,17 @@ def test_integer_argmin_root_below_one_returns_one():
 
 def test_integer_argmin_integral_root_has_one_candidate():
     assert integer_argmin(6.0, 10, _never_called) == 6
+
+
+def test_integer_argmin_walks_by_the_step_past_2_pow_48():
+    # an ulp is 2 past 2**53: the float root may lie an integer or more from the argmin
+    root = 2.0 ** 53
+    at = 2 ** 53
+    assert integer_argmin(root, 2 ** 60, lambda n: n - (at - 3)) == at - 3
+    assert integer_argmin(root, 2 ** 60, lambda n: n - (at + 2)) == at + 2
+    assert integer_argmin(root, 2 ** 60, lambda n: float(n - at)) == at
+    # an exact tie keeps the smaller N, and the walk stops at the cap
+    assert integer_argmin(root, 2 ** 60, lambda n: 0.0 if n >= at - 1 else -1.0) == at - 1
+    assert integer_argmin(root, at + 1, lambda n: -1.0) == at + 1
+    assert integer_argmin(root, at - 2, lambda n: float(n - at)) == at - 2
+    assert integer_argmin(root, at - 2, lambda n: float(n - (at - 5))) == at - 5

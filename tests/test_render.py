@@ -253,3 +253,39 @@ def test_the_re_encode_rule_misses_no_float(value):
     text = "%.12g" % value
     if "." in text and not cli._REENCODE.search(text):
         assert json_float(value) == text
+
+
+class _Recorder(io.StringIO):
+    """A text stream that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("length", [0, 1, cli.WRITE_CHARS - 1, cli.WRITE_CHARS, 2 * cli.WRITE_CHARS + 7])
+def test_write_splits_the_payload_and_keeps_every_character(length):
+    text = "".join(random.Random(length).choices("abéη\n", k=length))
+    stream = _Recorder()
+    cli._write(stream, text)
+    assert stream.getvalue() == text
+    assert all(0 < n <= cli.WRITE_CHARS for n in stream.lengths)
+    assert len(stream.lengths) == -(-length // cli.WRITE_CHARS)
+
+
+@pytest.mark.parametrize("fmt, renderer", [("json", render_json), ("csv", render_csv), ("text", render_text)])
+def test_emit_writes_a_payload_of_several_writes_unchanged(tmp_path, capsys, fmt, renderer):
+    rows = cli.WRITE_CHARS // 8
+    table = Table(["N", "eta", "label"], [list(range(rows)), [k / 7 for k in range(rows)], ["η"] * rows],
+                  json_object_if_single=False)
+    payload = renderer(table)
+    assert len(payload) > 2 * cli.WRITE_CHARS
+    target = tmp_path / f"out.{fmt}"
+    cli.emit(table, fmt, str(target))
+    assert target.read_text(encoding="utf-8") == payload
+    cli.emit(table, fmt, None)
+    assert capsys.readouterr().out == payload

@@ -6,14 +6,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 
 import argparse
 import csv
-import io
 import json
 import math
 import random
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -63,8 +62,6 @@ class Table:
 
 FLOAT_FORMAT = "%.12g"
 CHUNK_ROWS = 1000
-# characters per write of emit's output (see _write)
-WRITE_CHARS = 1 << 18
 
 # where json.dumps(float(text)) differs from text = "%.12g" % value, besides a
 # text with no "." (integral values, inf, -inf and nan): an exponent of 12 to
@@ -126,35 +123,36 @@ def _chunks(row: str, sep: str, table: Table):
     last run shorter: the rows formatted by the % template ``row`` and
     joined by ``sep``, one % string per run."""
     width, length = len(table.columns), len(table)
-    cells = tuple(chain.from_iterable(zip(*table.columns)))
+    cells = chain.from_iterable(zip(*table.columns))
     whole = sep.join([row] * CHUNK_ROWS)
     for start in range(0, length, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, length - start)
         template = whole if rows == CHUNK_ROWS else sep.join([row] * rows)
-        yield rows, template % cells[start * width:(start + rows) * width]
+        yield rows, template % tuple(islice(cells, rows * width))
 
 
-def render_csv(table: Table) -> str:
-    """The table as csv.writer writes it, one line per row.
+def render_csv(table: Table, stream) -> None:
+    """Write the table to the text ``stream`` as csv.writer writes it, one
+    line per row.
 
     The header, and every table with a column that is not numeric, go
-    through csv.writer.  A numeric cell never needs quoting, so a table of
-    numbers only is formatted CHUNK_ROWS rows at a time by one % template,
-    which is the same text at less than half the cost.
+    through csv.writer, one write per line.  A numeric cell never needs
+    quoting, so a table of numbers only is formatted CHUNK_ROWS rows at a
+    time by one % template, which is the same text at less than half the
+    cost, and written one chunk at a time.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(table.names)
     conversions = [_numeric_format(column) for column in table.columns]
     if None in conversions:
         writer.writerows(zip(*map(_text_cells, table.columns)))
-        return buf.getvalue()
-    buf.writelines(text for _, text in _chunks(",".join(conversions) + "\n", "", table))
-    return buf.getvalue()
+        return
+    stream.writelines(text for _, text in _chunks(",".join(conversions) + "\n", "", table))
 
 
-def render_json(table: Table) -> str:
-    """The layout of json.dumps(records, indent=2), written from a template.
+def render_json(table: Table, stream) -> None:
+    """Write the layout of json.dumps(records, indent=2) to the text
+    ``stream``, from a template, one record or chunk per write.
 
     A table of several rows and numbers only is formatted CHUNK_ROWS records
     at a time by one % template, floats as FLOAT_FORMAT.  A chunk keeps that
@@ -166,32 +164,37 @@ def render_json(table: Table) -> str:
     keys = [json.dumps(name) for name in table.names]
     if len(table) == 1 and table.json_object_if_single:
         row = next(zip(*map(_json_cells, table.columns)))
-        return "{\n" + ",\n".join(f"  {key}: {cell}" for key, cell in zip(keys, row)) + "\n}\n"
+        stream.write("{\n" + ",\n".join(f"  {key}: {cell}" for key, cell in zip(keys, row)) + "\n}\n")
+        return
     if not len(table):
-        return "[]\n"
+        stream.write("[]\n")
+        return
     conversions = [_numeric_format(column) for column in table.columns]
     fields = [f"    {key.replace('%', '%%')}: " for key in keys]
     if None in conversions:
         record = "  {\n" + ",\n".join(field + "%s" for field in fields) + "\n  }"
-        return "[\n" + ",\n".join(map(record.__mod__, zip(*map(_json_cells, table.columns)))) + "\n]\n"
-    record = "  {\n" + ",\n".join(map(str.__add__, fields, conversions)) + "\n  }"
-    key_dots = [key.count(".") for key in keys]
-    is_float = [conversion == FLOAT_FORMAT for conversion in conversions]
-    dots = sum(key_dots) + sum(is_float)
-    # per line of a record, "  {", one line per field and "  }": the dots of
-    # a float cell's line (0 on any other), and where a cell starts after
-    # the newline before its line and stops before the one after it
-    line_dots = np.array([0, *(d + 1 if f else 0 for d, f in zip(key_dots, is_float)), 0])
-    value_start = np.array([0, *(len(f"    {key}: ") + 1 for key in keys), 0])
-    value_stop = np.array([0, *[1] * (len(keys) - 1), 0, 0])
-    chunk_dots = np.tile(line_dots, CHUNK_ROWS)
-    parts = ["[\n"]
-    for rows, text in _chunks(record, ",\n", table):
-        if text.count(".") != rows * dots or _REENCODE_AT_END.search(text):
-            text = _reencode_cells(text, chunk_dots, value_start, value_stop)
-        parts += text, ",\n"
-    parts[-1] = "\n]\n"
-    return "".join(parts)
+        texts = map(record.__mod__, zip(*map(_json_cells, table.columns)))
+    else:
+        record = "  {\n" + ",\n".join(map(str.__add__, fields, conversions)) + "\n  }"
+        key_dots = [key.count(".") for key in keys]
+        is_float = [conversion == FLOAT_FORMAT for conversion in conversions]
+        dots = sum(key_dots) + sum(is_float)
+        # per line of a record, "  {", one line per field and "  }": the dots
+        # of a float cell's line (0 on any other), and where a cell starts
+        # after the newline before its line and stops before the one after it
+        line_dots = np.array([0, *(d + 1 if f else 0 for d, f in zip(key_dots, is_float)), 0])
+        value_start = np.array([0, *(len(f"    {key}: ") + 1 for key in keys), 0])
+        value_stop = np.array([0, *[1] * (len(keys) - 1), 0, 0])
+        chunk_dots = np.tile(line_dots, CHUNK_ROWS)
+        texts = (_reencode_cells(text, chunk_dots, value_start, value_stop)
+                 if text.count(".") != rows * dots or _REENCODE_AT_END.search(text) else text
+                 for rows, text in _chunks(record, ",\n", table))
+    stream.write("[\n")
+    stream.write(next(texts))
+    for text in texts:
+        stream.write(",\n")
+        stream.write(text)
+    stream.write("\n]\n")
 
 
 def _reencode_cells(text: str, line_dots, value_start, value_stop) -> str:
@@ -221,38 +224,28 @@ def _reencode_cells(text: str, line_dots, value_start, value_stop) -> str:
     return "".join(out)
 
 
-def render_text(table: Table) -> str:
+def render_text(table: Table, stream) -> None:
+    """Write the table to the text ``stream`` as aligned columns, or as
+    "name = value" lines for a single row, one write per line."""
     cells = [list(_text_cells(column)) for column in table.columns]
     if len(table) == 1:
         width = max(map(len, table.names))
-        return "".join(f"{name:<{width}} = {column[0]}\n" for name, column in zip(table.names, cells))
+        stream.writelines(f"{name:<{width}} = {column[0]}\n" for name, column in zip(table.names, cells))
+        return
     widths = [max([len(name), *map(len, column)]) for name, column in zip(table.names, cells)]
-    lines = ["  ".join(name.ljust(w) for name, w in zip(table.names, widths)).rstrip()]
-    padded = [[cell.ljust(w) for cell in column] for column, w in zip(cells, widths)]
-    lines += ["  ".join(row).rstrip() for row in zip(*padded)]
-    return "\n".join(lines) + "\n"
+    stream.write("  ".join(name.ljust(w) for name, w in zip(table.names, widths)).rstrip() + "\n")
+    padded = [map(str.ljust, column, repeat(w)) for column, w in zip(cells, widths)]
+    stream.writelines("  ".join(row).rstrip() + "\n" for row in zip(*padded))
 
 
 def emit(table: Table, fmt: str, out_path: str | None) -> None:
+    """Render ``table`` in ``fmt`` straight to ``out_path``, or to stdout."""
     renderer = {"csv": render_csv, "json": render_json, "text": render_text}[fmt]
-    payload = renderer(table)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            _write(fh, payload)
+            renderer(table, fh)
     else:
-        _write(sys.stdout, payload)
-
-
-def _write(stream, text: str) -> None:
-    """Write ``text`` to a text stream WRITE_CHARS characters at a time.
-
-    A text stream encodes each write whole, so one write of a large payload
-    holds a second copy of all of it: for a 100,000-point sweep's 19 MB of
-    JSON, a second 19 MB block per call, whose place in the heap moves the
-    process's peak memory by as much from one run to the next.
-    """
-    for start in range(0, len(text), WRITE_CHARS):
-        stream.write(text[start:start + WRITE_CHARS])
+        renderer(table, sys.stdout)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ from noonloss.cli import Table, render_csv, render_json, render_text
 json_float = cli._json_float
 
 
+def rendered(renderer, table) -> str:
+    """The text that ``renderer`` writes for ``table``."""
+    buf = io.StringIO()
+    renderer(table, buf)
+    return buf.getvalue()
+
+
 def _cell_text(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
@@ -114,13 +121,13 @@ def rows_of(columns):
 def check(names, columns, single_object):
     table = Table(names, columns, json_object_if_single=single_object)
     rows = rows_of(columns)
-    assert render_csv(table) == ref_csv(names, rows)
-    assert render_json(table) == ref_json(names, rows, single_object)
+    assert rendered(render_csv, table) == ref_csv(names, rows)
+    assert rendered(render_json, table) == ref_json(names, rows, single_object)
     if rows:
-        assert render_text(table) == ref_text(names, rows)
+        assert rendered(render_text, table) == ref_text(names, rows)
     else:
         # the per-cell renderer raised on an empty table; this one prints the header
-        assert render_text(table) == "  ".join(names).rstrip() + "\n"
+        assert rendered(render_text, table) == "  ".join(names).rstrip() + "\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,7 +151,7 @@ def test_float_column_matches_reference(values):
 def test_special_floats_and_empty_sweep():
     check(["v", "w"], [SPECIAL_FLOATS, [str(v) for v in SPECIAL_FLOATS]], False)
     check(["N", "delta_phi_min"], [[], []], False)
-    assert render_json(Table(["N"], [[]], json_object_if_single=False)) == "[]\n"
+    assert rendered(render_json, Table(["N"], [[]], json_object_if_single=False)) == "[]\n"
 
 
 def _column_kinds(rows):
@@ -217,7 +224,8 @@ def test_clean_numeric_table_is_not_re_encoded(rows, reencoded_calls):
     names, columns = _fast_path_table(rows)
     for column in columns[:3] + columns[5:]:
         assert all("." in text and not cli._REENCODE.search(text) for text in map("%.12g".__mod__, column))
-    assert render_json(Table(names, columns, json_object_if_single=False)) == ref_json(names, rows_of(columns), False)
+    assert rendered(render_json, Table(names, columns, json_object_if_single=False)) == \
+        ref_json(names, rows_of(columns), False)
     assert reencoded_calls == []
 
 
@@ -226,7 +234,7 @@ def test_clean_numeric_table_is_not_re_encoded(rows, reencoded_calls):
 def test_one_bad_cell_in_a_middle_chunk_is_re_encoded_alone(rows, bad, reencoded_calls):
     names, columns = _fast_path_table(rows)
     columns[-1][rows // 2] = bad
-    out = render_json(Table(names, columns, json_object_if_single=False))
+    out = rendered(render_json, Table(names, columns, json_object_if_single=False))
     assert out == ref_json(names, rows_of(columns), False)
     assert reencoded_calls == ["%.12g" % bad]
 
@@ -238,7 +246,7 @@ def test_dense_bad_cells_in_several_columns_are_re_encoded_alone(rows, reencoded
     for j, column in enumerate(float_columns):
         for k in range(j, rows, 3 + j):
             column[k] = REENCODED[(k + j) % len(REENCODED)]
-    out = render_json(Table(names, columns, json_object_if_single=False))
+    out = rendered(render_json, Table(names, columns, json_object_if_single=False))
     assert out == ref_json(names, rows_of(columns), False)
     texts = ["%.12g" % value for row in rows_of(float_columns) for value in row]
     assert reencoded_calls == [text for text in texts if "." not in text or cli._REENCODE.search(text)]
@@ -267,25 +275,32 @@ class _Recorder(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("length", [0, 1, cli.WRITE_CHARS - 1, cli.WRITE_CHARS, 2 * cli.WRITE_CHARS + 7])
-def test_write_splits_the_payload_and_keeps_every_character(length):
-    text = "".join(random.Random(length).choices("abéη\n", k=length))
-    stream = _Recorder()
-    cli._write(stream, text)
-    assert stream.getvalue() == text
-    assert all(0 < n <= cli.WRITE_CHARS for n in stream.lengths)
-    assert len(stream.lengths) == -(-length // cli.WRITE_CHARS)
+def _longest_chunk(payload, fmt, width):
+    """The length of the longest run of CHUNK_ROWS rows in ``payload``, a
+    table of ``width`` columns rendered in ``fmt``, with its line ends and
+    the separators between its records."""
+    lines = payload.splitlines(keepends=True)
+    body, per_row = (lines[1:-1], width + 2) if fmt == "json" else (lines[1:], 1)
+    step = cli.CHUNK_ROWS * per_row
+    return max(sum(map(len, body[start:start + step])) for start in range(0, len(body), step))
 
 
-@pytest.mark.parametrize("fmt, renderer", [("json", render_json), ("csv", render_csv), ("text", render_text)])
-def test_emit_writes_a_payload_of_several_writes_unchanged(tmp_path, capsys, fmt, renderer):
-    rows = cli.WRITE_CHARS // 8
-    table = Table(["N", "eta", "label"], [list(range(rows)), [k / 7 for k in range(rows)], ["η"] * rows],
-                  json_object_if_single=False)
-    payload = renderer(table)
-    assert len(payload) > 2 * cli.WRITE_CHARS
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("rows, label", [(100_000, None), (10_007, "η, \"x\"")], ids=["numeric", "with-text"])
+def test_emit_writes_no_more_than_one_chunk_at_a_time(tmp_path, monkeypatch, fmt, rows, label):
+    names = ["N", "eta", "special"]
+    columns = [list(range(rows)), [k / 7 for k in range(rows)],
+               [SPECIAL_FLOATS[k % len(SPECIAL_FLOATS)] for k in range(rows)]]
+    if label is not None:
+        names[-1], columns[-1] = "label", [label] * rows
+    table = Table(names, columns, json_object_if_single=False)
+    reference = {"csv": ref_csv(names, rows_of(columns)), "json": ref_json(names, rows_of(columns), False),
+                 "text": ref_text(names, rows_of(columns))}[fmt]
     target = tmp_path / f"out.{fmt}"
     cli.emit(table, fmt, str(target))
-    assert target.read_text(encoding="utf-8") == payload
+    assert target.read_text(encoding="utf-8") == reference
+    stdout = _Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
     cli.emit(table, fmt, None)
-    assert capsys.readouterr().out == payload
+    assert stdout.getvalue() == reference
+    assert max(stdout.lengths) <= _longest_chunk(reference, fmt, len(names)) < len(reference) // 9

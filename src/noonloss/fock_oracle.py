@@ -166,10 +166,12 @@ def _noon_input(n: int, phi: float) -> FockKet:
     # past DBL_MAX, n * phi is an OverflowError
     _float_range(n, "photon number")
     try:
-        # a numpy scalar phase is checked as a Python float, the factor that
-        # 1j * n * phi multiplies by: numpy's own product would overflow with a
-        # RuntimeWarning before the check, or wrap in int64
-        finite = math.isfinite(n * (phi if type(phi) is int else float(phi)))
+        # a numpy scalar phase is taken as a Python float, and the phase factor
+        # is formed from this checked product: numpy's own product would
+        # overflow with a RuntimeWarning (as complex64 for a float32 phase) or
+        # wrap in int64
+        angle = n * (phi if type(phi) is int else float(phi))
+        finite = math.isfinite(angle)
     except OverflowError:  # an int phase whose product with N passes DBL_MAX
         finite = False
     if not finite:
@@ -179,7 +181,7 @@ def _noon_input(n: int, phi: float) -> FockKet:
     return FockKet._of_checked_entries(
         MappingProxyType(_checked_amplitudes((
             (Occupation(n, 0, 0), complex(amp)),
-            (Occupation(0, n, 0), cmath.exp(1j * n * phi) * amp),
+            (Occupation(0, n, 0), cmath.exp(1j * angle) * amp),
         ))),
         n,
     )

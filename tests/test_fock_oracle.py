@@ -512,10 +512,12 @@ def test_oracle_moments_int_phase_past_dbl_max_is_a_value_error():
 
 def _noon_input_per_call(n, phi):
     """The NOON input built afresh through the public FockKet constructor: the
-    build that the memo replaced, kept as the bit-for-bit reference."""
+    build that the memo replaced, kept as the bit-for-bit reference.  N*phi
+    is a Python product, exact for an int phase."""
     n = operator.index(n)
+    angle = n * (phi if isinstance(phi, int) else float(phi))
     amp = 1.0 / math.sqrt(2.0)
-    return FockKet({Occupation(n, 0, 0): complex(amp), Occupation(0, n, 0): cmath.exp(1j * n * phi) * amp}, n)
+    return FockKet({Occupation(n, 0, 0): complex(amp), Occupation(0, n, 0): cmath.exp(1j * angle) * amp}, n)
 
 
 _rng = random.Random(17)
@@ -568,6 +570,19 @@ def test_numpy_scalar_phases_are_checked_as_python_floats():
                 oracle_moments(2, LossChannel(0.5), phi)
         for n, phi in ((2, np.int64(2 ** 62)), (3, np.int64(-2 ** 62)), (2 ** 70, np.int64(2))):
             assert _bits(build_noon_input(n, phi)) == _bits(_noon_input_per_call(n, phi))
+
+
+def test_float32_phase_past_the_float32_range_takes_the_float64_product():
+    # N*phi = 6e38 passed the float64 check, then 1j * N * phi overflowed as numpy
+    # complex64: a RuntimeWarning, an exception under -W error, not a ket
+    fock_oracle._noon_input.cache_clear()
+    phi = np.float32(3e38)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ket = build_noon_input(2, phi)
+        moments = oracle_moments(2, LossChannel(0.5), phi)
+    assert _bits(ket) == _bits(build_noon_input(2, float(phi)))
+    assert moments == oracle_moments(2, LossChannel(0.5), float(phi))
 
 
 def test_memoized_noon_input_is_read_only():

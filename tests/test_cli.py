@@ -512,6 +512,35 @@ def test_module_invocation_smoke():
     assert abs(json.loads(proc.stdout)["nu"] - 2.218) < 1e-3
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_sweep_into_a_reader_that_closes_after_one_line(fmt):
+    # the renderers write as they go, so the closed pipe reaches them mid-table
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "noonloss", "sweep", "--var", "eta", "--start", "0.2",
+         "--stop", "1", "--steps", "100000", "--n", "41", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_USAGE
+    assert first.startswith({"csv": "eta,mean,", "json": "[", "text": "eta "}[fmt])
+    assert err.startswith("error: [Errno 32] Broken pipe") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_eta_sweep_with_a_bad_eta_mid_grid_writes_nothing(tmp_path, fmt):
+    # the whole grid is computed before the first write, so the error leaves no partial table
+    argv = ["sweep", "--var", "eta", "--start", "0.5", "--stop", "1.5", "--n", "3", "--format", fmt]
+    target = tmp_path / "out"
+    for extra in ([], ["--out", str(target)]):
+        code, out, err = run_cli(*argv, *extra)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: eta must lie in (0, 1], got 1.00505050505") and err.count("\n") == 1
+        assert not target.exists()
+
+
 _RANGE_ENDS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e6, math.inf, -math.inf, math.nan]),
     # finite ends whose difference or last grid point overflows

@@ -294,8 +294,8 @@ def test_emit_writes_no_more_than_one_chunk_at_a_time(tmp_path, monkeypatch, fmt
     if label is not None:
         names[-1], columns[-1] = "label", [label] * rows
     table = Table(names, columns, json_object_if_single=False)
-    reference = {"csv": ref_csv(names, rows_of(columns)), "json": ref_json(names, rows_of(columns), False),
-                 "text": ref_text(names, rows_of(columns))}[fmt]
+    reference = {"csv": ref_csv, "json": lambda *table: ref_json(*table, False), "text": ref_text}[fmt](
+        names, rows_of(columns))
     target = tmp_path / f"out.{fmt}"
     cli.emit(table, fmt, str(target))
     assert target.read_text(encoding="utf-8") == reference

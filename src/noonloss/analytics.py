@@ -74,7 +74,7 @@ def _real_n_error(n) -> ValueError:
 def _validate_eta(eta: float, n: float = 1.0) -> None:
     """eta in (0, 1]; the forms that treat N as a real number also pass N,
     which must be positive and at most DBL_MAX and is checked first."""
-    # chained and without float(), as it runs in the bisection loop
+    # chained and without float(), which overflows for an int past DBL_MAX
     if not 0 < n <= _N_MAX:
         raise _real_n_error(n)
     if not (0.0 < eta <= 1.0):
@@ -450,7 +450,9 @@ def d_log_precision_dN(n_real: float, eta: float) -> float:
 
     Its root in N is the continuous minimizer of the precision for fixed eta.
     """
-    _validate_eta(eta, n_real)
+    # _validate_eta's test inline, as this runs in the bisection loop; its call raises the message
+    if not (0 < n_real <= _N_MAX and 0.0 < eta <= 1.0):
+        _validate_eta(eta, n_real)
     return -1.0 / n_real - math.log(eta) / (2.0 * (eta ** n_real + 1.0))
 
 

@@ -123,8 +123,8 @@ def n_tilde_min_integer(eta: float, b: PhotonBudget) -> int:
     integers are compared by the sign of the forward difference of ln R_NOON
     (an exact tie goes to the smaller N) and the result clamped to the budget.
     """
-    _validate_eta(eta)
-    if eta == 1.0:
+    if not 0.0 < eta < 1.0:
+        _validate_eta(eta)
         return b.n_total
     big_l = -math.log(eta)
     return integer_argmin(solve_nu_tilde() / big_l, b.n_total, lambda n: _log_step(n, eta, big_l, 0.5))

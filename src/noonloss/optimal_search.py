@@ -122,7 +122,8 @@ def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
     loss = 1.0 - eta
     return OptimumResult(
         n_star=best,
-        precision_at_opt=analytics.min_phase_opt_continuous(best, eta),
+        # eta is checked above, and 1 <= best <= 2e16 as L > 1.1e-16 for eta < 1
+        precision_at_opt=analytics._optimal_phase(best, eta),
         continuous_n=root,
         asymptotic_n=nu / loss,
         asymptotic_precision=_MU * loss,

@@ -17,7 +17,8 @@ def bisect_root(f, lo: float, hi: float) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    if (flo < 0.0) == (fhi < 0.0):
+    lo_negative = flo < 0.0
+    if lo_negative == (fhi < 0.0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -26,7 +27,7 @@ def bisect_root(f, lo: float, hi: float) -> float:
         fmid = f(mid)
         if fmid == 0.0:
             return mid
-        if (fmid < 0.0) == (flo < 0.0):
+        if (fmid < 0.0) == lo_negative:
             lo = mid
         else:
             hi = mid
@@ -46,7 +47,12 @@ def integer_argmin(root: float, cap: int, step) -> int:
     The caller writes the difference so that the large terms of the two logs
     never meet; an exact 0 keeps the smaller N, which is cheaper to prepare.
     """
-    small = min(max(1, math.floor(root)), cap)
+    # clamped by comparisons; math.floor still raises on a nan or infinite root
+    if 1.0 > root > -math.inf:
+        return 1
+    small = math.floor(root)
+    if small > cap:
+        small = cap
     if root >= _WALK_FROM:
         n = small
         while n < cap and step(n) < 0.0:
@@ -55,10 +61,9 @@ def integer_argmin(root: float, cap: int, step) -> int:
             while n > 1 and step(n - 1) >= 0.0:
                 n -= 1
         return n
-    large = min(max(1, math.ceil(root)), cap)
-    if small == large:
+    if small == cap or small == root:  # ceil(root) is small too
         return small
-    return large if step(small) < 0.0 else small
+    return small + 1 if step(small) < 0.0 else small
 
 
 # A root below 2**48 has an error of at most a few of its ulps (2**-4 there),

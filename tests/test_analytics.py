@@ -222,6 +222,23 @@ def test_real_n_forms_reject_an_int_past_the_float_range(form):
         form(10 ** 400, 0.5)
 
 
+_BAD_N = [0, -0.0, -1, math.nan, math.inf, 10 ** 400]
+_BAD_ETA = [0, -0.1, 1.5, math.nan]
+
+
+@pytest.mark.parametrize("n, eta", [(n, 0.5) for n in _BAD_N] + [(2.0, eta) for eta in _BAD_ETA]
+                         + [(n, eta) for n in _BAD_N for eta in _BAD_ETA])
+def test_d_log_precision_dN_raises_the_domain_message(n, eta):
+    # the parent's form called _validate_eta(eta, n) first, so a bad N is named before a bad eta
+    with pytest.raises(ValueError) as want:
+        analytics._validate_eta(eta, n)
+    with pytest.raises(ValueError) as got:
+        d_log_precision_dN(n, eta)
+    assert str(got.value) == str(want.value)
+    if n != 2.0:
+        assert str(got.value).startswith("photon number")
+
+
 def test_one_upper_bound_for_n():
     # an int just past DBL_MAX still passes float(), which rounds it down; the
     # integer types and the real-N forms reject it alike

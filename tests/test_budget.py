@@ -89,6 +89,17 @@ def test_identity_with_baseline(n, eta, n_total):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("eta", [0.0, 1.5, math.nan])
+def test_n_tilde_rejects_eta_with_the_domain_message(eta):
+    # the parent's form: _validate_eta first, then eta == 1 takes the whole budget
+    with pytest.raises(ValueError) as want:
+        analytics._validate_eta(eta)
+    with pytest.raises(ValueError) as got:
+        n_tilde_min_integer(eta, PhotonBudget(50))
+    assert str(got.value) == str(want.value)
+    assert n_tilde_min_integer(1.0, PhotonBudget(10 ** 18)) == 10 ** 18
+
+
 def test_n_tilde_examples():
     assert n_tilde_min_integer(1.0, PhotonBudget(50)) == 50
     assert n_tilde_min_integer(0.01, PhotonBudget(50)) == 1

@@ -168,6 +168,15 @@ def test_local_optimality_and_root_proximity():
             assert abs(res.continuous_n - res.n_star) <= 1.0
 
 
+def test_precision_at_opt_is_the_checked_form_bit_for_bit():
+    # the parent took precision_at_opt from the public, checked min_phase_opt_continuous
+    rng = random.Random(2020)
+    for _ in range(2000):
+        eta = 1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.99))
+        res = n_min_integer(eta)
+        assert res.precision_at_opt == analytics.min_phase_opt_continuous(res.n_star, eta), eta
+
+
 def test_asymptotic_optimum_small_loss_accuracy():
     n_asym, p_asym = asymptotic_optimum(0.01)
     n_exact = _scan_argmin(0.99, 3000)

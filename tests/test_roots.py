@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noonloss.roots import bisect_root, integer_argmin
 
@@ -83,3 +85,48 @@ def test_integer_argmin_walks_by_the_step_past_2_pow_48():
     assert integer_argmin(root, at + 1, lambda n: -1.0) == at + 1
     assert integer_argmin(root, at - 2, lambda n: float(n - at)) == at - 2
     assert integer_argmin(root, at - 2, lambda n: float(n - (at - 5))) == at - 5
+
+
+def _clamped_floor_ceil_argmin(root, cap, step):
+    """integer_argmin below 2**48 in its earlier form, clamped by min and max."""
+    small = min(max(1, math.floor(root)), cap)
+    large = min(max(1, math.ceil(root)), cap)
+    if small == large:
+        return small
+    return large if step(small) < 0.0 else small
+
+
+def _near_integers(k):
+    x = float(k)
+    return st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)])
+
+
+_ROOTS_BELOW_WALK = st.one_of(
+    st.floats(-5.0, 2.0 ** 48, exclude_max=True),
+    st.integers(-5, 2 ** 48 - 1).flatmap(_near_integers),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(root=_ROOTS_BELOW_WALK, cap=st.sampled_from([1, 2, 10 ** 18]),
+       sign=st.sampled_from([-1.0, -0.0, 0.0, 1.0]))
+def test_integer_argmin_matches_the_min_max_clamp(root, cap, sign):
+    got_calls, want_calls = [], []
+
+    def step(calls):
+        def at(n):
+            calls.append(n)
+            return sign
+        return at
+
+    assert integer_argmin(root, cap, step(got_calls)) == _clamped_floor_ceil_argmin(root, cap, step(want_calls))
+    assert got_calls == want_calls
+
+
+@pytest.mark.parametrize("cap", [1, 2, 10 ** 18])
+@pytest.mark.parametrize("root", [math.nan, math.inf, -math.inf])
+def test_integer_argmin_non_finite_root_raises_as_math_floor_does(root, cap):
+    with pytest.raises(Exception) as want:
+        _clamped_floor_ceil_argmin(root, cap, _never_called)
+    with pytest.raises(type(want.value)):
+        integer_argmin(root, cap, _never_called)

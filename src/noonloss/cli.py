@@ -699,8 +699,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc} (domains: 0 < eta <= 1, 0 <= L < 1, N >= 1, N_T >= 1)", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

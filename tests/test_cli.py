@@ -358,6 +358,15 @@ def test_out_file(tmp_path):
     assert abs(doc["nu"] - 2.218) < 1e-3
 
 
+def test_out_into_a_missing_directory_is_one_error_line_without_the_domain_hint(tmp_path):
+    # the domain hint belongs to a bad value, not to a file the system cannot open
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli("constants", "--format", "json", "--out", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert not target.parent.exists()
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec("N", 5.0, 1.0, 10)

@@ -696,14 +696,11 @@ def main(argv=None) -> int:
         if args.config:
             args = _apply_config(parser, argv, args)
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc} (domains: 0 < eta <= 1, 0 <= L < 1, N >= 1, N_T >= 1)", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -47,7 +47,7 @@ def integer_argmin(root: float, cap: int, step) -> int:
     The caller writes the difference so that the large terms of the two logs
     never meet; an exact 0 keeps the smaller N, which is cheaper to prepare.
     """
-    # clamped by comparisons; math.floor still raises on a nan or infinite root
+    # comparisons in place of min and max; a nan or infinite root reaches math.floor, which raises
     if 1.0 > root > -math.inf:
         return 1
     small = math.floor(root)

@@ -229,7 +229,7 @@ _BAD_ETA = [0, -0.1, 1.5, math.nan]
 @pytest.mark.parametrize("n, eta", [(n, 0.5) for n in _BAD_N] + [(2.0, eta) for eta in _BAD_ETA]
                          + [(n, eta) for n in _BAD_N for eta in _BAD_ETA])
 def test_d_log_precision_dN_raises_the_domain_message(n, eta):
-    # the parent's form called _validate_eta(eta, n) first, so a bad N is named before a bad eta
+    # the checked form, _validate_eta(eta, n), names a bad N before a bad eta
     with pytest.raises(ValueError) as want:
         analytics._validate_eta(eta, n)
     with pytest.raises(ValueError) as got:

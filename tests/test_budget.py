@@ -91,7 +91,7 @@ def test_identity_with_baseline(n, eta, n_total):
 
 @pytest.mark.parametrize("eta", [0.0, 1.5, math.nan])
 def test_n_tilde_rejects_eta_with_the_domain_message(eta):
-    # the parent's form: _validate_eta first, then eta == 1 takes the whole budget
+    # the checked form: _validate_eta's message, and eta = 1 takes the whole budget
     with pytest.raises(ValueError) as want:
         analytics._validate_eta(eta)
     with pytest.raises(ValueError) as got:

@@ -169,7 +169,7 @@ def test_local_optimality_and_root_proximity():
 
 
 def test_precision_at_opt_is_the_checked_form_bit_for_bit():
-    # the parent took precision_at_opt from the public, checked min_phase_opt_continuous
+    # precision_at_opt skips the checks of min_phase_opt_continuous, and none of its bits
     rng = random.Random(2020)
     for _ in range(2000):
         eta = 1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.99))

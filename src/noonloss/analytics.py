@@ -55,8 +55,6 @@ _N_MAX = sys.float_info.max
 # 20,000 steps of 10,000 seeded losses in [1e-16, 0.99]; outside four times
 # that its sign is exact
 _STEP_SLACK = 4.0 * sys.float_info.epsilon
-# N * N is a finite normal double exactly for N in [2**-511, 2**512)
-_SQUARE_NORMAL = (2.0 ** -511, 2.0 ** 512)
 
 
 def _int_text(value) -> str:
@@ -155,24 +153,6 @@ def _log_2n(n: float) -> float:
     return math.log(two_n) if two_n < math.inf else _LN2 + math.log(n)
 
 
-def _inv_eta_pow(n: float, eta: float) -> float:
-    """eta**-n, exact to an ulp, or inf past DBL_MAX.
-
-    This decides whether eta**-N overflows for every scalar form, each of
-    which takes its own log form where it gets inf.  The two grid loops,
-    optimal_phase_grid and precision_grid's eta sweep, write the same test out
-    inline, and tests hold both to it bit for bit across its lines.
-    """
-    # decided without raising, since most fig rows overflow; math.log2 costs about a
-    # third of math.log in CPython
-    if -n * math.log2(eta) > _POW_OVERFLOWS:
-        return math.inf
-    try:
-        return eta ** -n
-    except OverflowError:  # within the rounding of N log2(eta) of log2(DBL_MAX)
-        return math.inf
-
-
 @dataclass(frozen=True)
 class LossChannel:
     """One-arm loss channel: fraction ``eta`` of the intensity survives.
@@ -263,26 +243,17 @@ def _angle(n: int, phi: float, theta_t: float) -> float:
                      f"theta_t = {_int_text(theta_t)}")
 
 
-def _mean(n: int, eta: float, c: float) -> float:
-    """mean_detection at c = cos(N(phi + theta_t))."""
-    return eta ** (n / 2.0) * c
-
-
-def _variance(n: int, eta: float, s: float) -> float:
-    """variance_detection at s = sin(N(phi + theta_t)), as (1 - eta**N)/2 + eta**N s^2: no cancellation."""
-    return -0.5 * math.expm1(n * math.log(eta)) + eta ** n * (s * s)
-
-
 def mean_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
     """<A'_N> = eta**(N/2) * cos(N(phi + theta_t))."""
     n = probe.n
-    return _mean(n, ch.eta, math.cos(_angle(n, phi, ch.theta_t)))
+    return ch.eta ** (n / 2.0) * math.cos(_angle(n, phi, ch.theta_t))
 
 
 def variance_detection(probe: NoonProbe, ch: LossChannel, phi: float) -> float:
-    """Var A'_N = (1 + eta**N)/2 - eta**N * cos^2(N(phi + theta_t))."""
-    n = probe.n
-    return _variance(n, ch.eta, math.sin(_angle(n, phi, ch.theta_t)))
+    """Var A'_N = (1 + eta**N)/2 - eta**N * cos^2(N(phi + theta_t)), written
+    (1 - eta**N)/2 + eta**N sin^2: no cancellation."""
+    n, eta, s = probe.n, ch.eta, math.sin(_angle(probe.n, phi, ch.theta_t))
+    return -0.5 * math.expm1(n * math.log(eta)) + eta ** n * (s * s)
 
 
 def _log_min_phase(n: int, eta: float, s: float) -> float:
@@ -299,37 +270,6 @@ def _log_min_phase(n: int, eta: float, s: float) -> float:
     return half_a + 0.5 * math.log(-0.5 * math.expm1(-a) / (s * s) + math.exp(-a)) - math.log(n)
 
 
-def _snr_min_phase(n: int, eta: float, s: float, delta_phi: float):
-    """(snr, min_phase, degenerate) at |sin(N(phi0 + theta_t))| = s.
-
-    The noise term (eta**-N - 1)/2 + s^2 is a sum of two nonnegative terms,
-    accurate near blind operating points, where the equal
-    (eta**-N + 1)/2 - cos^2 cancels.  A blind operating point
-    (s <= DEGENERACY_TOL) gives (0, inf, True).  Where the noise term
-    overflows, min_phase is exp(ln min_phase); where it or the signal
-    (N s delta_phi)**2 overflows, the SNR is (delta_phi / min_phase)**2
-    through ln(min_phase).
-    """
-    if s <= DEGENERACY_TOL:
-        return 0.0, math.inf, True
-    # eta**-N - 1: below eta**-N = e (N|ln eta| = 1) expm1 avoids the cancellation
-    # as eta -> 1; above, the power is exact to an ulp, while expm1 would scale the
-    # rounding of N ln eta by N|ln eta|
-    inv = _inv_eta_pow(n, eta)
-    noise = 0.5 * (math.expm1(-n * math.log(eta)) if inv < math.e else inv - 1.0) + s * s
-    if noise < math.inf:
-        min_phase = math.sqrt(noise) / (n * s)
-        try:
-            return (n * s * delta_phi) ** 2 / noise, min_phase, False
-        except OverflowError:  # the signal alone overflows
-            log_min_phase = _log_min_phase(n, eta, s)
-    else:
-        log_min_phase = _log_min_phase(n, eta, s)
-        min_phase = _exp_or_inf(log_min_phase)
-    snr = 0.0 if delta_phi == 0.0 else _exp_or_inf(2.0 * (math.log(abs(delta_phi)) - log_min_phase))
-    return snr, min_phase, False
-
-
 def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResult:
     """Small-change signal-to-noise ratio at phi0.
 
@@ -339,9 +279,9 @@ def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResul
     instead of raising.  Where the signal or the noise term overflows, the
     value comes from ln(min_phase).
     """
-    n = probe.n
-    snr, _, degenerate = _snr_min_phase(n, ch.eta, abs(math.sin(_angle(n, op.phi0, ch.theta_t))), op.delta_phi)
-    return SnrResult(snr, degenerate)
+    angle = _angle(probe.n, op.phi0, ch.theta_t)
+    return SnrResult(_eta_columns(probe.n, [ch.eta], angle, op.delta_phi)[2][0],
+                     abs(math.sin(angle)) <= DEGENERACY_TOL)
 
 
 def min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
@@ -351,7 +291,7 @@ def min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
     overflows, the value is exp(log_min_phase_at), finite wherever that is.
     """
     n = probe.n
-    return _snr_min_phase(n, ch.eta, abs(math.sin(_angle(n, phi0, ch.theta_t))), 0.0)[1]
+    return _eta_columns(n, [ch.eta], _angle(n, phi0, ch.theta_t), 0.0)[3][0]
 
 
 def log_min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
@@ -360,40 +300,10 @@ def log_min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
     return _log_min_phase(n, ch.eta, abs(math.sin(_angle(n, phi0, ch.theta_t))))
 
 
-def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
-    """sqrt((eta**-N + 1)/2) / N, the precision at the optimal phase, from one
-    _inv_eta_pow; with ``n_total`` the budgeted precision sqrt((eta**-N + 1)/2)
-    / sqrt(N N_T), and with ``ratio`` R_NOON = sqrt(eta (eta**-N + 1)/(2N)).
-
-    Where eta**-N overflows each is exp of its log form.  There
-    a = N|ln eta| > 709, so adding ln(1 + eta**N) = ln(1 + e**-a) < 1e-307 to
-    it changes no bit: the log forms leave that term out.
-    """
-    inv = _inv_eta_pow(n, eta)
-    if inv < math.inf:
-        if ratio:
-            # past DBL_MAX/2, where 2N overflows, eta**-N is finite only at eta = 1
-            two_n = 2.0 * n
-            return math.sqrt(eta * (inv + 1.0) / two_n if two_n < math.inf else 0.5 * (eta * (inv + 1.0)) / n)
-        root = math.sqrt(0.5 * (inv + 1.0))
-        if n_total is None:
-            return root / n
-        try:
-            return root / math.sqrt(n * n_total)
-        except OverflowError:  # N N_T past the float range, each factor within it
-            return root / (math.sqrt(n) * math.sqrt(n_total))
-    log_eta = math.log(eta)
-    a = -n * log_eta
-    if ratio:
-        return _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)))
-    log_n = math.log(n) if n_total is None else 0.5 * math.log(n * n_total)
-    return _exp_or_inf(0.5 * (a - _LN2) - log_n)
-
-
 def min_phase_opt_continuous(n: float, eta: float) -> float:
     """min_phase at the optimal operating phase, N treated as a real number."""
     _validate_eta(eta, n)
-    return _optimal_phase(n, eta)
+    return optimal_phase_grid([n], eta)[0]
 
 
 def min_phase_opt(probe: NoonProbe, eta: float) -> float:
@@ -423,26 +333,15 @@ def log_min_phase_opt(probe: NoonProbe, eta: float) -> float:
 def d_precision_dN(n_real: float, eta: float) -> float:
     """Derivative of the optimal-phase precision with respect to real N.
 
-    -(1/N^2) sqrt((eta**-N + 1)/2) - (eta**-N ln eta)/(4N) / sqrt((eta**-N + 1)/2)
+    -(1/N^2) sqrt((eta**-N + 1)/2) - (eta**-N ln eta)/(4N) / sqrt((eta**-N + 1)/2),
+    taken as the precision times d_log_precision_dN.  Where the precision
+    overflows but the product need not, the product is exp of the sum of
+    their logs.
     """
-    _validate_eta(eta, n_real)
-    log_eta = math.log(eta)
-    a = -n_real * log_eta
-    # factor out e**(a/2): both terms share it, and it is the only piece
-    # that can overflow; it can do so where the product does not, so it is
-    # applied as a/2 + ln|bracket|
-    s = math.sqrt(0.5 * (1.0 + math.exp(-a)))
-    if _SQUARE_NORMAL[0] <= n_real < _SQUARE_NORMAL[1]:
-        bracket = -s / (n_real * n_real) - log_eta / (4.0 * n_real * s)
-        log_n = 0.0
-    else:
-        # N * N would leave the normal range (and 4N overflow past DBL_MAX/4):
-        # this is N times the bracket, and ln N comes off its log
-        bracket = -s / n_real - log_eta / (4.0 * s)
-        log_n = math.log(n_real)
-    if bracket == 0.0:
-        return 0.0
-    return math.copysign(_exp_or_inf(0.5 * a + math.log(abs(bracket)) - log_n), bracket)
+    precision, d_log = min_phase_opt_continuous(n_real, eta), d_log_precision_dN(n_real, eta)
+    if precision == math.inf and d_log:
+        return math.copysign(_exp_or_inf(log_min_phase_opt_continuous(n_real, eta) + math.log(abs(d_log))), d_log)
+    return precision * d_log
 
 
 def d_log_precision_dN(n_real: float, eta: float) -> float:
@@ -460,11 +359,10 @@ def precision_report(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> P
     """Evaluate mean, variance, SNR, and minimum phase at one operating point."""
     n, eta = probe.n, ch.eta
     angle = _angle(n, op.phi0, ch.theta_t)
-    c, s = math.cos(angle), abs(math.sin(angle))
-    snr, min_phase, degenerate = _snr_min_phase(n, eta, s, op.delta_phi)
-    return PrecisionReport(mean=_mean(n, eta, c), variance=_variance(n, eta, s), snr=snr,
-                           min_phase=min_phase, log_min_phase=_log_min_phase(n, eta, s),
-                           degenerate=degenerate)
+    s = abs(math.sin(angle))
+    (mean,), (variance,), (snr,), (min_phase,), _ = _eta_columns(n, [eta], angle, op.delta_phi)
+    return PrecisionReport(mean=mean, variance=variance, snr=snr, min_phase=min_phase,
+                           log_min_phase=_log_min_phase(n, eta, s), degenerate=s <= DEGENERACY_TOL)
 
 
 def _build_point(n, eta: float, theta_t: float, phi0, delta_phi: float):
@@ -486,9 +384,9 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
     the domain raises the ValueError its LossChannel, NoonProbe or
     OperatingPoint would.
 
-    An eta sweep (the CLI's ``--var eta`` and ``--var L``) runs in one loop
-    of its own, with the angle's sin and cos taken once; N and phi0 sweeps
-    evaluate the scalar forms at each point.
+    An eta sweep (the CLI's ``--var eta`` and ``--var L``) is one
+    _eta_columns loop, with the angle's sin and cos taken once; N and phi0
+    sweeps call it on one point at a time, as precision_report does.
     """
     n_seq, eta_seq, phi_seq = (hasattr(x, "__len__") for x in (n, eta, phi0))
     if n_seq + eta_seq + phi_seq != 1:
@@ -502,36 +400,31 @@ def precision_grid(n, eta, theta_t: float, phi0, delta_phi: float):
         return _eta_columns(probe.n, eta, _angle(probe.n, op.phi0, theta_t), delta_phi)
 
     def points():
-        """(N, eta, angle) of each point, in grid order."""
+        """(N, angle) of each point, in grid order."""
         if n_seq:
             for k in map(_photon_number, n):
-                yield k, eta, _angle(k, _optimal_phi0(k, theta_t) if phi0 is None else phi0, theta_t)
+                yield k, _angle(k, _optimal_phi0(k, theta_t) if phi0 is None else phi0, theta_t)
         else:
             for p in phi0:
                 _validate_phases(p, delta_phi)
-                yield probe.n, eta, _angle(probe.n, p, theta_t)
+                yield probe.n, _angle(probe.n, p, theta_t)
 
-    mean, variance, snr, min_phase, opt = [], [], [], [], []
-    for k, e, angle in points():
-        s = abs(math.sin(angle))
-        mean.append(_mean(k, e, math.cos(angle)))
-        variance.append(_variance(k, e, s))
-        snr_k, min_phase_k, _ = _snr_min_phase(k, e, s, delta_phi)
-        snr.append(snr_k)
-        min_phase.append(min_phase_k)
-        opt.append(_optimal_phase(k, e))
-    return mean, variance, snr, min_phase, opt
+    columns = [], [], [], [], []
+    for k, angle in points():
+        for column, (value,) in zip(columns, _eta_columns(k, [eta], angle, delta_phi)):
+            column.append(value)
+    return columns
 
 
 def _eta_columns(n: int, etas, angle: float, delta_phi: float):
-    """precision_grid's five columns over the checked etas of an eta sweep at
-    fixed N and angle, in grid order.
+    """mean, variance, snr, min_phase and min_phase_opt at fixed N and angle
+    over ``etas``, in grid order: an eta sweep, and on one eta every scalar query.
 
-    The forms of _mean, _variance, _snr_min_phase, _inv_eta_pow and
-    _optimal_phase, written out: the angle's sin and cos, and the signal, are
-    fixed down the sweep, and each point takes log(eta) and eta**-N once, for
-    the noise term and min_phase_opt alike.  Only the paths past ln(DBL_MAX)
-    call the scalar log forms.
+    The noise term (eta**-N - 1)/2 + s^2, s = |sin(angle)|, sums two
+    nonnegative terms, so it stays accurate near blind points (s <=
+    DEGENERACY_TOL: snr 0, min_phase inf), where (eta**-N + 1)/2 - cos^2
+    cancels.  Where it or the signal (N s delta_phi)**2 overflows, snr and
+    min_phase come from ln(min_phase).
     """
     n = float(n)  # as each form converts an int N, once here
     c, s = math.cos(angle), abs(math.sin(angle))
@@ -540,7 +433,7 @@ def _eta_columns(n: int, etas, angle: float, delta_phi: float):
     ns = n * s
     try:
         signal = (ns * delta_phi) ** 2
-    except OverflowError:  # the log path at every point, as in _snr_min_phase; an inf product squares to inf
+    except OverflowError:  # the log path at every point; an inf product squares to inf
         signal = None
     mean, variance, snr, min_phase, opt = [], [], [], [], []
     for e in etas:
@@ -549,6 +442,8 @@ def _eta_columns(n: int, etas, angle: float, delta_phi: float):
         n_log = n * math.log(e)
         mean.append(e ** half_n * c)
         variance.append(-0.5 * math.expm1(n_log) + e ** n * ss)
+        # eta**-N, or inf, decided without raising as most lossy rows overflow (log2 costs
+        # a third of log in CPython); the try catches the rounding band of N log2(eta)
         if -n * math.log2(e) > _POW_OVERFLOWS:
             inv = math.inf
         else:
@@ -560,6 +455,8 @@ def _eta_columns(n: int, etas, angle: float, delta_phi: float):
             snr.append(0.0)
             min_phase.append(math.inf)
         else:
+            # eta**-N - 1: below e, expm1 avoids the cancellation as eta -> 1; above, the
+            # power is exact to an ulp, while expm1 would scale N ln eta's rounding by N|ln eta|
             noise = 0.5 * (math.expm1(-n_log) if inv < math.e else inv - 1.0) + ss
             if noise < math.inf and signal is not None:
                 snr.append(signal / noise)
@@ -572,22 +469,23 @@ def _eta_columns(n: int, etas, angle: float, delta_phi: float):
     return mean, variance, snr, min_phase, opt
 
 
-def optimal_phase_grid(ns, eta: float, ratio: bool = False) -> list:
-    """min_phase_opt_continuous, or with ``ratio`` R_NOON (r_noon_continuous),
-    at each N of ``ns``: the columns of the fig2 and fig3 sweeps.
+def optimal_phase_grid(ns, eta: float, ratio: bool = False, n_total=None) -> list:
+    """The precision at the optimal phase, sqrt((eta**-N + 1)/2) / N, at each N
+    of ``ns``; with ``ratio`` R_NOON = sqrt(eta (eta**-N + 1)/(2N)), and with
+    ``n_total`` the budgeted sqrt((eta**-N + 1)/2) / sqrt(N N_T): the fig2 and
+    fig3 columns, and on one N every scalar query's.
 
-    eta is checked once, and each N in grid order; every value equals, bit
-    for bit, the scalar function's at that point.
+    eta is checked once, and each N in grid order.  Where eta**-N overflows,
+    a = N|ln eta| > 709 and each value is exp of its log form, which leaves
+    out ln(1 + e**-a) < 1e-307 as it changes no bit.
     """
     _validate_eta(eta)
-    # the forms of _inv_eta_pow and _optimal_phase, written out: eta is fixed
-    # down the column, so its logs are taken once, and a call per point would
-    # cost more than the forms themselves
     log2_eta, log_eta = math.log2(eta), math.log(eta)
     column = []
     for n in ns:
         if not 0 < n <= _N_MAX:
             raise _real_n_error(n)
+        # eta**-N as in _eta_columns: the one test of its overflow per swept axis
         if -n * log2_eta > _POW_OVERFLOWS:
             inv = math.inf
         else:
@@ -597,12 +495,21 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False) -> list:
                 inv = math.inf
         if inv < math.inf:
             if ratio:
+                # past DBL_MAX/2, where 2N overflows, eta**-N is finite only at eta = 1
                 two_n = 2.0 * n
                 value = math.sqrt(eta * (inv + 1.0) / two_n if two_n < math.inf else 0.5 * (eta * (inv + 1.0)) / n)
             else:
-                value = math.sqrt(0.5 * (inv + 1.0)) / n
+                root = math.sqrt(0.5 * (inv + 1.0))
+                try:
+                    value = root / (n if n_total is None else math.sqrt(n * n_total))
+                except OverflowError:  # N N_T past the float range, each factor within it
+                    value = root / (math.sqrt(n) * math.sqrt(n_total))
         else:
             a = -n * log_eta
-            value = _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)) if ratio else 0.5 * (a - _LN2) - math.log(n))
+            if ratio:
+                value = _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)))
+            else:
+                log_n = math.log(n) if n_total is None else 0.5 * math.log(n * n_total)
+                value = _exp_or_inf(0.5 * (a - _LN2) - log_n)
         column.append(value)
     return column

@@ -10,8 +10,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .analytics import (_exp_or_inf, _float_range, _int_text, _log_2n, _log_step, _optimal_phase, _photon_number,
-                        _validate_eta)
+from .analytics import (_exp_or_inf, _float_range, _int_text, _log_2n, _log_step, _photon_number, _validate_eta,
+                        optimal_phase_grid)
 # bisect_root is unused here; perfbench's tracer patches every roots function in budget by name
 from .roots import bisect_root, integer_argmin
 
@@ -70,7 +70,7 @@ def log_r_noon(n: float, eta: float) -> float:
 def r_noon_continuous(n: float, eta: float) -> float:
     """R_NOON with N treated as a real number (for derivative work)."""
     _validate_eta(eta, n)
-    return _optimal_phase(n, eta, ratio=True)
+    return optimal_phase_grid([n], eta, ratio=True)[0]
 
 
 def r_noon(n: int, eta: float) -> float:
@@ -91,8 +91,7 @@ def noon_precision_budgeted(n: int, b: PhotonBudget, eta: float) -> float:
     n = operator.index(n)
     if not 1 <= n <= b.n_total:
         raise ValueError(f"per-measurement N must satisfy 1 <= N <= N_T = {b.n_total}, got {n}")
-    _validate_eta(eta)
-    return _optimal_phase(n, eta, b.n_total)
+    return optimal_phase_grid([n], eta, n_total=b.n_total)[0]
 
 
 def solve_nu_tilde() -> float:

@@ -122,8 +122,7 @@ def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
     loss = 1.0 - eta
     return OptimumResult(
         n_star=best,
-        # eta is checked above, and 1 <= best <= 2e16 as L > 1.1e-16 for eta < 1
-        precision_at_opt=analytics._optimal_phase(best, eta),
+        precision_at_opt=analytics.optimal_phase_grid([best], eta)[0],
         continuous_n=root,
         asymptotic_n=nu / loss,
         asymptotic_precision=_MU * loss,

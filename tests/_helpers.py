@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
 
+from noonloss.analytics import _LN2, _POW_OVERFLOWS, DEGENERACY_TOL, _exp_or_inf, _log_2n, _log_min_phase
 from noonloss.cli import main
 
 
@@ -87,3 +88,92 @@ def exact_integer_argmin(root, cap, mp_log_objective, eta):
     while n > 1 and f(n - 1) <= f(n):
         n -= 1
     return n
+
+
+# ---------------------------------------------------------------------------
+# written-out references: each closed form as a scalar function of one point,
+# with its own overflow test; the bit-for-bit tests hold the two column loops,
+# analytics._eta_columns and analytics.optimal_phase_grid, to these
+
+def _inv_eta_pow(n: float, eta: float) -> float:
+    """eta**-n, exact to an ulp, or inf past DBL_MAX: the test of the
+    overflow of eta**-N that the two column loops each write out inline."""
+    # decided without raising, since most fig rows overflow; math.log2 costs about a
+    # third of math.log in CPython
+    if -n * math.log2(eta) > _POW_OVERFLOWS:
+        return math.inf
+    try:
+        return eta ** -n
+    except OverflowError:  # within the rounding of N log2(eta) of log2(DBL_MAX)
+        return math.inf
+
+
+def _mean(n: int, eta: float, c: float) -> float:
+    """mean_detection at c = cos(N(phi + theta_t))."""
+    return eta ** (n / 2.0) * c
+
+
+def _variance(n: int, eta: float, s: float) -> float:
+    """variance_detection at s = sin(N(phi + theta_t)), as (1 - eta**N)/2 + eta**N s^2: no cancellation."""
+    return -0.5 * math.expm1(n * math.log(eta)) + eta ** n * (s * s)
+
+
+def _snr_min_phase(n: int, eta: float, s: float, delta_phi: float):
+    """(snr, min_phase, degenerate) at |sin(N(phi0 + theta_t))| = s.
+
+    The noise term (eta**-N - 1)/2 + s^2 is a sum of two nonnegative terms,
+    accurate near blind operating points, where the equal
+    (eta**-N + 1)/2 - cos^2 cancels.  A blind operating point
+    (s <= DEGENERACY_TOL) gives (0, inf, True).  Where the noise term
+    overflows, min_phase is exp(ln min_phase); where it or the signal
+    (N s delta_phi)**2 overflows, the SNR is (delta_phi / min_phase)**2
+    through ln(min_phase).
+    """
+    if s <= DEGENERACY_TOL:
+        return 0.0, math.inf, True
+    # eta**-N - 1: below eta**-N = e (N|ln eta| = 1) expm1 avoids the cancellation
+    # as eta -> 1; above, the power is exact to an ulp, while expm1 would scale the
+    # rounding of N ln eta by N|ln eta|
+    inv = _inv_eta_pow(n, eta)
+    noise = 0.5 * (math.expm1(-n * math.log(eta)) if inv < math.e else inv - 1.0) + s * s
+    if noise < math.inf:
+        min_phase = math.sqrt(noise) / (n * s)
+        try:
+            return (n * s * delta_phi) ** 2 / noise, min_phase, False
+        except OverflowError:  # the signal alone overflows
+            log_min_phase = _log_min_phase(n, eta, s)
+    else:
+        log_min_phase = _log_min_phase(n, eta, s)
+        min_phase = _exp_or_inf(log_min_phase)
+    snr = 0.0 if delta_phi == 0.0 else _exp_or_inf(2.0 * (math.log(abs(delta_phi)) - log_min_phase))
+    return snr, min_phase, False
+
+
+def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
+    """sqrt((eta**-N + 1)/2) / N, the precision at the optimal phase, from one
+    _inv_eta_pow; with ``n_total`` the budgeted precision sqrt((eta**-N + 1)/2)
+    / sqrt(N N_T), and with ``ratio`` R_NOON = sqrt(eta (eta**-N + 1)/(2N)).
+
+    Where eta**-N overflows each is exp of its log form.  There
+    a = N|ln eta| > 709, so adding ln(1 + eta**N) = ln(1 + e**-a) < 1e-307 to
+    it changes no bit: the log forms leave that term out.
+    """
+    inv = _inv_eta_pow(n, eta)
+    if inv < math.inf:
+        if ratio:
+            # past DBL_MAX/2, where 2N overflows, eta**-N is finite only at eta = 1
+            two_n = 2.0 * n
+            return math.sqrt(eta * (inv + 1.0) / two_n if two_n < math.inf else 0.5 * (eta * (inv + 1.0)) / n)
+        root = math.sqrt(0.5 * (inv + 1.0))
+        if n_total is None:
+            return root / n
+        try:
+            return root / math.sqrt(n * n_total)
+        except OverflowError:  # N N_T past the float range, each factor within it
+            return root / (math.sqrt(n) * math.sqrt(n_total))
+    log_eta = math.log(eta)
+    a = -n * log_eta
+    if ratio:
+        return _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)))
+    log_n = math.log(n) if n_total is None else 0.5 * math.log(n * n_total)
+    return _exp_or_inf(0.5 * (a - _LN2) - log_n)

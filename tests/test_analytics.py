@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from noonloss import analytics, fock_oracle, optimal_search
@@ -30,7 +30,7 @@ from noonloss.analytics import (
 )
 from noonloss.budget import PhotonBudget, d_rnoon_dN_largeloss, log_r_noon, r_noon_continuous
 
-from _helpers import central_diff, derivative_grid
+from _helpers import _inv_eta_pow, _mean, _optimal_phase, _snr_min_phase, _variance, central_diff, derivative_grid
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +391,14 @@ def test_precision_report_degenerate():
 # whole-grid kernel
 
 def _point_reference(n, eta, theta_t, phi0, delta_phi):
-    """The five sweep columns at one point, built as the scalar API builds them."""
+    """The five sweep columns at one point from the written-out scalar forms,
+    checked as the scalar API checks them."""
     ch, probe = LossChannel(eta, theta_t), NoonProbe(n)
-    phi = 0.5 * math.pi / probe.n - theta_t if phi0 is None else phi0
-    report = precision_report(probe, ch, OperatingPoint(phi, delta_phi))
-    return [report.mean, report.variance, report.snr, report.min_phase, min_phase_opt(probe, eta)]
+    op = OperatingPoint(0.5 * math.pi / probe.n - theta_t if phi0 is None else phi0, delta_phi)
+    angle = analytics._angle(probe.n, op.phi0, theta_t)
+    c, s = math.cos(angle), abs(math.sin(angle))
+    snr, min_phase, _ = _snr_min_phase(probe.n, eta, s, delta_phi)
+    return [_mean(probe.n, eta, c), _variance(probe.n, eta, s), snr, min_phase, _optimal_phase(probe.n, eta)]
 
 
 def _grid_reference(n, eta, theta_t, phi0, delta_phi):
@@ -500,9 +503,14 @@ def test_precision_grid_needs_one_swept_variable():
 
 
 def _optimal_phase_reference(ns, eta, ratio):
-    """The scalar form at each N, after one check of eta, stopping at the first N that raises."""
+    """The written-out scalar form at each N, after one check of eta, stopping
+    at the first N that raises."""
     LossChannel(eta)
-    return [r_noon_continuous(n, eta) if ratio else min_phase_opt_continuous(n, eta) for n in ns]
+    column = []
+    for n in ns:
+        analytics._validate_eta(eta, n)
+        column.append(_optimal_phase(n, eta, ratio=ratio))
+    return column
 
 
 # N|ln eta| on both sides of ln(DBL_MAX) = 709.78, N real or integer up to DBL_MAX, past DBL_MAX/2
@@ -525,6 +533,37 @@ def test_optimal_phase_grid_equals_the_scalar_forms_bit_for_bit(ns, eta, ratio):
        st.one_of(optimal_etas, BAD["etas"]), st.booleans())
 def test_optimal_phase_grid_raises_the_first_points_message(ns, eta, ratio):
     assert _first_error(optimal_phase_grid, ns, eta, ratio) == _first_error(_optimal_phase_reference, ns, eta, ratio)
+
+
+# N_T up to DBL_MAX, where N N_T passes it: the int product's sqrt raises OverflowError
+@settings(max_examples=200, deadline=None)
+@given(st.lists(optimal_ns, max_size=20), optimal_etas,
+       st.one_of(st.integers(1, 10 ** 12), st.integers(1, int(sys.float_info.max))))
+@example([2 ** 600, 10 ** 9], 1.0, 2 ** 500)  # eta**-N finite, N N_T past DBL_MAX
+@example([2 ** 600, 10 ** 9], 0.5, 2 ** 500)  # the log form's N N_T past DBL_MAX
+def test_optimal_phase_grid_budgeted_equals_the_scalar_form_bit_for_bit(ns, eta, n_total):
+    want = [_optimal_phase(n, eta, n_total) for n in ns]
+    assert _bits([optimal_phase_grid(ns, eta, n_total=n_total)]) == _bits([want])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 80), st.integers(1, 2 ** 60)),
+       st.one_of(VALID["etas"], st.floats(5e-324, 1.0)), VALID["phases"], VALID["phases"],
+       st.one_of(VALID["phases"], st.sampled_from([1e200, 1e308])))
+def test_point_queries_equal_the_written_out_forms_bit_for_bit(n, eta, theta_t, phi0, delta_phi):
+    # each query is a one-point call of _eta_columns, so the reference is the written-out form
+    probe, ch = NoonProbe(n), LossChannel(eta, theta_t)
+    angle = analytics._angle(n, phi0, theta_t)
+    s = abs(math.sin(angle))
+    snr, min_phase, degenerate = _snr_min_phase(n, eta, s, delta_phi)
+    report = precision_report(probe, ch, OperatingPoint(phi0, delta_phi))
+    snr_result = snr_lossy(probe, ch, OperatingPoint(phi0, delta_phi))
+    got = [report.mean, report.variance, report.snr, report.min_phase, snr_result.value,
+           min_phase_at(probe, ch, phi0), mean_detection(probe, ch, phi0), variance_detection(probe, ch, phi0)]
+    want = [_mean(n, eta, math.cos(angle)), _variance(n, eta, s), snr, min_phase, snr,
+            _snr_min_phase(n, eta, s, 0.0)[1], _mean(n, eta, math.cos(angle)), _variance(n, eta, math.sin(angle))]
+    assert _bits([got]) == _bits([want])
+    assert report.degenerate == snr_result.degenerate == degenerate
 
 
 def _first_true(pred, lo, hi):
@@ -552,14 +591,13 @@ def test_optimal_phase_grid_is_bit_identical_at_the_pow_and_exp_lines(eta, ratio
     # a few ulps of N on both sides of each line: where -N log2(eta) passes
     # _POW_OVERFLOWS and where eta**-N itself overflows, which the try catches
     # below that line; and where the log form's exponent passes ln(DBL_MAX)
-    scalar = r_noon_continuous if ratio else min_phase_opt_continuous
     pow_line = analytics._POW_OVERFLOWS / -math.log2(eta)
-    pow_overflow = _first_true(lambda n: analytics._inv_eta_pow(n, eta) == math.inf, 1e-3, 1e300)
-    exp_overflow = _first_true(lambda n: scalar(n, eta) == math.inf, pow_overflow, 1e300)
+    pow_overflow = _first_true(lambda n: _inv_eta_pow(n, eta) == math.inf, 1e-3, 1e300)
+    exp_overflow = _first_true(lambda n: _optimal_phase(n, eta, ratio=ratio) == math.inf, pow_overflow, 1e300)
     assert pow_overflow < pow_line < exp_overflow
     for line in (pow_line, pow_overflow, exp_overflow):
         ns = _ulps_around(line)
-        want = [scalar(n, eta) for n in ns]
+        want = [_optimal_phase(n, eta, ratio=ratio) for n in ns]
         assert _bits([optimal_phase_grid(ns, eta, ratio)]) == _bits([want])
     # the exp line is where the values turn from finite to inf
     assert math.isfinite(want[3]) and want[4] == math.inf
@@ -575,15 +613,14 @@ def test_precision_grid_eta_sweep_is_bit_identical_at_the_pow_and_exp_lines(n, t
     # _POW_OVERFLOWS, where eta**-N itself overflows, and where the log forms
     # of min_phase_opt and (off the blind points) min_phase pass ln(DBL_MAX);
     # then eta = 1, 1 - 1e-16 and the least subnormal
-    probe = NoonProbe(n)
     phi = 0.5 * math.pi / n - theta_t if phi0 is None else phi0
+    s = abs(math.sin(analytics._angle(n, phi, theta_t)))
     pow_line = 2.0 ** (-analytics._POW_OVERFLOWS / n)
-    pow_overflow = _first_true(lambda eta: analytics._inv_eta_pow(n, eta) < math.inf, 5e-324, 1.0)
-    opt_line = _first_true(lambda eta: min_phase_opt(probe, eta) < math.inf, 5e-324, pow_overflow)
+    pow_overflow = _first_true(lambda eta: _inv_eta_pow(n, eta) < math.inf, 5e-324, 1.0)
+    opt_line = _first_true(lambda eta: _optimal_phase(n, eta) < math.inf, 5e-324, pow_overflow)
     lines = [pow_line, pow_overflow, opt_line]
-    if min_phase_at(probe, LossChannel(1.0, theta_t), phi) < math.inf:
-        lines.append(_first_true(lambda eta: min_phase_at(probe, LossChannel(eta, theta_t), phi) < math.inf,
-                                 5e-324, pow_overflow))
+    if _snr_min_phase(n, 1.0, s, 0.0)[1] < math.inf:
+        lines.append(_first_true(lambda eta: _snr_min_phase(n, eta, s, 0.0)[1] < math.inf, 5e-324, pow_overflow))
     etas = [eta for line in lines for eta in _ulps_around(line)] + [1.0, 1.0 - 1e-16, 5e-324]
     sweep = (n, etas, theta_t, phi0, dphi)
     want = _grid_reference(*sweep)
@@ -608,32 +645,6 @@ def test_exp_or_inf_is_exp_on_both_sides_of_its_line():
         xs = _ulps_around(line)
         assert _bits([[analytics._exp_or_inf(x) for x in xs]]) == _bits([[_exp_reference(x) for x in xs]])
     assert math.isfinite(_exp_reference(math.log(sys.float_info.max)))
-
-
-def test_optimal_phase_grid_calls_no_scalar_form_per_point(monkeypatch):
-    calls = []
-    for name in ("_optimal_phase", "_inv_eta_pow"):
-        real = getattr(analytics, name)
-        monkeypatch.setattr(analytics, name, lambda *args, _real=real: calls.append(args) or _real(*args))
-    ns = list(range(1, 2_000_001, 1000))  # 2,000 points across the overflow of eta**-N
-    for ratio in (False, True):
-        assert len(optimal_phase_grid(ns, 0.999, ratio)) == 2000
-    assert calls == []
-    min_phase_opt_continuous(2.0, 0.999)  # the scalar form is counted
-    assert len(calls) == 2
-
-
-def test_precision_grid_eta_sweep_calls_no_scalar_form_per_point(monkeypatch):
-    calls = []
-    for name in ("_mean", "_variance", "_snr_min_phase", "_optimal_phase", "_inv_eta_pow"):
-        real = getattr(analytics, name)
-        monkeypatch.setattr(analytics, name, lambda *args, _real=real: calls.append(args) or _real(*args))
-    etas = [k / 2000 for k in range(1, 2001)]  # 2,000 points across the overflow of eta**-N at N = 300
-    for theta_t, phi0 in ((0.0, None), (0.0, 0.0), (0.37, 1.1)):
-        assert all(len(column) == 2000 for column in precision_grid(300, etas, theta_t, phi0, 0.01))
-    assert calls == []
-    precision_report(NoonProbe(2), LossChannel(0.5), OperatingPoint(0.3, 0.01))  # the scalar forms are counted
-    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("eta, want", [(0.5, math.inf), (1.0, 1e-154)])

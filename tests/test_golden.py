@@ -9,14 +9,15 @@ a one-ulp change in a log-domain kernel flips some of their tie-breaks.
 ``oracle_moments`` pair that a dense ``verify --max-n 64 --seed`` run asks for,
 moments under other reflection phases, and detector outputs of a few kets.
 
-``kernels.json`` pins the scalar closed forms bit for bit: every
+``kernels.json`` pins the point queries bit for bit: every
 ``precision_report`` field and ``snr_lossy``, ``min_phase_at`` and
 ``log_min_phase_at`` at seeded points and at the edge cases of each rule
 (blind and near-blind phases, eta = 1 and 1 - 1e-16, an overflowing noise
 term or signal, delta_phi = 0, eta**-N on either side of DBL_MAX), and the
 optimal-phase forms ``min_phase_opt_continuous``, ``r_noon_continuous`` and
-``noon_precision_budgeted`` at the same points.  It is independent of
-``precision_grid`` and the fig sweeps, which share these kernels.
+``noon_precision_budgeted`` at the same points.  Each is a one-point call of
+the column loop that a sweep runs over many points, ``analytics._eta_columns``
+or ``analytics.optimal_phase_grid``, so these pins hold the sweeps' forms too.
 
 The files are written only for a deliberate output change, which then belongs
 in CHANGES.md:

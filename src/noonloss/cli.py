@@ -28,6 +28,7 @@ EXIT_USAGE = 2
 VERIFY_TOL = 1e-10
 
 SWEEP_VARIABLES = ("N", "eta", "L", "phi0")
+MAX_STEPS = sys.maxsize // 8  # the most items a list can hold
 
 
 class UsageError(Exception):
@@ -271,7 +272,9 @@ class SweepSpec:
         if not math.isfinite(self.stop - self.start):
             raise ValueError(f"stop - start must be finite, got [{self.start}, {self.stop}]")
         if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+            raise ValueError(f"steps must be >= 2, got {analytics._int_text(self.steps)}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}, got {analytics._int_text(self.steps)}")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.start <= 0:
@@ -598,6 +601,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in any float spelling,
+    such as -1e-3, -2E-1 or -inf, as a value, not a flag (argparse's own
+    pattern takes only -1 and -1.5); add_subparsers makes its parsers so too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        digits = r"\d(?:_?\d)*"
+        self._negative_number_matcher = re.compile(
+            rf"-(?:(?:(?:{digits})?\.{digits}|{digits}\.?)(?:e[-+]?{digits})?|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text",
                    help="output format (default text)")
@@ -615,7 +630,7 @@ def _add_channel(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noonloss",
         description="Phase-measurement precision of NOON states through a lossy arm.",
     )
@@ -696,7 +711,7 @@ def main(argv=None) -> int:
         if args.config:
             args = _apply_config(parser, argv, args)
         return args.handler(args)
-    except (UsageError, OSError) as exc:
+    except (UsageError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -154,6 +154,50 @@ def test_sweep_usage_errors():
     assert code == EXIT_USAGE  # neither preset nor variable
 
 
+# only counts whose float64 grid is larger than any address space, so that its
+# allocation fails at once; 2**63 - 1 ended in an IndexError inside numpy
+@pytest.mark.parametrize("steps", [10 ** 17, 10 ** 18, 2 ** 63 - 1, 2 ** 63, 10 ** 30])
+@pytest.mark.parametrize("mode", [["--var", "eta", "--n", "2", "--start", "0.1", "--stop", "1"],
+                                  ["--fig2", "--eta", "0.5"],
+                                  ["--var", "N", "--eta", "0.5", "--start", "1", "--stop", "10"]],
+                         ids=["eta", "fig2", "N"])
+def test_sweep_with_more_steps_than_memory_is_a_usage_error(mode, steps):
+    code, out, err = run_cli("sweep", *mode, "--steps", str(steps))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if steps > cli.MAX_STEPS:
+        assert err.startswith(f"error: steps must be at most {cli.MAX_STEPS}, got {steps}")
+
+
+@pytest.mark.parametrize("steps, shown", [(-10 ** 5000, "a negative int of 16610 bits"),
+                                         (10 ** 5000, "an int of 16610 bits")], ids=["-10**5000", "10**5000"])
+def test_sweep_spec_names_a_step_count_past_the_int_to_str_limit_by_its_bits(steps, shown):
+    # the message of -10**5000 formed its digits, past Python's 4,300-digit limit, and raised that instead
+    with pytest.raises(ValueError, match=f", got {shown}$"):
+        SweepSpec("eta", 0.1, 1.0, steps)
+
+
+_POINT = ["precision", "--n", "2", "--eta", "0.5"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_POINT, "--phi0", "-1e-3"),
+    (_POINT, "--theta-t", "-2E-1"),
+    (_POINT, "--dphi", "-1e-2"),
+    (_POINT, "--phi0", "-1_0.5e-1_0"),
+    (_POINT, "--phi0", "-inf"),
+    (_POINT, "--phi0", "-Infinity"),
+    (["sweep", "--var", "phi0", "--n", "2", "--eta", "0.5", "--stop", "1", "--steps", "3"], "--start", "-1e-3"),
+    (["optimize"], "--loss", "-5E-1"),
+])
+def test_negative_numbers_in_every_float_spelling_are_values(argv, flag, value):
+    # argparse's own pattern reads only -1 and -1.5 as numbers: "--phi0 -1e-3" printed the usage
+    # and "expected one argument", although "--phi0=-1e-3" worked
+    spaced = run_cli(*argv, flag, value, "--format", "json")
+    assert spaced == run_cli(*argv, f"{flag}={value}", "--format", "json")
+    assert "usage" not in spaced[2]
+
+
 def test_sweep_json_csv_agree():
     args = ("sweep", "--fig2", "--loss", "0.5", "--start", "1", "--stop", "40",
             "--steps", "40", "--scale", "linear")
@@ -568,13 +612,13 @@ def _sweep_argv(draw):
     for flag in ("--start", "--stop"):
         value = draw(st.none() | _RANGE_ENDS)
         if value is not None:
-            argv.append(f"{flag}={value!r}")  # '=' keeps argparse from reading '-inf' as a flag
+            argv += draw(st.sampled_from([[f"{flag}={value!r}"], [flag, repr(value)]]))
     scale = draw(st.sampled_from([None, "linear", "log"]))
     if scale is not None:
         argv += ["--scale", scale]
     steps = draw(st.none() | st.integers(-1, 10 ** 4))
     if steps is not None:
-        argv.append(f"--steps={steps}")
+        argv += draw(st.sampled_from([[f"--steps={steps}"], ["--steps", str(steps)]]))
     return argv
 
 

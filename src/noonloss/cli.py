@@ -314,9 +314,10 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
     """Compare oracle moments against the closed forms over the named grid
     of :data:`VERIFY_GRIDS`, at each N up to ``max_n``.
 
-    Returns the maximum absolute deviation over means and variances, and the
-    number of grid points checked.  A seed adds 5 randomly drawn
-    (eta, theta_t, phi) cases per photon number, drawn in that order.
+    Returns the maximum absolute deviation over means and variances, NaN if
+    any deviation is NaN, and the number of grid points checked.  A seed
+    adds 5 randomly drawn (eta, theta_t, phi) cases per photon number, drawn
+    in that order.
     ``prefactor_scale`` = s scales the oracle's detection operator (mean by
     s, variance by s**2), so that the verify sentinel can prove the check
     bites.
@@ -343,9 +344,12 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
         for ch, phi in cases:
             mean_o, var_o = fock_oracle.oracle_moments(n, ch, phi)
             mean_o, var_o = prefactor_scale * mean_o, prefactor_scale ** 2 * var_o
-            dev = max(abs(mean_o - analytics.mean_detection(probe, ch, phi)),
-                      abs(var_o - analytics.variance_detection(probe, ch, phi)))
-            max_dev = max(max_dev, dev)
+            # max() would drop a NaN that is not its first argument; a NaN
+            # deviation is kept, so that it fails the check
+            for dev in (abs(mean_o - analytics.mean_detection(probe, ch, phi)),
+                        abs(var_o - analytics.variance_detection(probe, ch, phi))):
+                if dev > max_dev or math.isnan(dev):
+                    max_dev = dev
             points += 1
     return max_dev, points
 

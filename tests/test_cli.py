@@ -363,6 +363,30 @@ def test_verify_max_n_bound():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("which, bad_points", [(1, range(48)), (0, [0]), (0, [20]), (0, [47])],
+                         ids=["variance-everywhere", "mean-first", "mean-20", "mean-last"])
+def test_verify_fails_on_a_nan_deviation(which, bad_points, monkeypatch):
+    # max() dropped a NaN that was not its first argument: a NaN variance at
+    # every point, or a NaN mean at one, passed with the other points' maximum
+    original = fock_oracle.oracle_moments
+    calls = []
+
+    def nan_at_bad_point(*args, **kwargs):
+        moments = list(original(*args, **kwargs))
+        if len(calls) in bad_points:
+            moments[which] = math.nan
+        calls.append(args)
+        return tuple(moments)
+
+    monkeypatch.setattr(fock_oracle, "oracle_moments", nan_at_bad_point)
+    code, out, _ = run_cli("verify", "--max-n", "2", "--grid", "fast", "--format", "csv")
+    columns, rows = parse_csv(out)
+    assert len(calls) == rows[0][columns.index("points")] == 48
+    assert math.isnan(rows[0][columns.index("max_abs_deviation")])
+    assert rows[0][columns.index("passed")] == 0
+    assert code == EXIT_VERIFY_FAIL
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("steps = 7\nformat = json\n# comment\n")

@@ -260,7 +260,8 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
     if not 1 <= n <= MAX_PHOTONS:
         raise ValueError(f"detector photon number must be in [1, {MAX_PHOTONS}], got {n}")
     for occ in ket.amps:
-        if occ.total > n:
+        # Occupation.total written out, without a property call per component
+        if occ[0] + occ[1] + occ[2] > n:
             raise ValueError(f"ket component {occ} holds more than {n} photons")
 
     # float() keys the memos on plain floats whatever number types the channel holds
@@ -280,25 +281,40 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
             coeff = lowering[occ.n_b]
             if coeff != 0:
                 out[top] = out.get(top, 0j) + amp * coeff
-    # the one amplitude summed here, the lowering sum, takes the amplitude rule
-    if top in out and not _checked_amplitudes(((top, out[top]),)):
-        del out[top]
+    # the one amplitude summed here, the lowering sum, takes the amplitude rule:
+    # a modulus in range keeps it, and any other goes to _checked_amplitudes,
+    # which drops it below 1e-300 and raises the rule's ValueError otherwise
+    if top in out:
+        try:
+            kept = _SUPPORT_EPS <= abs(out[top]) < math.inf
+        except OverflowError:  # finite parts whose modulus passes DBL_MAX
+            kept = False
+        if not kept and not _checked_amplitudes(((top, out[top]),)):
+            del out[top]
     return FockKet._of_checked_entries(out, n)
 
 
 def inner(x: FockKet, y: FockKet) -> complex:
-    """<x|y> over the shared support."""
+    """<x|y> over the shared support.
+
+    Each term conj(x) * y is added to a total that starts at 0j, in the order
+    of ``x``'s entries, with one complex ``+``: the order and the operations
+    of the ``sum(<terms>, start=0j)`` that these loops replaced, so the bits
+    are its bits, without a generator step per entry."""
     if x is y:
-        # the general sum below in the same order, without a lookup per entry
-        # or a generator step
-        amps = x.amps.values()
-        return sum(map(operator.mul, map(complex.conjugate, amps), amps), start=0j)
+        # the general sum below, without a lookup per entry
+        total = 0j
+        for amp in x.amps.values():
+            total += amp.conjugate() * amp
+        return total
     if len(x.amps) > len(y.amps):
         return inner(y, x).conjugate()
-    return sum(
-        (amp.conjugate() * y.amps[occ] for occ, amp in x.amps.items() if occ in y.amps),
-        start=0j,
-    )
+    y_amps = y.amps
+    total = 0j
+    for occ, amp in x.amps.items():
+        if occ in y_amps:
+            total += amp.conjugate() * y_amps[occ]
+    return total
 
 
 def oracle_moments(n: int, ch: LossChannel, phi: float, *, reflection_phase: float = math.pi / 2) -> tuple[float, float]:

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import operator
 from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
@@ -177,3 +178,22 @@ def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
         return _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)))
     log_n = math.log(n) if n_total is None else 0.5 * math.log(n * n_total)
     return _exp_or_inf(0.5 * (a - _LN2) - log_n)
+
+
+# ---------------------------------------------------------------------------
+# written-out reference for fock_oracle.inner: the sums that its plain loops
+# replaced, kept verbatim; the bit-for-bit tests hold inner to them
+
+def inner_reference(x, y):
+    """<x|y> as ``sum()`` of the terms from 0j: a generator over ``x``'s
+    entries, or a ``map`` chain where ``x is y``.  Before Python 3.14,
+    ``sum()`` adds complex terms one by one with a plain complex ``+``."""
+    if x is y:
+        amps = x.amps.values()
+        return sum(map(operator.mul, map(complex.conjugate, amps), amps), start=0j)
+    if len(x.amps) > len(y.amps):
+        return inner_reference(y, x).conjugate()
+    return sum(
+        (amp.conjugate() * y.amps[occ] for occ, amp in x.amps.items() if occ in y.amps),
+        start=0j,
+    )

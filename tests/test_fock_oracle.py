@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import re
+import sys
 import warnings
 from collections import defaultdict
 from types import MappingProxyType
@@ -10,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noonloss import analytics, cli, fock_oracle
 from noonloss.analytics import LossChannel, NoonProbe
@@ -25,6 +28,8 @@ from noonloss.fock_oracle import (
     inner,
     oracle_moments,
 )
+
+from _helpers import inner_reference
 
 
 def test_build_noon_input_single_photon():
@@ -440,6 +445,29 @@ def test_inner_with_itself_equals_the_general_path_bit_for_bit():
     assert _inner_bits(inner(kets[-2], kets[-2])) == ((0.0).hex(), (0.0).hex())
 
 
+_OCCUPATIONS = [Occupation(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2]
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e300, max_value=1e300))
+_KETS = st.dictionaries(st.sampled_from(_OCCUPATIONS), st.builds(complex, _PARTS, _PARTS)).map(
+    lambda amps: FockKet(amps, photon_cap=2))
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 14), reason="from Python 3.14 on, sum() compensates a complex sum")
+@settings(max_examples=300, deadline=None)
+@given(x=_KETS, y=_KETS)
+@example(x=FockKet({}, 2), y=FockKet({}, 2))
+@example(x=FockKet({}, 2), y=FockKet({(1, 0, 0): complex(-0.0, 0.5)}, 2))
+@example(x=FockKet({(1, 0, 0): 0.5, (0, 2, 0): -0.25j}, 2), y=FockKet({(0, 1, 0): 1.0, (0, 0, 2): 0.5}, 2))
+@example(x=FockKet({(1, 0, 0): complex(-0.0, 0.5), (0, 1, 0): complex(0.3, -0.0), (0, 0, 1): complex(-0.0, -1e-3)}, 2),
+         y=FockKet({(0, 1, 0): complex(-0.0, -0.0), (1, 0, 0): complex(0.5, -0.0)}, 2))
+@example(x=FockKet({(1, 0, 0): 1e300, (0, 1, 0): 1.0, (0, 0, 1): -1e300}, 2),
+         y=FockKet({(0, 0, 1): 1.0, (1, 0, 0): 1.0, (0, 1, 0): 1.0}, 2))
+def test_inner_adds_as_the_sums_it_replaced_bit_for_bit(x, y):
+    # both orders, so that one call of each unequal pair takes the conjugate of
+    # the swapped product, and each ket with itself, the x is y path
+    for a, b in ((x, y), (y, x), (x, x), (y, y)):
+        assert _inner_bits(inner(a, b)) == _inner_bits(inner_reference(a, b))
+
+
 @pytest.mark.parametrize("n, phi, bits", [(10**400, 0.5, 1329), (2**1100, 0.0, 1101), (2**1024, -1e-300, 1025),
                                           (10**5000, 0.5, 16610)], ids=["10**400", "2**1100", "2**1024", "10**5000"])
 def test_photon_number_past_the_float_range_is_a_value_error(n, phi, bits):
@@ -492,6 +520,16 @@ def test_detector_output_keeps_the_amplitude_rule():
     # and outputs below 1e-300 are dropped: 1.2e-300 times 0.5, 0.71 and 0.5
     tiny = FockKet({(2, 0, 0): 1.2e-300 + 0j}, 2)
     assert apply_detector(tiny, 2, LossChannel(0.5, 0.0), reflection_phase=0.0).amps == {}
+
+
+def test_lowering_sum_whose_modulus_passes_dbl_max_is_a_value_error():
+    # both parts of the sum, about 1.7e308 + 1.7e308j, are finite, but abs() of
+    # it raises OverflowError, which must end in the amplitude rule's ValueError
+    ket = FockKet({(0, 1, 0): 1.2e308 + 1.2e308j, (0, 0, 1): 1.2e308 - 1.2e308j}, 1)
+    message = re.escape("amplitude of Occupation(n_a=1, n_b=0, n_v=0) has a modulus past the float range")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            apply_detector(ket, 1, LossChannel(0.5))
 
 
 @pytest.mark.parametrize("phi, shown", [(10 ** 400, "an int of 1329 bits"), (-10 ** 5000, "a negative int of 16610 bits")],
@@ -639,3 +677,20 @@ def test_each_verify_pass_takes_the_same_noon_input_misses():
         after = fock_oracle._noon_input.cache_info()
         counts.append((after.hits - before.hits, after.misses - before.misses))
     assert counts == [(11264, 1344)] * 2
+
+
+def test_each_verify_pass_takes_the_same_detector_memo_misses():
+    # as the NOON input's: each N misses once per channel, its 12 grid channels
+    # and 5 seeded ones, and a pass starts at N = 1, past what an earlier pass
+    # left; each miss of the raising image reads the detector memo, a hit
+    memos = (_detector_terms, _raising_image)
+    assert [memo.cache_info().maxsize for memo in memos] == [64, 64]
+    for memo in memos:
+        memo.cache_clear()
+    counts = []
+    for _ in range(2):
+        before = [memo.cache_info() for memo in memos]
+        assert cli.run_verification(64, "dense", 5) == (5.806466418789569e-14, 12608)
+        after = [memo.cache_info() for memo in memos]
+        counts.append([(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)])
+    assert counts == [[(12608, 1088), (11520, 1088)]] * 2

@@ -12,22 +12,16 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 __all__ = [
     "DEGENERACY_TOL",
     "LossChannel",
     "NoonProbe",
     "OperatingPoint",
-    "SnrResult",
     "PrecisionReport",
     "mean_detection",
     "variance_detection",
-    "snr_lossy",
-    "min_phase_at",
-    "log_min_phase_at",
     "min_phase_opt",
-    "log_min_phase_opt",
     "min_phase_opt_continuous",
     "log_min_phase_opt_continuous",
     "d_precision_dN",
@@ -203,14 +197,13 @@ class OperatingPoint:
         _validate_phases(self.phi0, self.delta_phi)
 
 
-class SnrResult(NamedTuple):
-    value: float
-    degenerate: bool
-
-
 @dataclass(frozen=True)
 class PrecisionReport:
-    """Bundle of detection statistics at one (N, eta, phi0) point."""
+    """Bundle of detection statistics at one (N, eta, phi0) point.
+
+    At a blind point (``degenerate``) snr is 0 and min_phase inf.  min_phase,
+    the delta_phi of unit SNR, and log_min_phase do not depend on delta_phi.
+    """
 
     mean: float
     variance: float
@@ -270,36 +263,6 @@ def _log_min_phase(n: int, eta: float, s: float) -> float:
     return half_a + 0.5 * math.log(-0.5 * math.expm1(-a) / (s * s) + math.exp(-a)) - math.log(n)
 
 
-def snr_lossy(probe: NoonProbe, ch: LossChannel, op: OperatingPoint) -> SnrResult:
-    """Small-change signal-to-noise ratio at phi0.
-
-    Returns the quadratic-in-delta_phi SNR.  At operating points where the
-    signal slope vanishes (sin(N(phi0 + theta_t)) = 0 within DEGENERACY_TOL)
-    the detector is blind; the value 0 is returned with ``degenerate`` set
-    instead of raising.  Where the signal or the noise term overflows, the
-    value comes from ln(min_phase).
-    """
-    angle = _angle(probe.n, op.phi0, ch.theta_t)
-    return SnrResult(_eta_columns(probe.n, [ch.eta], angle, op.delta_phi)[2][0],
-                     abs(math.sin(angle)) <= DEGENERACY_TOL)
-
-
-def min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
-    """Minimum detectable phase change (unit SNR) at operating phase phi0.
-
-    Returns +inf at degenerate operating points.  Where the noise term
-    overflows, the value is exp(log_min_phase_at), finite wherever that is.
-    """
-    n = probe.n
-    return _eta_columns(n, [ch.eta], _angle(n, phi0, ch.theta_t), 0.0)[3][0]
-
-
-def log_min_phase_at(probe: NoonProbe, ch: LossChannel, phi0: float) -> float:
-    """ln of min_phase_at, computed without forming eta**-N directly."""
-    n = probe.n
-    return _log_min_phase(n, ch.eta, abs(math.sin(_angle(n, phi0, ch.theta_t))))
-
-
 def min_phase_opt_continuous(n: float, eta: float) -> float:
     """min_phase at the optimal operating phase, N treated as a real number."""
     _validate_eta(eta, n)
@@ -311,7 +274,7 @@ def min_phase_opt(probe: NoonProbe, eta: float) -> float:
 
     Equals 1/N exactly at eta = 1 and diverges as N grows for any eta < 1.
     For very lossy, high-N inputs the float result may be +inf; the log-domain
-    value from :func:`log_min_phase_opt` stays finite.
+    value from :func:`log_min_phase_opt_continuous` stays finite.
     """
     return min_phase_opt_continuous(probe.n, eta)
 
@@ -324,10 +287,6 @@ def log_min_phase_opt_continuous(n: float, eta: float) -> float:
     if a == math.inf:  # a/2 may not overflow, and the other terms are far below its ulp
         return -0.5 * n * log_eta
     return 0.5 * _log_half_1p_exp(a) - math.log(n)
-
-
-def log_min_phase_opt(probe: NoonProbe, eta: float) -> float:
-    return log_min_phase_opt_continuous(probe.n, eta)
 
 
 def d_precision_dN(n_real: float, eta: float) -> float:
@@ -475,11 +434,17 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False, n_total=None) -> lis
     ``n_total`` the budgeted sqrt((eta**-N + 1)/2) / sqrt(N N_T): the fig2 and
     fig3 columns, and on one N every scalar query's.
 
-    eta is checked once, and each N in grid order.  Where eta**-N overflows,
-    a = N|ln eta| > 709 and each value is exp of its log form, which leaves
-    out ln(1 + e**-a) < 1e-307 as it changes no bit.
+    eta and ``n_total``, which ``ratio`` excludes, are checked once, and each
+    N in grid order.  Where eta**-N overflows, a = N|ln eta| > 709 and each
+    value is exp of its log form, which leaves out ln(1 + e**-a) < 1e-307 as
+    it changes no bit.
     """
     _validate_eta(eta)
+    if n_total is not None:
+        if ratio:
+            raise ValueError("R_NOON takes no n_total")
+        if not 0 < n_total <= _N_MAX:
+            raise ValueError(f"n_total must lie in (0, DBL_MAX], got {_int_text(n_total)}")
     log2_eta, log_eta = math.log2(eta), math.log(eta)
     column = []
     for n in ns:
@@ -498,18 +463,21 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False, n_total=None) -> lis
                 # past DBL_MAX/2, where 2N overflows, eta**-N is finite only at eta = 1
                 two_n = 2.0 * n
                 value = math.sqrt(eta * (inv + 1.0) / two_n if two_n < math.inf else 0.5 * (eta * (inv + 1.0)) / n)
+            elif n_total is None:
+                value = math.sqrt(0.5 * (inv + 1.0)) / n
             else:
-                root = math.sqrt(0.5 * (inv + 1.0))
-                try:
-                    value = root / (n if n_total is None else math.sqrt(n * n_total))
-                except OverflowError:  # N N_T past the float range, each factor within it
-                    value = root / (math.sqrt(n) * math.sqrt(n_total))
+                # past DBL_MAX a float N N_T reads inf and an int one does not convert: a root of each
+                n_nt = n * n_total
+                scale = math.sqrt(n_nt) if n_nt <= _N_MAX else math.sqrt(n) * math.sqrt(n_total)
+                value = math.sqrt(0.5 * (inv + 1.0)) / scale
         else:
             a = -n * log_eta
             if ratio:
                 value = _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)))
             else:
-                log_n = math.log(n) if n_total is None else 0.5 * math.log(n * n_total)
+                # log takes an int N N_T past DBL_MAX, but a float one reads inf: a log of each
+                log_n = math.log(n) if n_total is None else 0.5 * (
+                    math.log(n * n_total) if n * n_total < math.inf else math.log(n) + math.log(n_total))
                 value = _exp_or_inf(0.5 * (a - _LN2) - log_n)
         column.append(value)
     return column

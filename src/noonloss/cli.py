@@ -359,15 +359,18 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().lower().replace("-", "_")] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                key, value = line.split("=", 1)
+                values[key.strip().lower().replace("-", "_")] = value.strip()
+    except UnicodeDecodeError as exc:  # a ValueError, which main would show with the domain hint
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return values
 
 

@@ -51,8 +51,8 @@ def solve_nu() -> float:
 def mu_from_nu(nu: float) -> float:
     """(1/nu) * sqrt((exp(nu) + 1)/2): precision at the optimum is mu*L.  Past
     nu = ln(DBL_MAX), where exp(nu) overflows, it is taken from its log."""
-    if not 0.0 < nu < math.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu!r}")
+    if not 0.0 < nu <= analytics._N_MAX:
+        raise ValueError(f"nu must lie in (0, DBL_MAX], got {analytics._int_text(nu)}")
     try:
         return math.sqrt(0.5 * (math.exp(nu) + 1.0)) / nu
     except OverflowError:

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import operator
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
@@ -168,15 +169,19 @@ def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
         root = math.sqrt(0.5 * (inv + 1.0))
         if n_total is None:
             return root / n
-        try:
+        if n * n_total <= sys.float_info.max:
             return root / math.sqrt(n * n_total)
-        except OverflowError:  # N N_T past the float range, each factor within it
-            return root / (math.sqrt(n) * math.sqrt(n_total))
+        return root / (math.sqrt(n) * math.sqrt(n_total))  # N N_T past the float range, each factor within it
     log_eta = math.log(eta)
     a = -n * log_eta
     if ratio:
         return _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)))
-    log_n = math.log(n) if n_total is None else 0.5 * math.log(n * n_total)
+    if n_total is None:
+        log_n = math.log(n)
+    elif n * n_total == math.inf:  # a float N N_T past DBL_MAX; log takes an int one of any size
+        log_n = 0.5 * (math.log(n) + math.log(n_total))
+    else:
+        log_n = 0.5 * math.log(n * n_total)
     return _exp_or_inf(0.5 * (a - _LN2) - log_n)
 
 

@@ -15,17 +15,13 @@ from noonloss.analytics import (
     OperatingPoint,
     d_log_precision_dN,
     d_precision_dN,
-    log_min_phase_at,
-    log_min_phase_opt,
     log_min_phase_opt_continuous,
     mean_detection,
-    min_phase_at,
     min_phase_opt,
     min_phase_opt_continuous,
     optimal_phase_grid,
     precision_grid,
     precision_report,
-    snr_lossy,
     variance_detection,
 )
 from noonloss.budget import PhotonBudget, d_rnoon_dN_largeloss, log_r_noon, r_noon_continuous
@@ -101,16 +97,16 @@ def test_variance_bounds_property(n, eta, theta, phi):
 # SNR
 
 def test_snr_lossless_example():
-    res = snr_lossy(NoonProbe(5), LossChannel(1.0), OperatingPoint(math.pi / 10, 0.01))
+    res = precision_report(NoonProbe(5), LossChannel(1.0), OperatingPoint(math.pi / 10, 0.01))
     assert not res.degenerate
-    assert res.value == pytest.approx(25.0 * 1e-4, rel=1e-12)
+    assert res.snr == pytest.approx(25.0 * 1e-4, rel=1e-12)
 
 
-def test_snr_lossy_example_with_fd_oracle():
+def test_snr_example_with_fd_oracle():
     probe, ch = NoonProbe(1), LossChannel(0.5)
     op = OperatingPoint(math.pi / 2, 0.1)
-    res = snr_lossy(probe, ch, op)
-    assert res.value == pytest.approx(0.01 / 1.5, rel=1e-12)
+    snr = precision_report(probe, ch, op).snr
+    assert snr == pytest.approx(0.01 / 1.5, rel=1e-12)
 
     # independent route: slope of the oracle mean and the oracle variance
     h = 1e-6
@@ -118,22 +114,23 @@ def test_snr_lossy_example_with_fd_oracle():
     m_minus, _ = fock_oracle.oracle_moments(1, ch, op.phi0 - h)
     _, var_o = fock_oracle.oracle_moments(1, ch, op.phi0)
     slope = (m_plus - m_minus) / (2.0 * h)
-    assert res.value == pytest.approx((slope * op.delta_phi) ** 2 / var_o, rel=1e-6)
+    assert snr == pytest.approx((slope * op.delta_phi) ** 2 / var_o, rel=1e-6)
 
 
 def test_snr_degenerate_flag():
-    res = snr_lossy(NoonProbe(2), LossChannel(0.9), OperatingPoint(0.0, 0.01))
-    assert res.value == 0.0
+    res = precision_report(NoonProbe(2), LossChannel(0.9), OperatingPoint(0.0, 0.01))
+    assert res.snr == 0.0
     assert res.degenerate
 
 
 # ---------------------------------------------------------------------------
 # minimum detectable phase at a given operating point
 
-def test_min_phase_at_examples():
-    assert min_phase_at(NoonProbe(4), LossChannel(1.0), math.pi / 8) == pytest.approx(0.25, rel=1e-12)
-    assert min_phase_at(NoonProbe(1), LossChannel(0.5), 0.0) == math.inf
-    value = min_phase_at(NoonProbe(2), LossChannel(0.5), math.pi / 4)
+def test_min_phase_examples():
+    assert precision_report(NoonProbe(4), LossChannel(1.0), OperatingPoint(math.pi / 8, 0.0)).min_phase == \
+        pytest.approx(0.25, rel=1e-12)
+    assert precision_report(NoonProbe(1), LossChannel(0.5), OperatingPoint(0.0, 0.0)).min_phase == math.inf
+    value = precision_report(NoonProbe(2), LossChannel(0.5), OperatingPoint(math.pi / 4, 0.0)).min_phase
     assert value == pytest.approx(math.sqrt(2.5) / 2.0, rel=1e-12)
 
 
@@ -143,18 +140,20 @@ def test_snr_is_unity_at_min_phase():
             for offset in (0.15, 0.6, 1.1):
                 probe, ch = NoonProbe(n), LossChannel(eta)
                 phi0 = offset / n
-                dphi = min_phase_at(probe, ch, phi0)
+                dphi = precision_report(probe, ch, OperatingPoint(phi0, 0.0)).min_phase
                 if math.isinf(dphi):
                     continue
-                res = snr_lossy(probe, ch, OperatingPoint(phi0, dphi))
-                assert res.value == pytest.approx(1.0, rel=1e-10)
+                res = precision_report(probe, ch, OperatingPoint(phi0, dphi))
+                assert res.snr == pytest.approx(1.0, rel=1e-10)
+                assert res.min_phase == dphi  # independent of delta_phi
 
 
-def test_log_min_phase_at_matches_linear():
+def test_log_min_phase_matches_linear():
     probe, ch = NoonProbe(3), LossChannel(0.4, 0.2)
-    lin = min_phase_at(probe, ch, 0.3)
-    assert math.exp(log_min_phase_at(probe, ch, 0.3)) == pytest.approx(lin, rel=1e-12)
-    assert log_min_phase_at(probe, ch, -0.2) == math.inf  # sin(N(phi0+theta)) = 0
+    report = precision_report(probe, ch, OperatingPoint(0.3, 0.0))
+    assert math.exp(report.log_min_phase) == pytest.approx(report.min_phase, rel=1e-12)
+    # sin(N(phi0+theta)) = 0
+    assert precision_report(probe, ch, OperatingPoint(-0.2, 0.0)).log_min_phase == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,7 @@ def test_log_min_phase_at_matches_linear():
 def test_min_phase_opt_examples():
     assert min_phase_opt(NoonProbe(10), 1.0) == 0.1
     # consistency with the general form at the optimal phase
-    at_opt = min_phase_at(NoonProbe(2), LossChannel(0.5), math.pi / 4)
+    at_opt = precision_report(NoonProbe(2), LossChannel(0.5), OperatingPoint(math.pi / 4, 0.0)).min_phase
     assert min_phase_opt(NoonProbe(2), 0.5) == pytest.approx(at_opt, rel=1e-12)
     # the critical transmissivity is exactly the N=1 / N=2 tie
     eta_c = optimal_search.eta_critical()
@@ -253,7 +252,8 @@ def test_one_upper_bound_for_n():
 
 @pytest.mark.parametrize("make", [
     NoonProbe, PhotonBudget, lambda n: min_phase_opt_continuous(n, 0.5), lambda n: optimal_phase_grid([2, n], 0.5),
-], ids=["NoonProbe", "PhotonBudget", "real_n_form", "optimal_phase_grid"])
+    lambda n: optimal_phase_grid([2], 0.5, n_total=n),
+], ids=["NoonProbe", "PhotonBudget", "real_n_form", "optimal_phase_grid", "optimal_phase_grid_n_total"])
 @pytest.mark.parametrize("n, shown", [(10 ** 5000, "an int of 16610 bits"), (-10 ** 5000, "a negative int of 16610 bits")],
                          ids=["10**5000", "-10**5000"])
 def test_int_past_the_digit_limit_gets_the_bound_message(make, n, shown):
@@ -267,11 +267,11 @@ def test_int_past_the_digit_limit_gets_the_bound_message(make, n, shown):
 # log-domain evaluation
 
 def test_log_min_phase_opt_examples():
-    assert log_min_phase_opt(NoonProbe(1), 1.0) == pytest.approx(0.0, abs=1e-15)
-    got = log_min_phase_opt(NoonProbe(10000), 0.5)
+    assert log_min_phase_opt_continuous(1, 1.0) == pytest.approx(0.0, abs=1e-15)
+    got = log_min_phase_opt_continuous(10000, 0.5)
     expected = 0.5 * (10000 * math.log(2.0) - math.log(2.0)) - math.log(10000.0)
     assert got == pytest.approx(expected, abs=1e-9)
-    assert log_min_phase_opt(NoonProbe(2), 0.5) == pytest.approx(math.log(math.sqrt(2.5) / 2.0), rel=1e-12)
+    assert log_min_phase_opt_continuous(2, 0.5) == pytest.approx(math.log(math.sqrt(2.5) / 2.0), rel=1e-12)
 
 
 def test_log_min_phase_opt_where_n_ln_eta_overflows():
@@ -279,15 +279,13 @@ def test_log_min_phase_opt_where_n_ln_eta_overflows():
     assert log_min_phase_opt_continuous(3e305, 1e-300) == pytest.approx(-0.5 * 3e305 * math.log(1e-300), rel=1e-15)
 
 
-def test_log_min_phase_at_where_n_ln_eta_overflows():
+def test_log_min_phase_where_n_ln_eta_overflows():
     # N|ln eta| = 2.07e308 overflows, half of it does not: the value read inf;
     # at the optimal phase it is the optimal-phase form
     n = 3 * 10 ** 305
-    got = log_min_phase_at(NoonProbe(n), LossChannel(1e-300), math.pi / (2 * n))
-    assert got == log_min_phase_opt_continuous(n, 1e-300)
-    assert got == pytest.approx(1.0361632918473204e308, rel=1e-15)
     report = precision_report(NoonProbe(n), LossChannel(1e-300), OperatingPoint(phi0=math.pi / (2 * n), delta_phi=0.01))
-    assert report.log_min_phase == got
+    assert report.log_min_phase == log_min_phase_opt_continuous(n, 1e-300)
+    assert report.log_min_phase == pytest.approx(1.0361632918473204e308, rel=1e-15)
 
 
 def test_exp_log_consistency():
@@ -557,13 +555,13 @@ def test_point_queries_equal_the_written_out_forms_bit_for_bit(n, eta, theta_t, 
     s = abs(math.sin(angle))
     snr, min_phase, degenerate = _snr_min_phase(n, eta, s, delta_phi)
     report = precision_report(probe, ch, OperatingPoint(phi0, delta_phi))
-    snr_result = snr_lossy(probe, ch, OperatingPoint(phi0, delta_phi))
-    got = [report.mean, report.variance, report.snr, report.min_phase, snr_result.value,
-           min_phase_at(probe, ch, phi0), mean_detection(probe, ch, phi0), variance_detection(probe, ch, phi0)]
-    want = [_mean(n, eta, math.cos(angle)), _variance(n, eta, s), snr, min_phase, snr,
+    got = [report.mean, report.variance, report.snr, report.min_phase,
+           precision_report(probe, ch, OperatingPoint(phi0, 0.0)).min_phase,
+           mean_detection(probe, ch, phi0), variance_detection(probe, ch, phi0)]
+    want = [_mean(n, eta, math.cos(angle)), _variance(n, eta, s), snr, min_phase,
             _snr_min_phase(n, eta, s, 0.0)[1], _mean(n, eta, math.cos(angle)), _variance(n, eta, math.sin(angle))]
     assert _bits([got]) == _bits([want])
-    assert report.degenerate == snr_result.degenerate == degenerate
+    assert report.degenerate == degenerate
 
 
 def _first_true(pred, lo, hi):
@@ -647,6 +645,22 @@ def test_exp_or_inf_is_exp_on_both_sides_of_its_line():
     assert math.isfinite(_exp_reference(math.log(sys.float_info.max)))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_total": 0}, "n_total must lie in (0, DBL_MAX], got 0"),
+    ({"n_total": -5}, "n_total must lie in (0, DBL_MAX], got -5"),
+    ({"n_total": math.nan}, "n_total must lie in (0, DBL_MAX], got nan"),
+    ({"n_total": math.inf}, "n_total must lie in (0, DBL_MAX], got inf"),
+    ({"n_total": 10 ** 400}, "n_total must lie in (0, DBL_MAX], got an int of 1329 bits"),
+    ({"n_total": 100, "ratio": True}, "R_NOON takes no n_total"),
+], ids=["0", "-5", "nan", "inf", "10**400", "ratio"])
+def test_optimal_phase_grid_checks_n_total(kwargs, message):
+    # 0 raised ZeroDivisionError, -5 a bare math domain error and 10**400 an
+    # OverflowError; nan read [nan], and ratio with n_total read R_NOON
+    for ns in ([2], []):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimal_phase_grid(ns, 0.5, **kwargs)
+
+
 @pytest.mark.parametrize("eta, want", [(0.5, math.inf), (1.0, 1e-154)])
 def test_optimal_phase_grid_ratio_past_half_dbl_max(eta, want):
     # 2N overflows at N = 1e308: R_NOON read 0.0 at both points
@@ -657,17 +671,24 @@ def test_optimal_phase_grid_ratio_past_half_dbl_max(eta, want):
 INT_PHASES = [(10 ** 400, "an int of 1329 bits"), (-10 ** 5000, "a negative int of 16610 bits")]
 
 
-@pytest.mark.parametrize("form", [mean_detection, variance_detection, min_phase_at, log_min_phase_at])
+@pytest.mark.parametrize("form", [mean_detection, variance_detection])
 @pytest.mark.parametrize("phi, shown", INT_PHASES, ids=["10**400", "-10**5000"])
 def test_int_phase_past_dbl_max_in_the_angle_is_a_value_error(form, phi, shown):
-    # phi + theta_t in analytics._angle raised the OverflowError
+    # phi + theta_t in analytics._angle raised the OverflowError; precision_report's
+    # OperatingPoint rejects such a phase before the angle is formed
     for theta in (0.0, 0):
         with pytest.raises(ValueError, match=re.escape(f"N*(phi0 + theta_t) must be finite, got N = 2, "
                                                        f"phi0 = {shown}, theta_t = {theta!r}")):
             form(NoonProbe(2), LossChannel(0.5, theta), phi)
 
 
-@pytest.mark.parametrize("form", [mean_detection, variance_detection, min_phase_at, log_min_phase_at])
+@pytest.mark.parametrize("form", [
+    mean_detection, variance_detection,
+    pytest.param(lambda probe, ch, phi: precision_report(probe, ch, OperatingPoint(phi, 0.0)).min_phase,
+                 id="report_min_phase"),
+    pytest.param(lambda probe, ch, phi: precision_report(probe, ch, OperatingPoint(phi, 0.0)).log_min_phase,
+                 id="report_log_min_phase"),
+])
 def test_numpy_scalar_phases_in_the_angle_take_python_arithmetic(form):
     # numpy's scalar sum and product overflowed with a RuntimeWarning before the check, an
     # exception under -W error, and an int64 product wrapped

@@ -417,6 +417,16 @@ def test_config_value_outside_choices_is_a_usage_error(tmp_path, argv, line, mes
     assert err == f"error: {message}\n"
 
 
+def test_config_file_not_utf8_is_a_usage_error_naming_the_file(tmp_path):
+    # the UnicodeDecodeError, a ValueError, printed the domain hint and not the file
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"steps = 5\nformat = j\xffson\n")
+    code, out, err = run_cli("precision", "--n", "2", "--eta", "0.5", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "constants.json"
     code, out, _ = run_cli("constants", "--format", "json", "--out", str(target))

@@ -10,8 +10,8 @@ a one-ulp change in a log-domain kernel flips some of their tie-breaks.
 moments under other reflection phases, and detector outputs of a few kets.
 
 ``kernels.json`` pins the point queries bit for bit: every
-``precision_report`` field and ``snr_lossy``, ``min_phase_at`` and
-``log_min_phase_at`` at seeded points and at the edge cases of each rule
+``precision_report`` field, and ``min_phase`` and ``log_min_phase`` again at
+delta_phi = 0, at seeded points and at the edge cases of each rule
 (blind and near-blind phases, eta = 1 and 1 - 1e-16, an overflowing noise
 term or signal, delta_phi = 0, eta**-N on either side of DBL_MAX), and the
 optimal-phase forms ``min_phase_opt_continuous``, ``r_noon_continuous`` and
@@ -35,8 +35,7 @@ from unittest import mock
 import pytest
 
 from noonloss import PhotonBudget, fock_oracle, n_min_integer, n_tilde_min_integer
-from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, log_min_phase_at, min_phase_at,
-                                min_phase_opt_continuous, precision_report, snr_lossy)
+from noonloss.analytics import LossChannel, NoonProbe, OperatingPoint, min_phase_opt_continuous, precision_report
 from noonloss.budget import noon_precision_budgeted, r_noon_continuous
 from noonloss.cli import run_verification
 from noonloss.fock_oracle import FockKet, Occupation, apply_detector, build_noon_input, oracle_moments
@@ -339,19 +338,21 @@ KERNEL_BUDGET = PhotonBudget(10 ** 12)  # above every N of kernel_points()
 
 
 def kernel_rows():
-    """[point, precision_report fields, snr_lossy, min_phase_at, log_min_phase_at, optimal-phase forms],
-    floats as hex.  The optimal-phase forms are min_phase_opt_continuous and r_noon_continuous at N and
-    at N + 0.375, and noon_precision_budgeted at N under KERNEL_BUDGET."""
+    """[point, precision_report fields, [snr, degenerate], min_phase and log_min_phase at delta_phi = 0,
+    optimal-phase forms], floats as hex.  The optimal-phase forms are min_phase_opt_continuous and
+    r_noon_continuous at N and at N + 0.375, and noon_precision_budgeted at N under KERNEL_BUDGET.
+    The [snr, degenerate] and delta_phi = 0 slots held three point queries that precision_report
+    replaced; they stay so that the file need not be written again."""
     rows = []
     for n, eta, theta_t, phi0, dphi in kernel_points():
-        probe, ch, op = NoonProbe(n), LossChannel(eta, theta_t), OperatingPoint(phi0, dphi)
-        r = precision_report(probe, ch, op)
-        snr = snr_lossy(probe, ch, op)
+        probe, ch = NoonProbe(n), LossChannel(eta, theta_t)
+        r = precision_report(probe, ch, OperatingPoint(phi0, dphi))
+        at_zero = precision_report(probe, ch, OperatingPoint(phi0, 0.0))
         rows.append([[n, eta, theta_t, phi0, dphi],
                      [r.mean.hex(), r.variance.hex(), r.snr.hex(), r.min_phase.hex(), r.log_min_phase.hex(),
                       r.degenerate],
-                     [snr.value.hex(), snr.degenerate],
-                     min_phase_at(probe, ch, phi0).hex(), log_min_phase_at(probe, ch, phi0).hex(),
+                     [r.snr.hex(), r.degenerate],
+                     at_zero.min_phase.hex(), at_zero.log_min_phase.hex(),
                      [f(x, eta).hex() for f in (min_phase_opt_continuous, r_noon_continuous) for x in (n, n + 0.375)]
                      + [noon_precision_budgeted(n, KERNEL_BUDGET, eta).hex()]])
     return rows

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ def test_mu_from_nu():
             mu_from_nu(bad)
     # well-conditioned around the root
     assert abs(mu_from_nu(2.218) - mu_from_nu(2.218 + 1e-9)) < 1e-6
+
+
+@pytest.mark.parametrize("nu, shown", [(10 ** 400, "an int of 1329 bits"), (-10 ** 5000, "a negative int of 16610 bits")],
+                         ids=["10**400", "-10**5000"])
+def test_mu_from_nu_past_dbl_max_is_a_value_error(nu, shown):
+    # 10**400 raised OverflowError from exp(-nu) in the overflow fallback, and
+    # -10**5000 the int-to-str limit's error in place of this message
+    with pytest.raises(ValueError, match=rf"^nu must lie in \(0, DBL_MAX\], got {shown}$"):
+        mu_from_nu(nu)
+    assert mu_from_nu(int(sys.float_info.max)) == math.inf
 
 
 def test_eta_critical():

@@ -1,8 +1,8 @@
-"""The closed forms against 50-digit mpmath: variance_detection, min_phase_at,
-snr_lossy and log_min_phase_at at any operating point, the optimal-phase
-and budgeted forms on both sides of the overflow of eta**-N,
-d_precision_dN, mu_from_nu past the overflow of exp(nu), the continuous
-single-measurement optimum nu / -ln(eta), and, at 60 digits, both integer
+"""The closed forms against 50-digit mpmath: variance_detection and
+precision_report's min_phase, snr and log_min_phase at any operating point,
+the optimal-phase and budgeted forms on both sides of the overflow of
+eta**-N, d_precision_dN, mu_from_nu past the overflow of exp(nu), the
+continuous single-measurement optimum nu / -ln(eta), and, at 60 digits, both integer
 optimizers' picks between the neighbours of their roots, with the forward
 difference that decides them.  The seven constants that
 ``noonloss constants`` prints must equal the correctly rounded doubles of
@@ -24,9 +24,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from noonloss import analytics
-from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, d_precision_dN, log_min_phase_at,
-                                log_min_phase_opt_continuous, min_phase_at, min_phase_opt, min_phase_opt_continuous,
-                                snr_lossy, variance_detection)
+from noonloss.analytics import (LossChannel, NoonProbe, OperatingPoint, d_precision_dN, log_min_phase_opt_continuous,
+                                min_phase_opt, min_phase_opt_continuous, optimal_phase_grid, precision_report,
+                                variance_detection)
 from noonloss.budget import (PhotonBudget, l_tilde_critical, log_r_noon, mu_tilde, n_tilde_min_integer,
                              noon_precision_budgeted, r_noon, r_noon_continuous, solve_nu_tilde)
 from noonloss.optimal_search import (DEFAULT_N_CAP, eta_critical, loss_critical, mu_from_nu, n_min_integer,
@@ -81,23 +81,23 @@ def test_against_mpmath(point):
     variance = (1 - eta_n) / 2 + eta_n * s * s
     assert rel_err(variance_detection(probe, ch, phi0), variance) <= RTOL
 
+    report = precision_report(probe, ch, OperatingPoint(phi0, dphi))
     log_want = mpmath.log(min_phase)
     log_tol = RTOL * max(1.0, abs(log_want))
-    assert abs(log_min_phase_at(probe, ch, phi0) - log_want) <= log_tol
+    assert abs(report.log_min_phase - log_want) <= log_tol
     # past DBL_MAX for the noise term both values come from ln(min_phase), so
     # their relative error is that logarithm's absolute error (twice it for snr)
     overflow = noise > NORMAL[1]
     if NORMAL[0] <= min_phase <= NORMAL[1]:
-        assert rel_err(min_phase_at(probe, ch, phi0), min_phase) <= (log_tol if overflow else RTOL)
+        assert rel_err(report.min_phase, min_phase) <= (log_tol if overflow else RTOL)
     if NORMAL[0] <= snr <= NORMAL[1]:
-        result = snr_lossy(probe, ch, OperatingPoint(phi0, dphi))
-        assert not result.degenerate
-        assert rel_err(result.value, snr) <= (2 * log_tol if overflow else RTOL)
+        assert not report.degenerate
+        assert rel_err(report.snr, snr) <= (2 * log_tol if overflow else RTOL)
 
 
-def test_min_phase_at_finite_where_only_the_noise_term_overflows():
+def test_min_phase_finite_where_only_the_noise_term_overflows():
     # true value sqrt((1e400 - 1)/2 + 1/2) / 2 = 3.5355e199
-    got = min_phase_at(NoonProbe(2), LossChannel(1e-200), math.pi / 4)
+    got = precision_report(NoonProbe(2), LossChannel(1e-200), OperatingPoint(math.pi / 4, 0.0)).min_phase
     assert math.isfinite(got)
     want = mpmath.sqrt((mpmath.mpf(1e-200) ** -2 - 1) / 2 + mpmath.sin(mpmath.mpf(math.pi / 2)) ** 2) / 2
     assert rel_err(got, want) <= RTOL * abs(mpmath.log(want))
@@ -106,11 +106,27 @@ def test_min_phase_at_finite_where_only_the_noise_term_overflows():
 def test_snr_where_only_the_signal_overflows():
     # (3 * 1e160)**2 overflows; the noise term is about 5e299
     n, eta, phi0, dphi = 3, 1e-100, math.pi / 6, 1e160
-    got = snr_lossy(NoonProbe(n), LossChannel(eta), OperatingPoint(phi0, dphi))
+    got = precision_report(NoonProbe(n), LossChannel(eta), OperatingPoint(phi0, dphi))
     s = mpmath.sin(mpmath.mpf(n * phi0))
     want = (n * s * mpmath.mpf(dphi)) ** 2 / ((mpmath.mpf(eta) ** -n - 1) / 2 + s * s)
     assert not got.degenerate
-    assert rel_err(got.value, want) <= 2 * RTOL * abs(mpmath.log(want))
+    assert rel_err(got.snr, want) <= 2 * RTOL * abs(mpmath.log(want))
+
+
+@pytest.mark.parametrize("ns, eta, n_total", [
+    ([2], 1.0, sys.float_info.max), ([1e300], 1.0, 10 ** 12), ([2.0], 1e-160, int(1e308)), ([1e300], 0.5, 10 ** 12),
+    ([2 ** 600], 1.0, 2 ** 500), ([2 ** 600], 0.5, 2 ** 500),
+], ids=["float-n_total", "float-n", "log-form", "log-form-inf", "int-finite", "int-log-form"])
+def test_optimal_phase_grid_budgeted_past_dbl_max_in_n_n_total(ns, eta, n_total):
+    # a float N N_T past DBL_MAX read inf, so the finite form read 0 and the log form
+    # exp(-inf) = 0; an int one raised where it did not convert, and stays as it was
+    n = mpmath.mpf(ns[0])
+    want = mpmath.sqrt((mpmath.mpf(eta) ** -n + 1) / (2 * n * n_total))
+    got = optimal_phase_grid(ns, eta, n_total=n_total)[0]
+    if want > NORMAL[1]:
+        assert got == math.inf
+    else:
+        assert rel_err(got, want) <= RTOL * max(1.0, abs(mpmath.log(want)))
 
 
 # where eta**-N is a finite double the forms take the power, exact to an ulp

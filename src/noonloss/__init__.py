@@ -2,100 +2,17 @@
 brute-force Fock-basis oracle, optimal photon numbers, and photon-budget
 comparisons against the unentangled baseline."""
 
-from .analytics import (
-    DEGENERACY_TOL,
-    LossChannel,
-    NoonProbe,
-    OperatingPoint,
-    PrecisionReport,
-    d_log_precision_dN,
-    d_precision_dN,
-    log_min_phase_opt_continuous,
-    mean_detection,
-    min_phase_opt,
-    min_phase_opt_continuous,
-    optimal_phase_grid,
-    precision_grid,
-    precision_report,
-    variance_detection,
-)
-from .budget import (
-    PhotonBudget,
-    d_rnoon_dN_largeloss,
-    l_tilde_critical,
-    log_r_noon,
-    mu_tilde,
-    n_tilde_min_integer,
-    noon_precision_budgeted,
-    r_noon,
-    r_noon_continuous,
-    solve_nu_tilde,
-    unentangled_precision,
-)
-from .fock_oracle import (
-    MAX_PHOTONS,
-    FockKet,
-    Occupation,
-    apply_detector,
-    build_noon_input,
-    inner,
-    oracle_moments,
-)
-from .optimal_search import (
-    DEFAULT_N_CAP,
-    InvalidEta,
-    OptimumResult,
-    asymptotic_optimum,
-    eta_critical,
-    loss_critical,
-    mu_from_nu,
-    n_min_integer,
-    solve_nu,
-)
+from . import analytics, budget, fock_oracle, optimal_search
+from .analytics import *
+from .budget import *
+from .fock_oracle import *
+from .optimal_search import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEGENERACY_TOL",
-    "DEFAULT_N_CAP",
-    "MAX_PHOTONS",
-    "FockKet",
-    "InvalidEta",
-    "LossChannel",
-    "NoonProbe",
-    "Occupation",
-    "OperatingPoint",
-    "OptimumResult",
-    "PhotonBudget",
-    "PrecisionReport",
-    "apply_detector",
-    "asymptotic_optimum",
-    "build_noon_input",
-    "d_log_precision_dN",
-    "d_precision_dN",
-    "d_rnoon_dN_largeloss",
-    "eta_critical",
-    "inner",
-    "l_tilde_critical",
-    "log_min_phase_opt_continuous",
-    "log_r_noon",
-    "loss_critical",
-    "mean_detection",
-    "min_phase_opt",
-    "min_phase_opt_continuous",
-    "mu_from_nu",
-    "mu_tilde",
-    "n_min_integer",
-    "n_tilde_min_integer",
-    "noon_precision_budgeted",
-    "optimal_phase_grid",
-    "oracle_moments",
-    "precision_grid",
-    "precision_report",
-    "r_noon",
-    "r_noon_continuous",
-    "solve_nu",
-    "solve_nu_tilde",
-    "unentangled_precision",
-    "variance_detection",
-]
+# each library module's __all__ is the one list of its public names
+__all__ = []
+__all__ += analytics.__all__
+__all__ += budget.__all__
+__all__ += fock_oracle.__all__
+__all__ += optimal_search.__all__

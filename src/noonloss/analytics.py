@@ -44,6 +44,8 @@ _EXP_OVERFLOWS = math.log(sys.float_info.max) + 1e-9
 # the one upper bound of every check of N, int or float: past it float(N)
 # overflows or rounds an int down to DBL_MAX
 _N_MAX = sys.float_info.max
+# the least normal double: below it a product keeps fewer bits, or reads 0
+_DBL_MIN = sys.float_info.min
 # _log_step's float form is within about eps*L of the exact difference by a
 # count of its roundings, and within 0.78 eps*L of its 60-digit value at the
 # 20,000 steps of 10,000 seeded losses in [1e-16, 0.99]; outside four times
@@ -460,24 +462,28 @@ def optimal_phase_grid(ns, eta: float, ratio: bool = False, n_total=None) -> lis
                 inv = math.inf
         if inv < math.inf:
             if ratio:
-                # past DBL_MAX/2, where 2N overflows, eta**-N is finite only at eta = 1
+                # past DBL_MAX/2, where 2N overflows, eta**-N is finite only at eta = 1; at a
+                # subnormal N the quotient may overflow where its root does not: a root of each
                 two_n = 2.0 * n
-                value = math.sqrt(eta * (inv + 1.0) / two_n if two_n < math.inf else 0.5 * (eta * (inv + 1.0)) / n)
+                q = eta * (inv + 1.0) / two_n if two_n < math.inf else 0.5 * (eta * (inv + 1.0)) / n
+                value = math.sqrt(q) if q < math.inf else math.sqrt(eta * (inv + 1.0)) / math.sqrt(two_n)
             elif n_total is None:
                 value = math.sqrt(0.5 * (inv + 1.0)) / n
             else:
-                # past DBL_MAX a float N N_T reads inf and an int one does not convert: a root of each
+                # N N_T only where it is a normal float: past DBL_MAX a float one reads inf and an
+                # int one does not convert, below DBL_MIN it loses bits or reads 0: a root of each
                 n_nt = n * n_total
-                scale = math.sqrt(n_nt) if n_nt <= _N_MAX else math.sqrt(n) * math.sqrt(n_total)
+                scale = math.sqrt(n_nt) if _DBL_MIN <= n_nt <= _N_MAX else math.sqrt(n) * math.sqrt(n_total)
                 value = math.sqrt(0.5 * (inv + 1.0)) / scale
         else:
             a = -n * log_eta
             if ratio:
                 value = _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)))
             else:
-                # log takes an int N N_T past DBL_MAX, but a float one reads inf: a log of each
+                # log takes an int N N_T of any size, but a float one out of the normal range
+                # reads inf or a subnormal: a log of each
                 log_n = math.log(n) if n_total is None else 0.5 * (
-                    math.log(n * n_total) if n * n_total < math.inf else math.log(n) + math.log(n_total))
+                    math.log(n * n_total) if _DBL_MIN <= n * n_total < math.inf else math.log(n) + math.log(n_total))
                 value = _exp_or_inf(0.5 * (a - _LN2) - log_n)
         column.append(value)
     return column

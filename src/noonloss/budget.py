@@ -10,8 +10,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .analytics import (_exp_or_inf, _float_range, _int_text, _log_2n, _log_step, _photon_number, _validate_eta,
-                        optimal_phase_grid)
+from .analytics import (_N_MAX, _exp_or_inf, _float_range, _int_text, _log_2n, _log_step, _photon_number,
+                        _validate_eta, optimal_phase_grid)
 # bisect_root is unused here; perfbench's tracer patches every roots function in budget by name
 from .roots import bisect_root, integer_argmin
 
@@ -46,8 +46,9 @@ class PhotonBudget:
         if n_total < 1:
             raise ValueError(f"n_total must be >= 1, got {_int_text(n_total)}")
         _float_range(n_total, "n_total")
-        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
+        # chained, as math.isfinite overflows for an int past DBL_MAX
+        if not 0.0 < self.kappa <= _N_MAX:
+            raise ValueError(f"kappa must be positive and finite, got {_int_text(self.kappa)}")
         object.__setattr__(self, "n_total", n_total)
 
 

@@ -163,22 +163,26 @@ def _optimal_phase(n, eta: float, n_total=None, ratio: bool = False) -> float:
     inv = _inv_eta_pow(n, eta)
     if inv < math.inf:
         if ratio:
-            # past DBL_MAX/2, where 2N overflows, eta**-N is finite only at eta = 1
             two_n = 2.0 * n
-            return math.sqrt(eta * (inv + 1.0) / two_n if two_n < math.inf else 0.5 * (eta * (inv + 1.0)) / n)
+            if two_n == math.inf:  # past DBL_MAX/2 eta**-N is finite only at eta = 1
+                return math.sqrt(0.5 * (eta * (inv + 1.0)) / n)
+            if eta * (inv + 1.0) / two_n == math.inf:  # a subnormal N: the quotient overflows, its root does not
+                return math.sqrt(eta * (inv + 1.0)) / math.sqrt(two_n)
+            return math.sqrt(eta * (inv + 1.0) / two_n)
         root = math.sqrt(0.5 * (inv + 1.0))
         if n_total is None:
             return root / n
-        if n * n_total <= sys.float_info.max:
+        if sys.float_info.min <= n * n_total <= sys.float_info.max:
             return root / math.sqrt(n * n_total)
-        return root / (math.sqrt(n) * math.sqrt(n_total))  # N N_T past the float range, each factor within it
+        return root / (math.sqrt(n) * math.sqrt(n_total))  # N N_T out of the normal range, each factor within it
     log_eta = math.log(eta)
     a = -n * log_eta
     if ratio:
         return _exp_or_inf(0.5 * (log_eta + a - _log_2n(n)))
     if n_total is None:
         log_n = math.log(n)
-    elif n * n_total == math.inf:  # a float N N_T past DBL_MAX; log takes an int one of any size
+    elif n * n_total == math.inf or n * n_total < sys.float_info.min:
+        # a float N N_T out of the normal range; log takes an int one of any size
         log_n = 0.5 * (math.log(n) + math.log(n_total))
     else:
         log_n = 0.5 * math.log(n * n_total)

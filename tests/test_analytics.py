@@ -512,10 +512,10 @@ def _optimal_phase_reference(ns, eta, ratio):
 
 
 # N|ln eta| on both sides of ln(DBL_MAX) = 709.78, N real or integer up to DBL_MAX, past DBL_MAX/2
-# where 2N overflows
+# where 2N overflows, and subnormal, where R_NOON's quotient overflows and N N_T leaves the normal range
 optimal_ns = st.one_of(st.integers(1, 10 ** 9), st.integers(1, int(sys.float_info.max)),
                        st.floats(1e-3, 1e9), st.floats(1e-3, sys.float_info.max),
-                       st.sampled_from([1, 1e-300, 1e300, 9e307, sys.float_info.max]))
+                       st.sampled_from([1, 1e-300, 1e300, 9e307, sys.float_info.max, 5e-324, 1e-310]))
 optimal_etas = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([1.0, 1.0 - 1e-16, 5e-324]),
                          st.floats(-12.0, -1.0).map(lambda x: 1.0 - 10.0 ** x))
 

@@ -34,6 +34,15 @@ def test_photon_budget_validation():
     assert PhotonBudget(10).kappa == 1.0
 
 
+@pytest.mark.parametrize("kappa, shown", [(10 ** 400, "an int of 1329 bits"), (-10 ** 5000, "a negative int of 16610 bits")],
+                         ids=["10**400", "-10**5000"])
+def test_photon_budget_int_kappa_past_dbl_max_is_a_value_error(kappa, shown):
+    # math.isfinite raised OverflowError at 10**400, and the message of -10**5000 formed its
+    # digits, past Python's 4,300-digit limit
+    with pytest.raises(ValueError, match=f"^kappa must be positive and finite, got {shown}$"):
+        PhotonBudget(2, kappa=kappa)
+
+
 def test_unentangled_precision_examples():
     assert unentangled_precision(PhotonBudget(100), 1.0) == pytest.approx(0.1, rel=1e-15)
     assert unentangled_precision(PhotonBudget(100), 0.25) == pytest.approx(0.2, rel=1e-15)

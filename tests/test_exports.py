@@ -20,6 +20,7 @@ def test_every_listed_name_exists(name):
 
 def test_package_exports_the_union_of_the_library_modules():
     owners = {n: m for m in LIBRARY for n in importlib.import_module(f"noonloss.{m}").__all__}
+    assert len(owners) == sum(len(importlib.import_module(f"noonloss.{m}").__all__) for m in LIBRARY)
     assert sorted(noonloss.__all__) == sorted(owners)
     for name, owner in owners.items():
         assert getattr(noonloss, name) is getattr(importlib.import_module(f"noonloss.{owner}"), name)

@@ -129,6 +129,15 @@ def test_optimal_phase_grid_budgeted_past_dbl_max_in_n_n_total(ns, eta, n_total)
         assert rel_err(got, want) <= RTOL * max(1.0, abs(mpmath.log(want)))
 
 
+@pytest.mark.parametrize("ns, eta, n_total", [([0.5], 1.0, 5e-324), ([1e-300], 1e-300, 1e-30), ([0.5], 0.5, 1e-310)],
+                         ids=["n_total-5e-324", "zero-product", "subnormal-product"])
+def test_optimal_phase_grid_budgeted_below_dbl_min_in_n_n_total(ns, eta, n_total):
+    # N N_T below DBL_MIN: a product that read 0 raised ZeroDivisionError, a subnormal one lost bits
+    n = mpmath.mpf(ns[0])
+    want = mpmath.sqrt((mpmath.mpf(eta) ** -n + 1) / (2 * n * mpmath.mpf(n_total)))
+    assert rel_err(optimal_phase_grid(ns, eta, n_total=n_total)[0], want) <= 1e-15
+
+
 # where eta**-N is a finite double the forms take the power, exact to an ulp
 POWER_RTOL = 1e-15
 LN_DBL_MAX = math.log(sys.float_info.max)
@@ -173,6 +182,12 @@ def check_log(got, want):
 @example((1, 1.0 - 1e-16, 1, 1.0))
 @example((1, 0.5, 1, 9e307))  # 2N overflows: R_NOON read 0 and ln R_NOON -inf
 @example((1, 1.0, 1, NORMAL[1]))
+@example((1, 0.5, 1, 5e-324))  # subnormal N: eta (eta**-N + 1) / 2N overflowed, so R_NOON read inf
+@example((1, 1.0, 1, 5e-324))
+@example((1, 0.5, 1, 1e-310))
+@example((1, 1.0, 1, 1e-310))
+@example((1, 0.5, 1, 5e-309))
+@example((1, 1.0, 1, 5e-309))
 def test_overflow_rule_against_mpmath(point):
     n, eta, n_total, x = point
     for k, got in ((n, [min_phase_opt(NoonProbe(n), eta), r_noon(n, eta),

@@ -64,14 +64,6 @@ class Table:
 FLOAT_FORMAT = "%.12g"
 CHUNK_ROWS = 1000
 
-# where json.dumps(float(text)) differs from text = "%.12g" % value, besides a
-# text with no "." (integral values, inf, -inf and nan): an exponent of 12 to
-# 15, which repr writes out in full, and a subnormal, where repr keeps fewer
-# digits
-_REENCODE = re.compile(r"e(?:\+1[2-5](?!\d)|-3(?:0[89]|[12]\d))")
-# the same exponent at the end of a JSON cell's line, which no key reaches
-_REENCODE_AT_END = re.compile(rf"(?:{_REENCODE.pattern}),?\n")
-
 
 def _numeric_format(column) -> str | None:
     """The % conversion of a column, from the type of its first cell:
@@ -79,7 +71,7 @@ def _numeric_format(column) -> str | None:
     first = column[0] if len(column) else None
     if isinstance(first, float):
         return FLOAT_FORMAT
-    if isinstance(first, (int, np.integer)):
+    if isinstance(first, int):
         return "%d"
     return None
 
@@ -99,20 +91,21 @@ def _text_cells(column):
 
 
 def _json_float(value: float) -> str:
-    """What json.dumps writes for float("%.12g" % value), so that CSV and
-    JSON agree; inf, -inf and nan become the strings "inf", "-inf", "nan"."""
+    """The JSON cell of ``value``: its FLOAT_FORMAT text, the CSV cell,
+    where that has a "."; any other text goes through _mended."""
     text = FLOAT_FORMAT % value
-    if "." in text and not _REENCODE.search(text):
+    return text if "." in text else _mended(text)
+
+
+def _mended(text: str) -> str:
+    """The JSON cell of a FLOAT_FORMAT ``text`` with no ".": an exponent
+    keeps it a JSON float, an integral text takes ".0", and inf, -inf and
+    nan become the strings "inf", "-inf", "nan"."""
+    if "e" in text:
         return text
-    return _reencoded(text)
-
-
-def _reencoded(text: str) -> str:
-    """What _json_float writes for a %.12g ``text`` with no "." or a match
-    of _REENCODE."""
     if text[-1] in "fn":
         return f'"{text}"'
-    return repr(float(text))
+    return text + ".0"
 
 
 def _json_cells(column):
@@ -156,11 +149,9 @@ def render_json(table: Table, stream) -> None:
     ``stream``, from a template, one record or chunk per write.
 
     A table of several rows and numbers only is formatted CHUNK_ROWS records
-    at a time by one % template, floats as FLOAT_FORMAT.  A chunk keeps that
-    text when each of its float cells has a "." and none ends in a match of
-    _REENCODE, which the count of dots and one search tell; otherwise
-    _reencode_cells finds the cells that break the rule, by the dots on
-    each line and the places of those matches, and re-encodes them alone.
+    at a time by one % template, floats as FLOAT_FORMAT.  A chunk whose
+    count of dots shows a "." in each float cell is written as it is;
+    otherwise _mend_chunk passes the cells without one through _mended.
     """
     keys = [json.dumps(name) for name in table.names]
     if len(table) == 1 and table.json_object_if_single:
@@ -177,18 +168,12 @@ def render_json(table: Table, stream) -> None:
         texts = map(record.__mod__, zip(*map(_json_cells, table.columns)))
     else:
         record = "  {\n" + ",\n".join(map(str.__add__, fields, conversions)) + "\n  }"
-        key_dots = [key.count(".") for key in keys]
-        is_float = [conversion == FLOAT_FORMAT for conversion in conversions]
-        dots = sum(key_dots) + sum(is_float)
-        # per line of a record, "  {", one line per field and "  }": the dots
-        # of a float cell's line (0 on any other), and where a cell starts
-        # after the newline before its line and stops before the one after it
-        line_dots = np.array([0, *(d + 1 if f else 0 for d, f in zip(key_dots, is_float)), 0])
-        value_start = np.array([0, *(len(f"    {key}: ") + 1 for key in keys), 0])
-        value_stop = np.array([0, *[1] * (len(keys) - 1), 0, 0])
-        chunk_dots = np.tile(line_dots, CHUNK_ROWS)
-        texts = (_reencode_cells(text, chunk_dots, value_start, value_stop)
-                 if text.count(".") != rows * dots or _REENCODE_AT_END.search(text) else text
+        # per float column: its line in a record, after "  {", where its cell
+        # starts on that line, and the "," after the cell on all but the last
+        cells = [(j + 1, len(f"    {key}: "), "," if j + 1 < len(keys) else "")
+                 for j, (key, conversion) in enumerate(zip(keys, conversions)) if conversion == FLOAT_FORMAT]
+        dots = sum(key.count(".") for key in keys) + len(cells)
+        texts = (text if text.count(".") == rows * dots else _mend_chunk(text, cells, len(keys) + 2)
                  for rows, text in _chunks(record, ",\n", table))
     stream.write("[\n")
     stream.write(next(texts))
@@ -198,31 +183,17 @@ def render_json(table: Table, stream) -> None:
     stream.write("\n]\n")
 
 
-def _reencode_cells(text: str, line_dots, value_start, value_stop) -> str:
-    """The chunk ``text`` of render_json with each float cell that
-    _json_float writes differently from FLOAT_FORMAT passed through
-    _reencoded, the rest of the text kept.
-
-    Such a cell's line holds fewer dots than ``line_dots`` gives for it
-    (the key's and the one of the value), or it ends in a match of
-    _REENCODE.  ``line_dots`` runs over the lines of the chunk, the other
-    two over the lines of one record (see render_json).
-    """
-    # json.dumps writes the keys in ASCII, so characters are bytes here;
-    # line k ends at ends[k] and holds dots[k] dots
-    chars = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.append(np.flatnonzero(chars == ord("\n")), len(text))
-    dots = np.bincount(np.searchsorted(ends, np.flatnonzero(chars == ord("."))), minlength=len(ends))
-    hits = [match.start() for match in _REENCODE_AT_END.finditer(text)]
-    lines = np.union1d(np.flatnonzero(dots < line_dots[:len(ends)]), np.searchsorted(ends, hits))
-    where = lines % len(value_start)
-    starts = (ends[lines - 1] + value_start[where]).tolist()
-    stops = (ends[lines] - value_stop[where]).tolist()
-    # the kept text before, between and after those cells, with the cells
-    out = [None] * (2 * len(starts) + 1)
-    out[0::2] = map(text.__getitem__, map(slice, [0, *stops], [*starts, None]))
-    out[1::2] = map(_reencoded, map(text.__getitem__, map(slice, starts, stops)))
-    return "".join(out)
+def _mend_chunk(text: str, cells, period: int) -> str:
+    """The chunk ``text`` of render_json, records of ``period`` lines, with
+    each float cell that has no "." passed through _mended; ``cells`` places
+    the float cells of a record as render_json lists them."""
+    lines = text.split("\n")
+    for first, start, tail in cells:
+        for k in range(first, len(lines), period):
+            line = lines[k]
+            if line.find(".", start) < 0:
+                lines[k] = line[:start] + _mended(line[start:len(line) - len(tail)]) + tail
+    return "\n".join(lines)
 
 
 def render_text(table: Table, stream) -> None:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import operator
 import sys
@@ -206,3 +207,37 @@ def inner_reference(x, y):
         (amp.conjugate() * y.amps[occ] for occ, amp in x.amps.items() if occ in y.amps),
         start=0j,
     )
+
+
+# ---------------------------------------------------------------------------
+# written-out reference for cli.render_json's values: the rule that wrote each
+# float cell as json.dumps(float("%.12g" % x)), kept verbatim; the render tests
+# hold every document that render_json writes to this one's, parsed
+
+def _dumps_cell(value):
+    if isinstance(value, int):  # bools too
+        return int(value)
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return float(f"{value:.12g}")
+    return value
+
+
+def json_dumps_reference(names, rows, json_object_if_single):
+    """The records of ``rows`` as json.dumps(..., indent=2) writes them, each
+    float as float("%.12g" % x), inf, -inf and nan as strings; a single row
+    as one object if ``json_object_if_single``."""
+    records = [dict(zip(names, map(_dumps_cell, row))) for row in rows]
+    doc = records[0] if len(records) == 1 and json_object_if_single else records
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def json_document(text):
+    """The JSON ``text`` parsed so that == tells documents apart by all they
+    hold: objects as lists of (key, value) pairs in order, each number tagged
+    with its type, a float by its bits, so that 0.0 and -0.0 differ."""
+    return json.loads(text, object_pairs_hook=list, parse_int=lambda s: ("int", int(s)),
+                      parse_float=lambda s: ("float", float(s).hex()))

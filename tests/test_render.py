@@ -1,8 +1,11 @@
 """The column-wise renderers against per-cell reference renderers.
 
-The reference below formats one cell at a time and lets ``json.dumps``
-lay the records out; the CLI's renderers format each column once and write
-the JSON layout from a template.  Both must give the same bytes.
+The references below format one cell at a time, a JSON float as its
+``%.12g`` text with ".0" after an integral one; the CLI's renderers format
+each column once and write the JSON layout from a template.  Both must give
+the same bytes, and each JSON document must read back as the one that
+``json.dumps`` writes for the float of each ``%.12g`` text
+(``_helpers.json_dumps_reference``), down to the bits of every float.
 """
 
 import csv
@@ -12,13 +15,14 @@ import math
 import random
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noonloss import cli
 from noonloss.cli import Table, render_csv, render_json, render_text
+
+from _helpers import json_document, json_dumps_reference
 
 json_float = cli._json_float
 
@@ -31,9 +35,7 @@ def rendered(renderer, table) -> str:
 
 
 def _cell_text(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):  # bools too
         return str(int(value))
     if isinstance(value, float):
         if math.isinf(value):
@@ -44,18 +46,18 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def _cell_json(value):
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
+def _cell_json(value) -> str:
+    """A float as its CSV text, ".0" after one with neither "." nor "e",
+    and "inf", "-inf", "nan" as strings; ints as digits, strings as
+    json.dumps writes them."""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return float(f"{value:.12g}")
-    return value
+        text = _cell_text(value)
+        if not math.isfinite(value):
+            return f'"{text}"'
+        return text if "." in text or "e" in text else text + ".0"
+    if isinstance(value, int):
+        return str(int(value))
+    return json.dumps(value)
 
 
 def ref_csv(names, rows):
@@ -68,9 +70,14 @@ def ref_csv(names, rows):
 
 
 def ref_json(names, rows, json_object_if_single):
-    records = [dict(zip(names, (_cell_json(v) for v in row))) for row in rows]
-    doc = records[0] if len(records) == 1 and json_object_if_single else records
-    return json.dumps(doc, indent=2) + "\n"
+    """The layout of json.dumps(..., indent=2), cells by _cell_json."""
+    records = [[f"{json.dumps(name)}: {_cell_json(v)}" for name, v in zip(names, row)] for row in rows]
+    if len(records) == 1 and json_object_if_single:
+        return "{\n" + ",\n".join(f"  {field}" for field in records[0]) + "\n}\n"
+    if not records:
+        return "[]\n"
+    return "[\n" + ",\n".join("  {\n" + ",\n".join(f"    {field}" for field in record) + "\n  }"
+                              for record in records) + "\n]\n"
 
 
 def ref_text(names, rows):
@@ -97,7 +104,7 @@ floats = st.one_of(
     st.integers(min_value=-2 ** 60, max_value=2 ** 60).map(float),
     st.sampled_from(SPECIAL_FLOATS),
 )
-ints = st.one_of(st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+ints = st.integers()
 strings = st.one_of(st.text(), st.text(alphabet=',"≈ \n\\x%').filter(bool),
                     st.sampled_from(["L > L_c: precision nondecreasing in N", "a,b", 'say "hi"', "≈"]))
 COLUMN_KINDS = [st.booleans(), ints, floats, strings]
@@ -118,11 +125,23 @@ def rows_of(columns):
     return [list(row) for row in zip(*columns)]
 
 
+def check_json(names, columns, single_object):
+    """render_json's bytes against ref_json, and its document against
+    json_dumps_reference: the same keys in order, types, float bits and
+    signs of zero, the same strings; json.dumps lays it out the same."""
+    out = rendered(render_json, Table(names, columns, json_object_if_single=single_object))
+    rows = rows_of(columns)
+    assert out == ref_json(names, rows, single_object)
+    reference = json_dumps_reference(names, rows, single_object)
+    assert json_document(out) == json_document(reference)
+    assert json.dumps(json.loads(out), indent=2) + "\n" == reference
+
+
 def check(names, columns, single_object):
     table = Table(names, columns, json_object_if_single=single_object)
     rows = rows_of(columns)
     assert rendered(render_csv, table) == ref_csv(names, rows)
-    assert rendered(render_json, table) == ref_json(names, rows, single_object)
+    check_json(names, columns, single_object)
     if rows:
         assert rendered(render_text, table) == ref_text(names, rows)
     else:
@@ -160,7 +179,7 @@ def _column_kinds(rows):
         return [values[k % len(values)] for k in range(rows)]
     return {
         "bool": cycle([True, False, False]),
-        "int64": cycle([np.int64(v) for v in (0, -1, 7, 2 ** 63 - 1, -2 ** 63, 123456789012345)]),
+        "int": cycle([0, -1, 7, 2 ** 63 - 1, -2 ** 63, 123456789012345]),
         "bigint": cycle([2 ** 63, -2 ** 63 - 1, 2 ** 64 + 5, -(10 ** 30), 10 ** 400, 3]),
         "special": cycle(SPECIAL_FLOATS),
         "float": [(-1.0) ** k * 10.0 ** (k % 37 - 18) * (1.0 + k / 7.0) for k in range(rows)],
@@ -174,16 +193,16 @@ def test_long_numeric_and_mixed_tables_match_the_reference(rows):
     check(list(kinds), list(kinds.values()), False)
     labels = [["x", "a,b", 'say "hi"', "≈", ""][k % 5] for k in range(rows)]
     check(["label", *kinds], [labels, *kinds.values()], False)
-    check(["N", "bigint", "text"], [kinds["int64"], kinds["bigint"], labels], False)
+    check(["N", "bigint", "text"], [kinds["int"], kinds["bigint"], labels], False)
 
 
 # ---------------------------------------------------------------------------
-# the chunked JSON template and its re-encode rule
+# the chunked JSON template and the cells it mends
 
 def _ordinary_floats(rows, seed):
-    """Floats from 1e-39 to 1e10 whose 12-digit text keeps its "." and no
-    exponent that _json_float rewrites, mean-like e-31 normals among them:
-    11 significant digits, the last nonzero, and at most 10 before the point."""
+    """Floats from 1e-39 to 1e10 whose 12-digit text has a ".", mean-like
+    e-31 normals among them: 11 significant digits, the last nonzero, and
+    at most 10 before the point."""
     rng = random.Random(seed)
     values = [rng.choice((-1, 1)) * (10 * rng.randrange(10 ** 9, 10 ** 10) + rng.randint(1, 9))
               * 10.0 ** rng.randint(-49, -1) for _ in range(rows)]
@@ -191,76 +210,84 @@ def _ordinary_floats(rows, seed):
     return values
 
 
-# one float cell per case of the rule: no "." (integral, inf, -inf, nan, a
-# one-digit mantissa), an exponent of 12 to 15, and e-308 to e-324
-REENCODED = [1.0, 0.0, -0.0, 350000000000.0, -7.0, math.inf, -math.inf, math.nan, 1e20, 2e-31,
-             1.5e12, -123456789012345.6, 9.99999999999e15, 2.3e-308, 1e-309, -2.5e-320, 5e-324]
+# float cells with no "." in their 12-digit text (integral, inf, -inf, nan, a
+# one-digit mantissa), which _mended spells, and cells with one whose
+# spelling json.dumps would change (an exponent of 12 to 15, and e-308 to
+# e-324), which keep their text
+EDGE_FLOATS = [1.0, 0.0, -0.0, 350000000000.0, 999768412082.0, -7.0, math.inf, -math.inf, math.nan, 1e20,
+               2e-31, 1.5e12, -123456789012345.6, 9.99999999999e15, 2.3e-308, 1e-309, -2.5e-320, 5e-324]
+
+
+def _dotless(values):
+    """The 12-digit texts of ``values`` that have no "."."""
+    return [text for text in map("%.12g".__mod__, values) if "." not in text]
 
 
 def _fast_path_table(rows):
     names = ["x.y", "100%", "e+12", "N", "flag", "mean"]
     columns = [_ordinary_floats(rows, 1), _ordinary_floats(rows, 2), _ordinary_floats(rows, 3),
-               [np.int64(k * 37 - 500) if k % 2 else k * 37 - 500 for k in range(rows)],
-               [k % 3 == 0 for k in range(rows)], _ordinary_floats(rows, 4)]
+               [k * 37 - 500 for k in range(rows)], [k % 3 == 0 for k in range(rows)], _ordinary_floats(rows, 4)]
     return names, columns
 
 
 @pytest.fixture
-def reencoded_calls(monkeypatch):
-    """The %.12g texts that reach _reencoded, the one per-cell re-encoder."""
+def mended_calls(monkeypatch):
+    """The %.12g texts that reach _mended, the one per-cell function."""
     calls = []
-    reencoded = cli._reencoded
+    mended = cli._mended
 
     def counted(text):
         calls.append(text)
-        return reencoded(text)
+        return mended(text)
 
-    monkeypatch.setattr(cli, "_reencoded", counted)
+    monkeypatch.setattr(cli, "_mended", counted)
     return calls
 
 
 @pytest.mark.parametrize("rows", [999, 1000, 1001, 2345])
-def test_clean_numeric_table_is_not_re_encoded(rows, reencoded_calls):
+def test_clean_numeric_table_is_written_as_formatted(rows, mended_calls):
     names, columns = _fast_path_table(rows)
     for column in columns[:3] + columns[5:]:
-        assert all("." in text and not cli._REENCODE.search(text) for text in map("%.12g".__mod__, column))
-    assert rendered(render_json, Table(names, columns, json_object_if_single=False)) == \
-        ref_json(names, rows_of(columns), False)
-    assert reencoded_calls == []
+        assert _dotless(column) == []
+    check_json(names, columns, False)
+    assert mended_calls == []
 
 
 @pytest.mark.parametrize("rows", [999, 1000, 1001, 2345])
-@pytest.mark.parametrize("bad", REENCODED, ids=repr)
-def test_one_bad_cell_in_a_middle_chunk_is_re_encoded_alone(rows, bad, reencoded_calls):
+@pytest.mark.parametrize("edge", EDGE_FLOATS, ids=repr)
+def test_one_dotless_cell_in_a_middle_chunk_is_mended_alone(rows, edge, mended_calls):
     names, columns = _fast_path_table(rows)
-    columns[-1][rows // 2] = bad
-    out = rendered(render_json, Table(names, columns, json_object_if_single=False))
-    assert out == ref_json(names, rows_of(columns), False)
-    assert reencoded_calls == ["%.12g" % bad]
+    columns[-1][rows // 2] = edge
+    check_json(names, columns, False)
+    assert mended_calls == _dotless([edge])
 
 
 @pytest.mark.parametrize("rows", [1000, 2345])
-def test_dense_bad_cells_in_several_columns_are_re_encoded_alone(rows, reencoded_calls):
+def test_dense_dotless_cells_in_several_columns_are_mended_alone(rows, mended_calls):
     names, columns = _fast_path_table(rows)
     float_columns = [columns[j] for j in (0, 1, 2, 5)]
     for j, column in enumerate(float_columns):
         for k in range(j, rows, 3 + j):
-            column[k] = REENCODED[(k + j) % len(REENCODED)]
-    out = rendered(render_json, Table(names, columns, json_object_if_single=False))
-    assert out == ref_json(names, rows_of(columns), False)
-    texts = ["%.12g" % value for row in rows_of(float_columns) for value in row]
-    assert reencoded_calls == [text for text in texts if "." not in text or cli._REENCODE.search(text)]
+            column[k] = EDGE_FLOATS[(k + j) % len(EDGE_FLOATS)]
+    check_json(names, columns, False)
+    # each chunk is mended column by column, so only the multiset is the table's
+    assert sorted(mended_calls) == sorted(_dotless(value for row in rows_of(float_columns) for value in row))
 
 
 @settings(max_examples=2000, deadline=None)
 @given(st.one_of(floats, st.floats(min_value=1e-40, max_value=1e-28), st.floats(min_value=1e100, max_value=1e200),
                  st.floats(min_value=1e11, max_value=1e17).map(lambda v: float("%.12g" % v))))
-def test_the_re_encode_rule_misses_no_float(value):
-    # render_json keeps the %.12g text of a whole chunk when it finds no cell
-    # without a "." and no match of _REENCODE: that text must be _json_float's
+def test_every_float_keeps_its_value_and_is_a_json_float(value):
+    # a chunk whose float cells all have a "." is written as formatted, so
+    # each such %.12g text must already be the JSON cell
     text = "%.12g" % value
-    if "." in text and not cli._REENCODE.search(text):
+    if "." in text:
         assert json_float(value) == text
+    cell = json.loads(json_float(value))
+    if math.isfinite(value):
+        assert type(cell) is float and cell.hex() == float(text).hex()
+    else:
+        assert cell == text
 
 
 class _Recorder(io.StringIO):

@@ -72,7 +72,7 @@ def _validate_eta(eta: float, n: float = 1.0) -> None:
     if not 0 < n <= _N_MAX:
         raise _real_n_error(n)
     if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
+        raise ValueError(f"eta must lie in (0, 1], got {_int_text(eta)}")
 
 
 def _float_range(value: int, name: str) -> int:
@@ -175,6 +175,9 @@ class LossChannel:
 
     @classmethod
     def from_loss(cls, loss: float, theta_t: float = 0.0) -> "LossChannel":
+        # chained, as 1.0 - loss overflows for an int past DBL_MAX
+        if not 0.0 <= loss < 1.0:
+            raise ValueError(f"loss must lie in [0, 1), got {_int_text(loss)}")
         return cls(1.0 - loss, theta_t)
 
 

@@ -91,7 +91,7 @@ def noon_precision_budgeted(n: int, b: PhotonBudget, eta: float) -> float:
     """
     n = operator.index(n)
     if not 1 <= n <= b.n_total:
-        raise ValueError(f"per-measurement N must satisfy 1 <= N <= N_T = {b.n_total}, got {n}")
+        raise ValueError(f"per-measurement N must satisfy 1 <= N <= N_T = {b.n_total}, got {_int_text(n)}")
     return optimal_phase_grid([n], eta, n_total=b.n_total)[0]
 
 

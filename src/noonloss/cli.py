@@ -17,7 +17,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from . import analytics, budget, fock_oracle, optimal_search
-from .analytics import LossChannel, NoonProbe
+from .analytics import _N_MAX, LossChannel, NoonProbe
 
 __all__ = ["main", "entrypoint", "run_verification", "SweepSpec"]
 
@@ -236,12 +236,14 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"sweep variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError(f"start and stop must be finite, got [{self.start}, {self.stop}]")
+        span = f"[{analytics._int_text(self.start)}, {analytics._int_text(self.stop)}]"
+        # chained, as math.isfinite overflows for an int past DBL_MAX
+        if not (-_N_MAX <= self.start <= _N_MAX and -_N_MAX <= self.stop <= _N_MAX):
+            raise ValueError(f"start and stop must be finite, got {span}")
         if not self.start < self.stop:
-            raise ValueError(f"start must be < stop, got [{self.start}, {self.stop}]")
-        if not math.isfinite(self.stop - self.start):
-            raise ValueError(f"stop - start must be finite, got [{self.start}, {self.stop}]")
+            raise ValueError(f"start must be < stop, got {span}")
+        if not self.stop - self.start <= _N_MAX:
+            raise ValueError(f"stop - start must be finite, got {span}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {analytics._int_text(self.steps)}")
         if self.steps > MAX_STEPS:
@@ -298,6 +300,8 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
     every channel for all its phases in a row, the order the oracle's memos
     are sized for.
     """
+    if grid not in VERIFY_GRIDS:
+        raise ValueError(f"grid must be a key of VERIFY_GRIDS {tuple(VERIFY_GRIDS)}, got {grid!r}")
     etas, thetas, phases, _ = VERIFY_GRIDS[grid]
     angles = [2.0 * math.pi * k / phases for k in range(phases)]
     grid_cases = [(ch, phi) for ch in (LossChannel(eta, theta) for eta in etas for theta in thetas)

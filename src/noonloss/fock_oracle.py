@@ -31,7 +31,7 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .analytics import LossChannel, _float_range, _int_text
+from .analytics import _N_MAX, LossChannel, _float_range, _int_text
 
 __all__ = [
     "MAX_PHOTONS",
@@ -83,8 +83,10 @@ def _checked_amplitudes(pairs) -> dict:
             mag = abs(amp)
         except OverflowError:  # finite components whose modulus passes DBL_MAX
             raise ValueError(f"amplitude of {occ} has a modulus past the float range, got {amp!r}") from None
-        if _SUPPORT_EPS <= mag < math.inf:
+        if _SUPPORT_EPS <= mag <= _N_MAX:
             kept[occ] = amp
+        elif _N_MAX < mag < math.inf:  # an int modulus past DBL_MAX, which compares below inf
+            raise ValueError(f"amplitude of {occ} has a modulus past the float range, got {_int_text(amp)}")
         elif not mag < _SUPPORT_EPS:  # NaN or infinite
             raise ValueError(f"amplitude of {occ} must be finite, got {amp!r}")
     return kept
@@ -113,7 +115,7 @@ class FockKet:
     def __post_init__(self) -> None:
         cap = operator.index(self.photon_cap)
         if cap < 0:
-            raise ValueError(f"photon_cap must be >= 0, got {cap}")
+            raise ValueError(f"photon_cap must be >= 0, got {_int_text(cap)}")
         # each key is checked just before its amplitude, so the first bad entry
         # names the error; complex() comes after, so messages show amplitudes as given
         kept = _checked_amplitudes((_checked_key(occ, cap), amp) for occ, amp in self.amps.items())
@@ -214,10 +216,7 @@ def _detector_terms(n: int, eta: float, theta_t: float,
     (Occupation(0, k, n - k), coefficient) pairs with the zero coefficients
     left out, and the lowering coefficient for each k = 0..n.  A verify pass
     visits each channel for all its phases in a row, so a small bound keeps
-    every hit.  A non-finite reflection phase is a ValueError, checked here
-    so that only a memo miss pays for it."""
-    if not math.isfinite(reflection_phase):
-        raise ValueError(f"reflection_phase must be finite, got {reflection_phase!r}")
+    every hit."""
     t = cmath.rect(math.sqrt(eta), theta_t)
     r = cmath.rect(math.sqrt(1.0 - eta), reflection_phase)
     tc, rc = t.conjugate(), r.conjugate()
@@ -258,12 +257,15 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
     """
     n = operator.index(n)
     if not 1 <= n <= MAX_PHOTONS:
-        raise ValueError(f"detector photon number must be in [1, {MAX_PHOTONS}], got {n}")
+        raise ValueError(f"detector photon number must be in [1, {MAX_PHOTONS}], got {_int_text(n)}")
     for occ in ket.amps:
         # Occupation.total written out, without a property call per component
         if occ[0] + occ[1] + occ[2] > n:
             raise ValueError(f"ket component {occ} holds more than {n} photons")
 
+    # chained, as float() overflows for an int past DBL_MAX
+    if not -_N_MAX <= reflection_phase <= _N_MAX:
+        raise ValueError(f"reflection_phase must be finite, got {_int_text(reflection_phase)}")
     # float() keys the memos on plain floats whatever number types the channel holds
     channel = (n, float(ch.eta), float(ch.theta_t), float(reflection_phase))
     _, lowering = _detector_terms(*channel)

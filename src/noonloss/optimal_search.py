@@ -66,7 +66,7 @@ _MU = mu_from_nu(solve_nu())
 def asymptotic_optimum(loss: float) -> tuple[float, float]:
     """Small-loss predictions (nu/L, mu*L) for the optimal N and precision."""
     if not (0.0 < loss < 1.0):
-        raise ValueError(f"loss must lie in (0, 1), got {loss!r}")
+        raise ValueError(f"loss must lie in (0, 1), got {analytics._int_text(loss)}")
     nu = solve_nu()
     return nu / loss, mu_from_nu(nu) * loss
 
@@ -95,10 +95,10 @@ def n_min_integer(eta: float, n_cap: int = DEFAULT_N_CAP) -> OptimumResult:
     improves monotonically with N and has no interior optimum.
     """
     if not (0.0 < eta < 1.0):
-        raise InvalidEta(f"an interior optimum needs 0 < eta < 1, got {eta!r}")
+        raise InvalidEta(f"an interior optimum needs 0 < eta < 1, got {analytics._int_text(eta)}")
     n_cap = operator.index(n_cap)
     if n_cap < 1:
-        raise ValueError(f"n_cap must be >= 1, got {n_cap}")
+        raise ValueError(f"n_cap must be >= 1, got {analytics._int_text(n_cap)}")
 
     def slope(x: float) -> float:
         return analytics.d_log_precision_dN(x, eta)

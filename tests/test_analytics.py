@@ -24,7 +24,8 @@ from noonloss.analytics import (
     precision_report,
     variance_detection,
 )
-from noonloss.budget import PhotonBudget, d_rnoon_dN_largeloss, log_r_noon, r_noon_continuous
+from noonloss.budget import (PhotonBudget, d_rnoon_dN_largeloss, log_r_noon, noon_precision_budgeted, r_noon_continuous,
+                             unentangled_precision)
 
 from _helpers import _inv_eta_pow, _mean, _optimal_phase, _snr_min_phase, _variance, central_diff, derivative_grid
 
@@ -42,6 +43,15 @@ def test_loss_channel_validation():
     assert ch.theta_t == 0.0
     assert ch.loss == 0.75
     assert LossChannel.from_loss(0.75).eta == 0.25
+
+
+@pytest.mark.parametrize("loss, shown", [(10 ** 400, "an int of 1329 bits"), (-10 ** 5000, "a negative int of 16610 bits"),
+                                         (1.0, "1.0"), (-0.1, "-0.1"), (math.nan, "nan")],
+                         ids=["10**400", "-10**5000", "1.0", "-0.1", "nan"])
+def test_loss_channel_from_a_loss_outside_the_domain_is_a_value_error(loss, shown):
+    # 1.0 - loss raised OverflowError for an int past DBL_MAX
+    with pytest.raises(ValueError, match=re.escape(f"loss must lie in [0, 1), got {shown}")):
+        LossChannel.from_loss(loss)
 
 
 def test_noon_probe_validation():
@@ -250,16 +260,40 @@ def test_one_upper_bound_for_n():
         d_log_precision_dN(top + 1, 0.5)
 
 
-@pytest.mark.parametrize("make", [
-    NoonProbe, PhotonBudget, lambda n: min_phase_opt_continuous(n, 0.5), lambda n: optimal_phase_grid([2, n], 0.5),
-    lambda n: optimal_phase_grid([2], 0.5, n_total=n),
-], ids=["NoonProbe", "PhotonBudget", "real_n_form", "optimal_phase_grid", "optimal_phase_grid_n_total"])
-@pytest.mark.parametrize("n, shown", [(10 ** 5000, "an int of 16610 bits"), (-10 ** 5000, "a negative int of 16610 bits")],
-                         ids=["10**5000", "-10**5000"])
+# bounds that an int past DBL_MAX fails either way
+_BOUNDED_BOTH_WAYS = {
+    "NoonProbe": NoonProbe,
+    "PhotonBudget": PhotonBudget,
+    "real_n_form": lambda n: min_phase_opt_continuous(n, 0.5),
+    "optimal_phase_grid": lambda n: optimal_phase_grid([2, n], 0.5),
+    "optimal_phase_grid_n_total": lambda n: optimal_phase_grid([2], 0.5, n_total=n),
+    "LossChannel": LossChannel,
+    "unentangled_precision": lambda eta: unentangled_precision(PhotonBudget(10), eta),
+    "d_rnoon_dN_largeloss": lambda eta: d_rnoon_dN_largeloss(2.0, eta),
+    "InvalidEta": optimal_search.n_min_integer,
+    "asymptotic_optimum": optimal_search.asymptotic_optimum,
+    "apply_detector": lambda n: fock_oracle.apply_detector(fock_oracle.build_noon_input(2, 0.1), n, LossChannel(0.5)),
+    "noon_precision_budgeted": lambda n: noon_precision_budgeted(n, PhotonBudget(10), 0.5),
+}
+# lower bounds only
+_BOUNDED_BELOW = {
+    "n_cap": lambda n: optimal_search.n_min_integer(0.5, n),
+    "photon_cap": lambda n: fock_oracle.FockKet({}, n),
+}
+_PAST_THE_DIGIT_LIMIT = {"10**5000": (10 ** 5000, "an int of 16610 bits"),
+                         "-10**5000": (-10 ** 5000, "a negative int of 16610 bits")}
+
+
+@pytest.mark.parametrize("make, n, shown", [
+    pytest.param(make, n, shown, id=f"{value_id}-{make_id}")
+    for value_id, (n, shown) in _PAST_THE_DIGIT_LIMIT.items()
+    for make_id, make in [*_BOUNDED_BOTH_WAYS.items(), *(_BOUNDED_BELOW.items() if n < 0 else ())]
+])
 def test_int_past_the_digit_limit_gets_the_bound_message(make, n, shown):
     # the message formatted the int, which raised "Exceeds the limit (4300
     # digits) for integer string conversion" in place of the bound's message
-    with pytest.raises(ValueError, match=f"(photon number|n_total) must .*, got {shown}$"):
+    subject = "photon number|n_total|eta|loss|n_cap|photon_cap|detector photon number|per-measurement N"
+    with pytest.raises(ValueError, match=f"^(?:{subject}|an interior optimum) (?:must|needs) .*, got {shown}$"):
         make(n)
 
 

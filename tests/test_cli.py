@@ -213,6 +213,25 @@ def test_sweep_json_csv_agree():
             assert json_value == cell
 
 
+def test_sweep_json_and_csv_agree_cell_for_cell():
+    # min_phase runs through [1e11, 1e12) and [1e12, 1e16) at low eta, where a
+    # %.12g text reads 999768412082 or 1.5e+12, and eta ends on an integral 1
+    args = ("sweep", "--var", "eta", "--start", "0.2", "--stop", "1", "--steps", "3000", "--n", "64")
+    code_c, out_c, _ = run_cli(*args, "--format", "csv")
+    code_j, out_j, _ = run_cli(*args, "--format", "json")
+    assert code_c == code_j == EXIT_OK
+    columns, rows = parse_csv(out_c)
+    docs = json.loads(out_j)
+    assert len(docs) == len(rows) == 3000
+    assert any(1e11 <= row[columns.index("min_phase")] < 1e16 for row in rows)
+    for row, doc in zip(rows, docs):
+        assert list(doc) == columns
+        for name, cell in zip(columns, row):
+            value = doc[name]
+            assert type(value) is float, (name, value)
+            assert math.copysign(1.0, value) == math.copysign(1.0, cell) and value == cell, (name, value, cell)
+
+
 def test_csv_round_trip_preserves_printed_precision():
     code, out, _ = run_cli("sweep", "--fig3", "--eta", "0.7", "--start", "1", "--stop", "20",
                            "--steps", "20", "--scale", "linear", "--format", "csv")
@@ -358,6 +377,12 @@ def test_verification_matches_the_per_point_loop_bit_for_bit(grid, max_n, seed, 
         assert [call for i, call in enumerate(got_calls) if i % per_n >= per_n - 5] == drawn
 
 
+def test_run_verification_with_an_unknown_grid_is_a_value_error():
+    # VERIFY_GRIDS["bogus"] raised KeyError
+    with pytest.raises(ValueError, match=r"^grid must be a key of VERIFY_GRIDS \('dense', 'fast'\), got 'bogus'$"):
+        cli.run_verification(2, "bogus")
+
+
 def test_verify_max_n_bound():
     code, _, _ = run_cli("verify", "--max-n", "65")
     assert code == EXIT_USAGE
@@ -459,6 +484,12 @@ def test_sweep_spec_validation():
     for start, stop in ((-1e308, 1e308), (-big, big), (-big, 1e308)):
         with pytest.raises(ValueError, match=r"stop - start must be finite"):
             SweepSpec("eta", start, stop, 10)
+    # math.isfinite raised OverflowError for an int past DBL_MAX, and for an
+    # int width past it
+    with pytest.raises(ValueError, match=r"start and stop must be finite, got \[an int of 1329 bits, an int of 1333 bits\]$"):
+        SweepSpec("eta", 10 ** 400, 10 ** 401, 10)
+    with pytest.raises(ValueError, match=r"stop - start must be finite"):
+        SweepSpec("eta", -int(big), int(big), 10)
     # a last point that rounds past DBL_MAX inside numpy is pinned to stop, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -241,6 +241,17 @@ def test_fock_ket_amplitude_whose_modulus_overflows_is_a_value_error():
         FockKet({(1, 0, 0): amp}, photon_cap=1)
 
 
+@pytest.mark.parametrize("amp, shown", [(10 ** 400, "an int of 1329 bits"), (-10 ** 5000, "a negative int of 16610 bits")],
+                         ids=["10**400", "-10**5000"])
+def test_fock_ket_int_amplitude_past_dbl_max_is_a_value_error(amp, shown):
+    # an int modulus compares below inf, so the ket kept it and complex() raised OverflowError
+    with pytest.raises(ValueError, match=re.escape(f"amplitude of Occupation(n_a=0, n_b=0, n_v=1) has a modulus "
+                                                   f"past the float range, got {shown}")):
+        FockKet({(0, 0, 1): amp}, 3)
+    # an int amplitude within the float range is an amplitude like any other
+    assert FockKet({(0, 0, 1): 10 ** 300}, 3).amps == {Occupation(0, 0, 1): complex(10 ** 300)}
+
+
 def test_fock_ket_norm_squared_past_the_float_range_is_inf():
     # abs(a) ** 2 raised OverflowError past about 1.3e154
     assert FockKet({(1, 0, 0): complex(1e200, 0)}, 1).norm_squared() == math.inf
@@ -489,6 +500,17 @@ def test_non_finite_reflection_phase_is_a_value_error(phase, eta):
         oracle_moments(3, LossChannel(eta), 0.2, reflection_phase=phase)
     with pytest.raises(ValueError, match=message):
         apply_detector(build_noon_input(2, 0.1), 2, LossChannel(eta, 0.3), reflection_phase=phase)
+
+
+@pytest.mark.parametrize("phase, shown", [(10 ** 400, "an int of 1329 bits"), (-10 ** 5000, "a negative int of 16610 bits")],
+                         ids=["10**400", "-10**5000"])
+def test_int_reflection_phase_past_dbl_max_is_a_value_error(phase, shown):
+    # float() of it raised OverflowError before the finiteness check
+    message = re.escape(f"reflection_phase must be finite, got {shown}")
+    with pytest.raises(ValueError, match=message):
+        oracle_moments(3, LossChannel(0.5), 0.2, reflection_phase=phase)
+    with pytest.raises(ValueError, match=message):
+        apply_detector(build_noon_input(2, 0.1), 2, LossChannel(0.5, 0.3), reflection_phase=phase)
 
 
 def test_oracle_built_kets_hold_occupations_of_int_within_the_cap():

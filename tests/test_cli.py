@@ -659,6 +659,46 @@ def test_eta_sweep_with_a_bad_eta_mid_grid_writes_nothing(tmp_path, fmt):
         assert not target.exists()
 
 
+# (variable, start, stop, scale, the fixed flags) of 5,000-step sweeps whose bad points all lie past the
+# first CHUNK_ROWS rows: eta past 1, L at 1, and N(phi0 + theta_t) past DBL_MAX at the largest N or phi0
+_TAIL_ERROR_SWEEPS = {
+    "eta-past-1": ("eta", 0.5, 1.01, "linear", {"n": 3}),
+    "L-at-1": ("L", 0.0, 1.0, "linear", {"n": 3}),
+    "N-angle-overflow": ("N", 1.0, 1e10, "log", {"eta": 0.5, "phi0": 1e300}),
+    "phi0-angle-overflow": ("phi0", 0.0, 1e308, "linear", {"eta": 0.5, "n": 3}),
+}
+
+
+def _first_bad_point(var, start, stop, scale, fixed):
+    """(index, message) of the first grid point whose one-point sweep raises."""
+    for k, x in enumerate(SweepSpec(var, start, stop, 5000, scale).grid()):
+        point = {"n": fixed.get("n"), "eta": fixed.get("eta"), "phi0": fixed.get("phi0"),
+                 {"N": "n", "L": "eta"}.get(var, var): [1.0 - x if var == "L" else x]}
+        try:
+            analytics.precision_grid(point["n"], point["eta"], 0.0, point["phi0"], 0.01)
+        except ValueError as exc:
+            return k, str(exc)
+    raise AssertionError("no point of the sweep raises")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("sweep", list(_TAIL_ERROR_SWEEPS), ids=list(_TAIL_ERROR_SWEEPS))
+def test_a_sweep_with_bad_points_past_its_first_block_writes_nothing(tmp_path, sweep, fmt):
+    var, start, stop, scale, fixed = _TAIL_ERROR_SWEEPS[sweep]
+    index, message = _first_bad_point(var, start, stop, scale, fixed)
+    assert index >= cli.CHUNK_ROWS
+    argv = ["sweep", "--var", var, "--start", repr(start), "--stop", repr(stop), "--steps", "5000",
+            "--scale", scale, "--format", fmt]
+    for flag, value in fixed.items():
+        argv += [f"--{flag}", repr(value)]
+    target = tmp_path / "out"
+    for extra in ([], ["--out", str(target)]):
+        code, out, err = run_cli(*argv, *extra)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {message} (domains: ") and err.count("\n") == 1, err
+        assert not target.exists()
+
+
 _RANGE_ENDS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e6, math.inf, -math.inf, math.nan]),
     # finite ends whose difference or last grid point overflows
@@ -693,6 +733,8 @@ def _sweep_argv(draw):
 def test_sweep_range_fuzz(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, _, err = run_cli(*argv)
+        code, out, err = run_cli(*argv)
     assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE)
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err
+    # a failing sweep writes no row, however many blocks its grid spans
+    assert code != EXIT_USAGE or out == "", out[:200]

@@ -11,8 +11,9 @@ import math
 import random
 import re
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,25 +41,26 @@ class UsageError(Exception):
 
 @dataclass
 class Table:
-    """Named columns of equal length, rendered column by column.
+    """Named columns of equal length, given as blocks of rows and rendered
+    one block at a time.
 
-    Each column holds values of one type (bool, int, float or str), so its
-    formatter is chosen once.  Point queries pass one-row columns; a
-    single-row table renders as one JSON object unless
-    ``json_object_if_single`` is False, as sweeps set it.
+    A block is a list of columns, one per name, over the same rows; no block
+    is empty, and a sweep's hold at most CHUNK_ROWS rows each.  ``blocks`` may
+    be a generator, so that each block is computed just before it is
+    written.  Each column holds values of one type (bool, int, float or str)
+    in every block, so its formatter is chosen once, from the first block.
+    A point query is one one-row block; a one-row table renders as one JSON
+    object unless ``json_object_if_single`` is False, as sweeps set it.
     """
 
     names: list[str]
-    columns: list
+    blocks: Iterable[list]
     json_object_if_single: bool = True
-
-    def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
 
     @classmethod
     def row(cls, names: list[str], values: list) -> "Table":
         """A one-row table: one value per column."""
-        return cls(names, [[value] for value in values])
+        return cls(names, [[[value] for value in values]])
 
 
 FLOAT_FORMAT = "%.12g"
@@ -68,7 +70,7 @@ CHUNK_ROWS = 1000
 def _numeric_format(column) -> str | None:
     """The % conversion of a column, from the type of its first cell:
     FLOAT_FORMAT for floats, "%d" for ints and bools, None otherwise."""
-    first = column[0] if len(column) else None
+    first = column[0]
     if isinstance(first, float):
         return FLOAT_FORMAT
     if isinstance(first, int):
@@ -112,17 +114,14 @@ def _json_cells(column):
     return _cells(column, _json_float, json.dumps)
 
 
-def _chunks(row: str, sep: str, table: Table):
-    """(rows, text) of each run of CHUNK_ROWS rows of a numeric table, the
-    last run shorter: the rows formatted by the % template ``row`` and
-    joined by ``sep``, one % string per run."""
-    width, length = len(table.columns), len(table)
-    cells = chain.from_iterable(zip(*table.columns))
+def _chunks(row: str, sep: str, blocks):
+    """(rows, text) of each block of a numeric table: its rows formatted by
+    the % template ``row`` and joined by ``sep``, one % string per block."""
     whole = sep.join([row] * CHUNK_ROWS)
-    for start in range(0, length, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, length - start)
+    for block in blocks:
+        rows = len(block[0])
         template = whole if rows == CHUNK_ROWS else sep.join([row] * rows)
-        yield rows, template % tuple(islice(cells, rows * width))
+        yield rows, template % tuple(chain.from_iterable(zip(*block)))
 
 
 def render_csv(table: Table, stream) -> None:
@@ -131,41 +130,53 @@ def render_csv(table: Table, stream) -> None:
 
     The header, and every table with a column that is not numeric, go
     through csv.writer, one write per line.  A numeric cell never needs
-    quoting, so a table of numbers only is formatted CHUNK_ROWS rows at a
-    time by one % template, which is the same text at less than half the
-    cost, and written one chunk at a time.
+    quoting, so a table of numbers only is formatted by one % template per
+    block, which is the same text at less than half the cost, and written
+    one block at a time.
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(table.names)
-    conversions = [_numeric_format(column) for column in table.columns]
-    if None in conversions:
-        writer.writerows(zip(*map(_text_cells, table.columns)))
+    blocks = iter(table.blocks)
+    first = next(blocks, None)
+    if first is None:
         return
-    stream.writelines(text for _, text in _chunks(",".join(conversions) + "\n", "", table))
+    conversions = [_numeric_format(column) for column in first]
+    blocks = chain([first], blocks)
+    if None in conversions:
+        for block in blocks:
+            writer.writerows(zip(*map(_text_cells, block)))
+        return
+    stream.writelines(text for _, text in _chunks(",".join(conversions) + "\n", "", blocks))
 
 
 def render_json(table: Table, stream) -> None:
     """Write the layout of json.dumps(records, indent=2) to the text
-    ``stream``, from a template, one record or chunk per write.
+    ``stream``, from a template, one block of records per write.
 
-    A table of several rows and numbers only is formatted CHUNK_ROWS records
-    at a time by one % template, floats as FLOAT_FORMAT.  A chunk whose
-    count of dots shows a "." in each float cell is written as it is;
-    otherwise _mend_chunk passes the cells without one through _mended.
+    A table of numbers only is formatted by one % template per block,
+    floats as FLOAT_FORMAT.  A block whose count of dots shows a "." in each
+    float cell is written as it is; otherwise _mend_chunk passes the cells
+    without one through _mended.
     """
     keys = [json.dumps(name) for name in table.names]
-    if len(table) == 1 and table.json_object_if_single:
-        row = next(zip(*map(_json_cells, table.columns)))
-        stream.write("{\n" + ",\n".join(f"  {key}: {cell}" for key, cell in zip(keys, row)) + "\n}\n")
-        return
-    if not len(table):
+    blocks = iter(table.blocks)
+    first = next(blocks, None)
+    if first is None:
         stream.write("[]\n")
         return
-    conversions = [_numeric_format(column) for column in table.columns]
+    if table.json_object_if_single and len(first[0]) == 1:
+        second = next(blocks, None)
+        if second is None:
+            row = next(zip(*map(_json_cells, first)))
+            stream.write("{\n" + ",\n".join(f"  {key}: {cell}" for key, cell in zip(keys, row)) + "\n}\n")
+            return
+        blocks = chain([second], blocks)
+    conversions = [_numeric_format(column) for column in first]
+    blocks = chain([first], blocks)
     fields = [f"    {key.replace('%', '%%')}: " for key in keys]
     if None in conversions:
         record = "  {\n" + ",\n".join(field + "%s" for field in fields) + "\n  }"
-        texts = map(record.__mod__, zip(*map(_json_cells, table.columns)))
+        texts = (",\n".join(map(record.__mod__, zip(*map(_json_cells, block)))) for block in blocks)
     else:
         record = "  {\n" + ",\n".join(map(str.__add__, fields, conversions)) + "\n  }"
         # per float column: its line in a record, after "  {", where its cell
@@ -174,7 +185,7 @@ def render_json(table: Table, stream) -> None:
                  for j, (key, conversion) in enumerate(zip(keys, conversions)) if conversion == FLOAT_FORMAT]
         dots = sum(key.count(".") for key in keys) + len(cells)
         texts = (text if text.count(".") == rows * dots else _mend_chunk(text, cells, len(keys) + 2)
-                 for rows, text in _chunks(record, ",\n", table))
+                 for rows, text in _chunks(record, ",\n", blocks))
     stream.write("[\n")
     stream.write(next(texts))
     for text in texts:
@@ -198,9 +209,17 @@ def _mend_chunk(text: str, cells, period: int) -> str:
 
 def render_text(table: Table, stream) -> None:
     """Write the table to the text ``stream`` as aligned columns, or as
-    "name = value" lines for a single row, one write per line."""
-    cells = [list(_text_cells(column)) for column in table.columns]
-    if len(table) == 1:
+    "name = value" lines for a single row, one write per line.
+
+    The widths of the columns depend on every row, so the text of every
+    cell is gathered before the first write: a text sweep holds all of its
+    rows' cells, unlike a CSV or JSON one.
+    """
+    cells = [[] for _ in table.names]
+    for block in table.blocks:
+        for column_cells, column in zip(cells, block):
+            column_cells.extend(_text_cells(column))
+    if len(cells[0]) == 1:
         width = max(map(len, table.names))
         stream.writelines(f"{name:<{width}} = {column[0]}\n" for name, column in zip(table.names, cells))
         return
@@ -493,23 +512,54 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep range contains no photon numbers >= 1")
     if args.fig2:
         names = ["N", "delta_phi_min", "sql_reference"]
-        columns = [grid, analytics.optimal_phase_grid(grid, eta), _sql_reference(grid, eta)]
+
+        def kernel(ns):
+            return [ns, analytics.optimal_phase_grid(ns, eta), _sql_reference(ns, eta)]
     elif args.fig3:
-        names, columns = ["N", "R_NOON"], [grid, analytics.optimal_phase_grid(grid, eta, ratio=True)]
+        names = ["N", "R_NOON"]
+
+        def kernel(ns):
+            return [ns, analytics.optimal_phase_grid(ns, eta, ratio=True)]
     else:
-        n, phi0 = args.n, args.phi0
-        if var == "N":
-            n = grid
-        elif var == "eta":
-            eta = grid
-        elif var == "L":
-            eta = [1.0 - value for value in grid]
-        else:
-            phi0 = grid
         names = [var, "mean", "variance", "snr", "min_phase", "min_phase_opt"]
-        columns = [grid, *analytics.precision_grid(n, eta, args.theta_t, phi0, args.dphi)]
-    emit(Table(names, columns, json_object_if_single=False), args.format, args.out)
+
+        def kernel(points):
+            n, etas, phi0 = args.n, eta, args.phi0
+            if var == "N":
+                n = points
+            elif var == "eta":
+                etas = points
+            elif var == "L":
+                etas = [1.0 - value for value in points]
+            else:
+                phi0 = points
+            return [points, *analytics.precision_grid(n, etas, args.theta_t, phi0, args.dphi)]
+    emit(Table(names, _sweep_blocks(grid, kernel), json_object_if_single=False), args.format, args.out)
     return EXIT_OK
+
+
+def _sweep_blocks(grid: list, kernel):
+    """The blocks of a sweep: ``kernel``'s columns of each run of CHUNK_ROWS
+    grid points, each computed as the renderer asks for it.
+
+    A domain error must leave no partial table, so the first block and the
+    last point are computed here, before the output is opened.  Between
+    them they meet every bad point, as each per-point domain error of a
+    sweep lies in a run at the head or the tail of its grid: the eta and L
+    grids are monotone and (0, 1] is an interval; at a fixed phi0,
+    |N(phi0 + theta_t)| only grows with N, and over a phi0 grid it falls and
+    then rises; at the optimal phase it stays near pi/2; and the fig
+    columns take every N >= 1.  Where either raises, the kernel runs over
+    the whole grid, which raises the first bad point's error in grid order.
+    """
+    try:
+        first = kernel(grid[:CHUNK_ROWS])
+        kernel(grid[-1:])
+    except ValueError:
+        kernel(grid)
+        raise
+    rest = (grid[k:k + CHUNK_ROWS] for k in range(CHUNK_ROWS, len(grid), CHUNK_ROWS))
+    return chain([first], map(kernel, rest))
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:

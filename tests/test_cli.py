@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -649,7 +650,7 @@ def test_sweep_into_a_reader_that_closes_after_one_line(fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_eta_sweep_with_a_bad_eta_mid_grid_writes_nothing(tmp_path, fmt):
-    # the whole grid is computed before the first write, so the error leaves no partial table
+    # the first block and the last point are computed before the first write, so the error leaves no partial table
     argv = ["sweep", "--var", "eta", "--start", "0.5", "--stop", "1.5", "--n", "3", "--format", fmt]
     target = tmp_path / "out"
     for extra in ([], ["--out", str(target)]):
@@ -697,6 +698,30 @@ def test_a_sweep_with_bad_points_past_its_first_block_writes_nothing(tmp_path, s
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith(f"error: {message} (domains: ") and err.count("\n") == 1, err
         assert not target.exists()
+
+
+def _traced_peak(target, fmt, steps):
+    """The traced (tracemalloc) peak, in bytes, of an eta sweep of ``steps``
+    rows written in ``fmt`` to the file ``target``."""
+    argv = ["sweep", "--var", "eta", "--start", "0.2", "--stop", "1", "--steps", str(steps), "--n", "41",
+            "--format", fmt, "--out", str(target)]
+    tracemalloc.start()
+    try:
+        result = run_cli(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (EXIT_OK, "", "")
+    assert target.read_text(encoding="utf-8").count("\n") == {"csv": steps + 1, "json": 8 * steps + 2}[fmt]
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_sweep_to_a_file_holds_one_block_of_rows(tmp_path, fmt):
+    # each block is computed as it is written: past the grid list and its numpy array, about
+    # 40 bytes a row, the traced peak grows by no more than the rows' columns would add
+    small, large = (_traced_peak(tmp_path / f"out.{fmt}", fmt, steps) for steps in (10_000, 100_000))
+    assert (large - small) / 90_000 <= 64, (small, large)
 
 
 _RANGE_ENDS = st.one_of(

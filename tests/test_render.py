@@ -1,8 +1,8 @@
-"""The column-wise renderers against per-cell reference renderers.
+"""The block-wise renderers against per-cell reference renderers.
 
 The references below format one cell at a time, a JSON float as its
 ``%.12g`` text with ".0" after an integral one; the CLI's renderers format
-each column once and write the JSON layout from a template.  Both must give
+each column of a block once and write the JSON layout from a template.  Both must give
 the same bytes, and each JSON document must read back as the one that
 ``json.dumps`` writes for the float of each ``%.12g`` text
 (``_helpers.json_dumps_reference``), down to the bits of every float.
@@ -25,6 +25,11 @@ from noonloss.cli import Table, render_csv, render_json, render_text
 from _helpers import json_document, json_dumps_reference
 
 json_float = cli._json_float
+
+
+def blocks_of(columns, size=cli.CHUNK_ROWS):
+    """``columns`` cut into blocks of ``size`` rows, the last one shorter."""
+    return [[column[k:k + size] for column in columns] for k in range(0, len(columns[0]), size)]
 
 
 def rendered(renderer, table) -> str:
@@ -129,7 +134,7 @@ def check_json(names, columns, single_object):
     """render_json's bytes against ref_json, and its document against
     json_dumps_reference: the same keys in order, types, float bits and
     signs of zero, the same strings; json.dumps lays it out the same."""
-    out = rendered(render_json, Table(names, columns, json_object_if_single=single_object))
+    out = rendered(render_json, Table(names, blocks_of(columns), json_object_if_single=single_object))
     rows = rows_of(columns)
     assert out == ref_json(names, rows, single_object)
     reference = json_dumps_reference(names, rows, single_object)
@@ -138,7 +143,7 @@ def check_json(names, columns, single_object):
 
 
 def check(names, columns, single_object):
-    table = Table(names, columns, json_object_if_single=single_object)
+    table = Table(names, blocks_of(columns), json_object_if_single=single_object)
     rows = rows_of(columns)
     assert rendered(render_csv, table) == ref_csv(names, rows)
     check_json(names, columns, single_object)
@@ -170,7 +175,24 @@ def test_float_column_matches_reference(values):
 def test_special_floats_and_empty_sweep():
     check(["v", "w"], [SPECIAL_FLOATS, [str(v) for v in SPECIAL_FLOATS]], False)
     check(["N", "delta_phi_min"], [[], []], False)
-    assert rendered(render_json, Table(["N"], [[]], json_object_if_single=False)) == "[]\n"
+    assert rendered(render_json, Table(["N"], [], json_object_if_single=False)) == "[]\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.lists(st.integers(1, 4), min_size=1, max_size=6))
+def test_every_cut_into_blocks_renders_as_one_block(table, sizes):
+    # blocks of any lengths, a one-row first block among them, read as their concatenation;
+    # blocks from a generator are read once
+    names, columns, single_object = table
+    whole = Table(names, blocks_of(columns), json_object_if_single=single_object)
+    cuts, start = [], 0
+    while columns[0][start:]:
+        size = sizes[len(cuts) % len(sizes)]
+        cuts.append([column[start:start + size] for column in columns])
+        start += size
+    for renderer in (render_csv, render_json, render_text):
+        cut = Table(names, iter(cuts), json_object_if_single=single_object)
+        assert rendered(renderer, cut) == rendered(renderer, whole)
 
 
 def _column_kinds(rows):
@@ -320,7 +342,7 @@ def test_emit_writes_no_more_than_one_chunk_at_a_time(tmp_path, monkeypatch, fmt
                [SPECIAL_FLOATS[k % len(SPECIAL_FLOATS)] for k in range(rows)]]
     if label is not None:
         names[-1], columns[-1] = "label", [label] * rows
-    table = Table(names, columns, json_object_if_single=False)
+    table = Table(names, blocks_of(columns), json_object_if_single=False)
     reference = {"csv": ref_csv, "json": lambda *table: ref_json(*table, False), "text": ref_text}[fmt](
         names, rows_of(columns))
     target = tmp_path / f"out.{fmt}"

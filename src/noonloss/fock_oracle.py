@@ -67,10 +67,12 @@ def _checked_key(occ, cap: int) -> Occupation:
     if type(occ) is not Occupation or not (type(occ[0]) is type(occ[1]) is type(occ[2]) is int):
         occ = Occupation(*map(operator.index, occ))
     n_a, n_b, n_v = occ
-    if n_a < 0 or n_b < 0 or n_v < 0:
-        raise ValueError(f"negative occupation {occ}")
-    if n_a + n_b + n_v > cap:
-        raise ValueError(f"occupation {occ} exceeds photon cap {cap}")
+    if n_a < 0 or n_b < 0 or n_v < 0 or n_a + n_b + n_v > cap:
+        # each field through _int_text, as an int's digits can pass the int-to-str limit
+        shown = "Occupation(" + ", ".join(f"{name}={_int_text(value)}" for name, value in zip(occ._fields, occ)) + ")"
+        if min(occ) < 0:
+            raise ValueError(f"negative occupation {shown}")
+        raise ValueError(f"occupation {shown} exceeds photon cap {_int_text(cap)}")
     return occ
 
 

@@ -73,6 +73,19 @@ def test_fock_ket_validation():
     assert Occupation(0, 1, 0) not in ket.amps
 
 
+@pytest.mark.parametrize("occ, cap, message", [
+    ((-(10 ** 5000), 0, 0), 3, "negative occupation Occupation(n_a=a negative int of 16610 bits, n_b=0, n_v=0)"),
+    ((0, 10 ** 5000, 0), 3, "occupation Occupation(n_a=0, n_b=an int of 16610 bits, n_v=0) exceeds photon cap 3"),
+    ((0, 0, 10 ** 5001), 10 ** 5000,
+     "occupation Occupation(n_a=0, n_b=0, n_v=an int of 16613 bits) exceeds photon cap an int of 16610 bits"),
+], ids=["negative", "past-cap", "past-a-huge-cap"])
+def test_fock_ket_names_an_occupation_past_the_int_to_str_limit_by_its_bits(occ, cap, message):
+    # the messages formatted the raw Occupation, whose digits pass Python's 4,300-digit limit
+    with pytest.raises(ValueError) as info:
+        FockKet({occ: 1.0}, photon_cap=cap)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("key", [
     (1, 0, 0),
     (np.int64(1), np.int64(0), np.int64(0)),

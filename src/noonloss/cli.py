@@ -548,8 +548,8 @@ def _sweep_blocks(grid: list, kernel):
     sweep lies in a run at the head or the tail of its grid: the eta and L
     grids are monotone and (0, 1] is an interval; at a fixed phi0,
     |N(phi0 + theta_t)| only grows with N, and over a phi0 grid it falls and
-    then rises; at the optimal phase it stays near pi/2; and the fig
-    columns take every N >= 1.  Where either raises, the kernel runs over
+    then rises; at the optimal phase it stays finite; and the fig columns
+    take every N >= 1.  Where either raises, the kernel runs over
     the whole grid, which raises the first bad point's error in grid order.
     """
     try:

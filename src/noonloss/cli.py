@@ -45,9 +45,9 @@ class Table:
     one block at a time.
 
     A block is a list of columns, one per name, over the same rows; no block
-    is empty, and a sweep's hold at most CHUNK_ROWS rows each.  ``blocks`` may
-    be a generator, so that each block is computed just before it is
-    written.  Each column holds values of one type (bool, int, float or str)
+    is empty, and a sweep's blocks hold at most CHUNK_ROWS rows each.
+    ``blocks`` may be a generator, so that each block is computed just
+    before it is written.  Each column holds values of one type (bool, int, float or str)
     in every block, so its formatter is chosen once, from the first block.
     A point query is one one-row block; a one-row table renders as one JSON
     object unless ``json_object_if_single`` is False, as sweeps set it.

@@ -718,8 +718,9 @@ def _traced_peak(target, fmt, steps):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_sweep_to_a_file_holds_one_block_of_rows(tmp_path, fmt):
-    # each block is computed as it is written: past the grid list and its numpy array, about
-    # 40 bytes a row, the traced peak grows by no more than the rows' columns would add
+    # each block is computed just before it is written, so only the grid grows with the row count:
+    # its list, and its numpy array while it is built, about 40 bytes a row; every column held at
+    # once costs about 190
     small, large = (_traced_peak(tmp_path / f"out.{fmt}", fmt, steps) for steps in (10_000, 100_000))
     assert (large - small) / 90_000 <= 64, (small, large)
 

@@ -8,9 +8,14 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import re
+import shutil
+import signal
 import sys
+import tempfile
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -124,6 +129,83 @@ def _chunks(row: str, sep: str, blocks):
         yield rows, template % tuple(chain.from_iterable(zip(*block)))
 
 
+def _write_blocks(stream, texts, first, rest, sep: str) -> None:
+    """Write the texts of the block ``first`` and the blocks ``rest`` to
+    ``stream``, joined by ``sep``; ``texts`` maps blocks to their texts.
+
+    Where _fork_helper hands the second half of ``rest`` to a helper
+    process, this process writes the first half meanwhile and then copies
+    the helper's text after it in 64 KiB slices.  A failed helper is an
+    OSError naming it; on any exception here the helper is killed and
+    reaped first.
+    """
+    helper = _fork_helper(texts, rest, sep)
+    if helper is None:
+        _write_joined(stream, texts(chain([first], rest)), sep)
+        return
+    pid, tail = helper
+    with tail:
+        try:
+            _write_joined(stream, texts(chain([first], rest)), sep)
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise OSError(f"the sweep's helper process {pid} exited with status {code}")
+        tail.seek(0)
+        shutil.copyfileobj(tail, stream)
+
+
+def _write_joined(stream, texts, sep: str) -> None:
+    stream.write(next(texts))
+    for text in texts:
+        stream.write(sep)
+        stream.write(text)
+
+
+def _fork_helper(texts, rest, sep: str):
+    """(pid, file) of a forked helper process that takes the second half of
+    the sweep blocks ``rest`` off it and writes ``sep`` and the text of each
+    to the file, an unlinked temporary one; None where a fork would not pay:
+    ``rest`` is no sweep's, or that half is under 2 blocks, or os.fork is
+    missing, another thread runs (the child could deadlock), one CPU is
+    available, or the file or the process cannot be made.
+
+    The helper leaves only through os._exit, with status 0 once the file
+    holds every text and 1 otherwise: it never returns into its callers,
+    whose exits would flush this process's buffered output a second time,
+    and writes nothing to stdout or stderr.
+    """
+    count = len(rest.starts) // 2 if isinstance(rest, _SweepBlocks) else 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1 or cpus < 2:
+        return None
+    try:
+        tail = tempfile.TemporaryFile("w+", encoding="utf-8")
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        tail.close()
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            for text in texts(rest.cut(count)):
+                tail.write(sep)
+                tail.write(text)
+            tail.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    rest.cut(count)
+    return pid, tail
+
+
 def render_csv(table: Table, stream) -> None:
     """Write the table to the text ``stream`` as csv.writer writes it, one
     line per row.
@@ -141,12 +223,12 @@ def render_csv(table: Table, stream) -> None:
     if first is None:
         return
     conversions = [_numeric_format(column) for column in first]
-    blocks = chain([first], blocks)
     if None in conversions:
-        for block in blocks:
+        for block in chain([first], blocks):
             writer.writerows(zip(*map(_text_cells, block)))
         return
-    stream.writelines(text for _, text in _chunks(",".join(conversions) + "\n", "", blocks))
+    row = ",".join(conversions) + "\n"
+    _write_blocks(stream, lambda part: (text for _, text in _chunks(row, "", part)), first, blocks, "")
 
 
 def render_json(table: Table, stream) -> None:
@@ -172,11 +254,12 @@ def render_json(table: Table, stream) -> None:
             return
         blocks = chain([second], blocks)
     conversions = [_numeric_format(column) for column in first]
-    blocks = chain([first], blocks)
     fields = [f"    {key.replace('%', '%%')}: " for key in keys]
     if None in conversions:
         record = "  {\n" + ",\n".join(field + "%s" for field in fields) + "\n  }"
-        texts = (",\n".join(map(record.__mod__, zip(*map(_json_cells, block)))) for block in blocks)
+
+        def texts(part):
+            return (",\n".join(map(record.__mod__, zip(*map(_json_cells, block)))) for block in part)
     else:
         record = "  {\n" + ",\n".join(map(str.__add__, fields, conversions)) + "\n  }"
         # per float column: its line in a record, after "  {", where its cell
@@ -184,13 +267,12 @@ def render_json(table: Table, stream) -> None:
         cells = [(j + 1, len(f"    {key}: "), "," if j + 1 < len(keys) else "")
                  for j, (key, conversion) in enumerate(zip(keys, conversions)) if conversion == FLOAT_FORMAT]
         dots = sum(key.count(".") for key in keys) + len(cells)
-        texts = (text if text.count(".") == rows * dots else _mend_chunk(text, cells, len(keys) + 2)
-                 for rows, text in _chunks(record, ",\n", blocks))
+
+        def texts(part):
+            return (text if text.count(".") == rows * dots else _mend_chunk(text, cells, len(keys) + 2)
+                    for rows, text in _chunks(record, ",\n", part))
     stream.write("[\n")
-    stream.write(next(texts))
-    for text in texts:
-        stream.write(",\n")
-        stream.write(text)
+    _write_blocks(stream, texts, first, blocks, ",\n")
     stream.write("\n]\n")
 
 
@@ -551,6 +633,9 @@ def _sweep_blocks(grid: list, kernel):
     then rises; at the optimal phase it stays finite; and the fig columns
     take every N >= 1.  Where either raises, the kernel runs over
     the whole grid, which raises the first bad point's error in grid order.
+    The same argument holds for the blocks that a renderer's helper process
+    computes (_fork_helper): they lie between the first block and the last
+    point, so none of them raises a domain error.
     """
     try:
         first = kernel(grid[:CHUNK_ROWS])
@@ -558,8 +643,34 @@ def _sweep_blocks(grid: list, kernel):
     except ValueError:
         kernel(grid)
         raise
-    rest = (grid[k:k + CHUNK_ROWS] for k in range(CHUNK_ROWS, len(grid), CHUNK_ROWS))
-    return chain([first], map(kernel, rest))
+    return _SweepBlocks(grid, kernel, first)
+
+
+class _SweepBlocks:
+    """The blocks of a sweep, each computed as it is asked for: ``first``,
+    then ``kernel`` of each later run of CHUNK_ROWS grid points, which start
+    at ``starts``."""
+
+    def __init__(self, grid: list, kernel, first: list):
+        self.grid, self.kernel, self.first = grid, kernel, [first]
+        self.starts = range(CHUNK_ROWS, len(grid), CHUNK_ROWS)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> list:
+        if self.first:
+            return self.first.pop()
+        if not self.starts:
+            raise StopIteration
+        k, self.starts = self.starts[0], self.starts[1:]
+        return self.kernel(self.grid[k:k + CHUNK_ROWS])
+
+    def cut(self, count: int):
+        """Take the last ``count`` blocks off; returns a generator of them."""
+        keep = len(self.starts) - count
+        tail, self.starts = self.starts[keep:], self.starts[:keep]
+        return (self.kernel(self.grid[k:k + CHUNK_ROWS]) for k in tail)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:

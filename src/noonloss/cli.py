@@ -140,13 +140,14 @@ def _write_blocks(stream, texts, first, rest, sep: str) -> None:
     reaped first.
     """
     helper = _fork_helper(texts, rest, sep)
+    head = texts(chain([first], rest))
     if helper is None:
-        _write_joined(stream, texts(chain([first], rest)), sep)
+        _write_joined(stream, head, sep)
         return
     pid, tail = helper
     with tail:
         try:
-            _write_joined(stream, texts(chain([first], rest)), sep)
+            _write_joined(stream, head, sep)
             status = os.waitpid(pid, 0)[1]
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -175,9 +176,10 @@ def _fork_helper(texts, rest, sep: str):
     available, or the file or the process cannot be made.
 
     The helper leaves only through os._exit, with status 0 once the file
-    holds every text and 1 otherwise: it never returns into its callers,
-    whose exits would flush this process's buffered output a second time,
-    and writes nothing to stdout or stderr.
+    holds every text and 1 otherwise, and after the block in hand where
+    this process has died: it never returns into its callers, whose exits
+    would flush this process's buffered output a second time, and writes
+    nothing to stdout or stderr.
     """
     count = len(rest.starts) // 2 if isinstance(rest, _SweepBlocks) else 0
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -187,6 +189,7 @@ def _fork_helper(texts, rest, sep: str):
         tail = tempfile.TemporaryFile("w+", encoding="utf-8")
     except OSError:
         return None
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -196,6 +199,8 @@ def _fork_helper(texts, rest, sep: str):
         status = 1
         try:
             for text in texts(rest.cut(count)):
+                if os.getppid() != parent:  # the parent died: nothing reads the file
+                    os._exit(1)
                 tail.write(sep)
                 tail.write(text)
             tail.flush()

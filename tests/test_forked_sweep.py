@@ -10,6 +10,8 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -182,4 +184,48 @@ def test_each_no_fork_condition_writes_the_same_bytes_in_one_process(tmp_path, m
         assert sweep_output(tmp_path, argv) == expected
     finally:
         release.set()
-        thread.join()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+# a kernel that takes a second over each of the helper's blocks: eta 0.2 to 1 over 10,000 rows is 10 blocks,
+# the helper's the last 4, which start at eta = 0.68 and above, and the parent's end by eta = 0.6
+SLOW_TAIL = """
+import os, sys, time
+from noonloss import analytics, cli
+os.sched_getaffinity = lambda pid: {0, 1}
+precision_grid = analytics.precision_grid
+def slow(n, etas, *rest):
+    if len(etas) == cli.CHUNK_ROWS and etas[0] > 0.65:
+        time.sleep(1)
+    return precision_grid(n, etas, *rest)
+analytics.precision_grid = slow
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs Linux's /proc children list")
+def test_a_helper_whose_parent_is_killed_stops_after_the_block_in_hand(tmp_path):
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_TAIL, *sweep_argv("eta", 10_000, "csv"),
+                             "--out", str(tmp_path / "sweep.csv")])
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    deadline = time.monotonic() + 60
+    while proc.poll() is None and not children.read_text().split() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    helper = int(children.read_text().split()[0])
+    proc.kill()
+    proc.wait(timeout=60)
+    # with 4 one-second blocks to go, a helper that outlived its parent would run for about 4 s more
+    deadline = time.monotonic() + 2.5
+    while running(helper) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not running(helper)

@@ -23,7 +23,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import analytics, budget, fock_oracle, optimal_search
-from .analytics import _N_MAX, LossChannel, NoonProbe
+from .analytics import _N_MAX, LossChannel, NoonProbe, _int_text
 
 __all__ = ["main", "entrypoint", "run_verification", "SweepSpec"]
 
@@ -402,36 +402,41 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
     bites.
 
     The grid's channels and phases are the same at every N, so each channel
-    is built once per call; each seeded case builds its own.  Each N visits
-    every channel for all its phases in a row, the order the oracle's memos
-    are sized for.
+    is built once per call; each seeded case builds its own.  At each N the
+    pass builds each channel's detector once and keeps a dict of that N's
+    NOON kets, which the oracle fills at each phase's first point, and hands
+    both down to every point of the channel.
     """
     if grid not in VERIFY_GRIDS:
         raise ValueError(f"grid must be a key of VERIFY_GRIDS {tuple(VERIFY_GRIDS)}, got {grid!r}")
+    if not 1 <= max_n <= fock_oracle.MAX_PHOTONS:
+        raise ValueError(f"max_n must be in [1, {fock_oracle.MAX_PHOTONS}], got {_int_text(max_n)}")
     etas, thetas, phases, _ = VERIFY_GRIDS[grid]
     angles = [2.0 * math.pi * k / phases for k in range(phases)]
-    grid_cases = [(ch, phi) for ch in (LossChannel(eta, theta) for eta in etas for theta in thetas)
-                  for phi in angles]
+    grid_channels = [(LossChannel(eta, theta), angles) for eta in etas for theta in thetas]
     rng = random.Random(seed)
     max_dev = 0.0
     points = 0
     for n in range(1, max_n + 1):
-        cases = grid_cases
+        channels = grid_channels
         if seed is not None:
             drawn = [(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi),
                       rng.uniform(0.0, 2.0 * math.pi)) for _ in range(5)]
-            cases = grid_cases + [(LossChannel(eta, theta), phi) for eta, theta, phi in drawn]
+            channels = grid_channels + [(LossChannel(eta, theta), (phi,)) for eta, theta, phi in drawn]
         probe = NoonProbe(n)
-        for ch, phi in cases:
-            mean_o, var_o = fock_oracle.oracle_moments(n, ch, phi)
-            mean_o, var_o = prefactor_scale * mean_o, prefactor_scale ** 2 * var_o
-            # max() would drop a NaN that is not its first argument; a NaN
-            # deviation is kept, so that it fails the check
-            for dev in (abs(mean_o - analytics.mean_detection(probe, ch, phi)),
-                        abs(var_o - analytics.variance_detection(probe, ch, phi))):
-                if dev > max_dev or math.isnan(dev):
-                    max_dev = dev
-            points += 1
+        kets = {}
+        for ch, channel_phases in channels:
+            detector = fock_oracle._channel_detector(n, ch)
+            for phi in channel_phases:
+                mean_o, var_o = fock_oracle.oracle_moments(n, ch, phi, _kets=kets, _detector=detector)
+                mean_o, var_o = prefactor_scale * mean_o, prefactor_scale ** 2 * var_o
+                # max() would drop a NaN that is not its first argument; a NaN
+                # deviation is kept, so that it fails the check
+                for dev in (abs(mean_o - analytics.mean_detection(probe, ch, phi)),
+                            abs(var_o - analytics.variance_detection(probe, ch, phi))):
+                    if dev > max_dev or math.isnan(dev):
+                        max_dev = dev
+                points += 1
     return max_dev, points
 
 

@@ -2,33 +2,27 @@
 
 States live in an explicit three-mode occupation basis: signal mode ``a``,
 detected mode ``b``, and the loss port ``V`` of the beam splitter that
-models the loss.  The NOON input is memoized on (N, phi) and the type of
-phi, in a memo bounded to 32 entries, room for the phases of one N, which a
-verify pass revisits at every channel.  The detection operator is applied by
-expanding the beam-splitter ladder polynomials term by term.  The
-channel-free part of each term, binomial times factorial weight from exact
-integers, is tabulated once per photon number and memoized, together with
-that N's keys |N,0,0> and |0,k,N-k>.  The channel's terms, that table times
-powers of t and r, are computed once per channel and kept in a small bounded
-memo, so the phases that share one channel reuse them.  The raising branch's
-image of |N,0,0> depends on the channel and that one amplitude only, which
-is 1/sqrt(2) for every NOON input, so it too is kept in a small bounded
-memo, after the amplitude checks; each call copies it and forms only the
-lowering sum into |N,0,0>.  The kets built here, the NOON input and each
-detector output, skip the public :class:`FockKet` constructor's key checks,
-as their keys are ``Occupation``s of ints within the cap by construction;
-every amplitude they hold has passed the amplitude checks.  Nothing here
-uses the closed-form moment formulas from :mod:`noonloss.analytics`; this
-module exists to check them.
+models the loss.  The detection operator is applied by expanding the
+beam-splitter ladder polynomials term by term.  The channel-free part of
+each term, the keys |0,k,N-k> and binomial times factorial weight, is a
+module constant for every N up to the cap; one channel's terms, that table
+times powers of t and r, make up its detector.  Each public function builds
+what it needs on every call; a caller that asks for many points at one N,
+as a verify pass does, builds each channel's detector once and keeps that
+N's NOON kets, and hands both down through private keywords.  The kets
+built here, the NOON input and each detector output, skip the public
+:class:`FockKet` constructor's key checks, as their keys are
+``Occupation``s of ints within the cap by construction; every amplitude
+they hold has passed the amplitude checks.  Nothing here uses the
+closed-form moment formulas from :mod:`noonloss.analytics`; this module
+exists to check them.
 """
 
 import cmath
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, factorial
-from types import MappingProxyType
+from math import comb
 from typing import NamedTuple
 
 from .analytics import _N_MAX, LossChannel, _float_range, _int_text
@@ -43,7 +37,7 @@ __all__ = [
     "oracle_moments",
 ]
 
-# Exact integer factorials stay cheap and float-convertible up to here, and
+# Exact integer binomials stay cheap and float-convertible up to here, and
 # the oracle is only ever needed at modest photon numbers.
 MAX_PHOTONS = 64
 
@@ -139,32 +133,16 @@ class FockKet:
         return sum(a.real * a.real + a.imag * a.imag for a in self.amps.values())
 
 
+# the amplitude of |N,0,0> in every NOON input, and the modulus of |0,N,0>'s
+_NOON_AMP = complex(1.0 / math.sqrt(2.0))
+
+
 def build_noon_input(n: int, phi: float) -> FockKet:
     """NOON state with phase phi in mode b and vacuum in the loss port.
 
     (|N,0,0> + e**(i N phi) |0,N,0>) / sqrt(2)
-
-    The ket is memoized (see :func:`_noon_input`) and shared between calls,
-    so its ``amps`` is a read-only mapping.
     """
-    return _noon_input(operator.index(n), phi)
-
-
-@lru_cache(maxsize=32, typed=True)
-def _noon_input(n: int, phi: float) -> FockKet:
-    """:func:`build_noon_input` at an int ``n``, checked and built on a memo
-    miss only: a bad input raises on every call and is never stored.
-
-    A verify pass runs N in the outer loop and asks for each N's 16 dense
-    grid phases once per channel, 12 channels in a row, then for 5 seeded
-    phases once each.  Measured over a dense pass to N = 64 at seed 5, a
-    bound of 16 keeps all 11,264 hits (1,344 misses) and a bound of 15 none,
-    as each phase is then evicted just before its next use; 32 leaves room
-    for all 21 phases of one N.  N is in the key, so a pass starts cold at
-    N = 1 and never reuses an earlier pass's kets.  ``typed`` keeps ints,
-    floats and numpy scalars of one value apart; within one type only +0.0
-    and -0.0 are equal with different bits, and they build the same ket bit
-    for bit."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("a NOON probe needs at least one photon")
     # past DBL_MAX, n * phi is an OverflowError
@@ -180,70 +158,57 @@ def _noon_input(n: int, phi: float) -> FockKet:
         finite = False
     if not finite:
         raise ValueError(f"N*phi must be finite, got N = {n}, phi = {_int_text(phi)}")
-    amp = 1.0 / math.sqrt(2.0)
-    # read-only, as every caller shares it
     return FockKet._of_checked_entries(
-        MappingProxyType(_checked_amplitudes((
-            (Occupation(n, 0, 0), complex(amp)),
-            (Occupation(0, n, 0), cmath.exp(1j * angle) * amp),
-        ))),
+        _checked_amplitudes((
+            (Occupation(n, 0, 0), _NOON_AMP),
+            (Occupation(0, n, 0), cmath.exp(1j * angle) * _NOON_AMP.real),
+        )),
         n,
     )
 
 
-class _LadderTable(NamedTuple):
-    """The channel-free part of the n-photon detector."""
-
-    top: Occupation                      # |n,0,0>
-    raising_keys: tuple[Occupation, ...]  # Occupation(0, k, n - k) for k = 0..n
-    coefficients: tuple[float, ...]      # comb(n, k) * sqrt(k! (n-k)! / n!) for k = 0..n
-
-
-@lru_cache(maxsize=None)
-def _ladder_table(n: int) -> _LadderTable:
-    """The keys and the ladder coefficients, the channel-free part of every
-    term of an n-quantum ladder expansion.  Callers check
-    1 <= n <= MAX_PHOTONS first, so the cache holds at most MAX_PHOTONS tables."""
-    return _LadderTable(
-        Occupation(n, 0, 0),
-        tuple(Occupation(0, k, n - k) for k in range(n + 1)),
-        tuple(comb(n, k) * math.sqrt(factorial(k) * factorial(n - k) / factorial(n)) for k in range(n + 1)),
-    )
+# The channel-free part of every term of an n-quantum ladder expansion, for
+# n = 0..MAX_PHOTONS: the pairs (Occupation(0, k, n - k), comb(n, k) *
+# sqrt(k! (n-k)! / n!)) for k = 0..n.  Python rounds an int quotient
+# correctly, so 1 / comb(n, k) has the bits of the factorial quotient.
+_LADDER = tuple(tuple((Occupation(0, k, n - k), comb(n, k) * math.sqrt(1 / comb(n, k))) for k in range(n + 1))
+                for n in range(MAX_PHOTONS + 1))
 
 
-@lru_cache(maxsize=64)
-def _detector_terms(n: int, eta: float, theta_t: float,
-                    reflection_phase: float) -> tuple[tuple[tuple[Occupation, complex], ...], tuple[complex, ...]]:
-    """The channel's terms of the n-photon detector: the raising branch as
-    (Occupation(0, k, n - k), coefficient) pairs with the zero coefficients
-    left out, and the lowering coefficient for each k = 0..n.  A verify pass
-    visits each channel for all its phases in a row, so a small bound keeps
-    every hit."""
-    t = cmath.rect(math.sqrt(eta), theta_t)
-    r = cmath.rect(math.sqrt(1.0 - eta), reflection_phase)
-    tc, rc = t.conjugate(), r.conjugate()
-    _, keys, ladder = _ladder_table(n)
-    raising = tuple((key, coeff) for k, key in enumerate(keys)
-                    if (coeff := ladder[k] * tc ** k * rc ** (n - k)) != 0)
-    lowering = tuple(ladder[k] * t ** k * r ** (n - k) for k in range(n + 1))
-    return raising, lowering
+class _Detector(NamedTuple):
+    """The n-photon detector of one channel."""
+
+    top: Occupation                                  # |n,0,0>
+    raising: tuple[tuple[Occupation, complex], ...]  # (|0,k,n-k>, coefficient), zero coefficients left out
+    lowering: tuple[complex, ...]                    # the coefficient for each k = 0..n
+    noon_image: dict[Occupation, complex]            # the raising image of a NOON input's |n,0,0>
 
 
-@lru_cache(maxsize=64)
-def _raising_image(n: int, eta: float, theta_t: float, reflection_phase: float,
-                   amp: complex) -> dict[Occupation, complex]:
-    """The raising branch's image of ``amp`` |n,0,0>, as the amplitude rule
-    keeps it.  Keyed like :func:`_detector_terms` plus the amplitude, which is
-    the same for every NOON input, so a verify pass hits it at every phase
-    of a channel.  Complex keys are equal only where their parts are, and a
-    signed zero in ``amp`` can change only a zero part of a product, which
-    ``0j +`` makes +0.0, so each entry holds the bits that a fresh sum would.
-    Callers only copy the dict; it is never handed out."""
-    raising, _ = _detector_terms(n, eta, theta_t, reflection_phase)
+def _raising_image(raising, amp: complex) -> dict[Occupation, complex]:
+    """The raising branch's image of ``amp`` |n,0,0>, as the amplitude rule keeps it."""
     return _checked_amplitudes((key, 0j + amp * coeff) for key, coeff in raising)
 
 
-def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: float = math.pi / 2) -> FockKet:
+def _channel_detector(n: int, ch: LossChannel, reflection_phase: float = math.pi / 2) -> _Detector:
+    """The n-photon detector of ``ch`` (see :func:`apply_detector`), for an
+    int ``n`` that the caller has checked is in [1, MAX_PHOTONS]."""
+    # chained, as float() overflows for an int past DBL_MAX
+    if not -_N_MAX <= reflection_phase <= _N_MAX:
+        raise ValueError(f"reflection_phase must be finite, got {_int_text(reflection_phase)}")
+    # float() computes in plain floats whatever number types the channel holds
+    eta = float(ch.eta)
+    t = cmath.rect(math.sqrt(eta), float(ch.theta_t))
+    r = cmath.rect(math.sqrt(1.0 - eta), float(reflection_phase))
+    tc, rc = t.conjugate(), r.conjugate()
+    ladder = _LADDER[n]
+    raising = tuple((key, coeff) for k, (key, weight) in enumerate(ladder)
+                    if (coeff := weight * tc ** k * rc ** (n - k)) != 0)
+    lowering = tuple(weight * t ** k * r ** (n - k) for k, (_, weight) in enumerate(ladder))
+    return _Detector(Occupation(n, 0, 0), raising, lowering, _raising_image(raising, _NOON_AMP))
+
+
+def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: float = math.pi / 2,
+                   _detector: _Detector | None = None) -> FockKet:
     """Apply the lossy N-photon detection operator to ``ket``.
 
     The operator couples |N,0,0> with the beam-splitter image of |0,N,0>:
@@ -256,6 +221,10 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
     because the loss port starts in vacuum, and tests assert exactly that.
     The result is generally not normalized.  Raises if the ket holds more
     than ``n`` photons in any component.
+
+    ``_detector``, private, is the detector of ``n``, ``ch`` and
+    ``reflection_phase`` that a caller applying one channel many times has
+    built once with :func:`_channel_detector`; without it, it is built here.
     """
     n = operator.index(n)
     if not 1 <= n <= MAX_PHOTONS:
@@ -264,21 +233,16 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
         # Occupation.total written out, without a property call per component
         if occ[0] + occ[1] + occ[2] > n:
             raise ValueError(f"ket component {occ} holds more than {n} photons")
+    top, raising, lowering, noon_image = _channel_detector(n, ch, reflection_phase) if _detector is None else _detector
 
-    # chained, as float() overflows for an int past DBL_MAX
-    if not -_N_MAX <= reflection_phase <= _N_MAX:
-        raise ValueError(f"reflection_phase must be finite, got {_int_text(reflection_phase)}")
-    # float() keys the memos on plain floats whatever number types the channel holds
-    channel = (n, float(ch.eta), float(ch.theta_t), float(reflection_phase))
-    _, lowering = _detector_terms(*channel)
-
-    top = _ladder_table(n).top
     out: dict[Occupation, complex] = {}
     for occ, amp in ket.amps.items():
         if occ == top:
             # raising branch: k quanta into b, n - k into the loss port, each
-            # key written once, so its checked image is copied whole
-            out.update(_raising_image(*channel, amp))
+            # key written once, so its checked image is copied whole.  An
+            # amplitude equal to a NOON input's takes that image: a -0.0 part
+            # can change only a zero part of a product, which 0j + makes +0.0
+            out.update(noon_image if amp == _NOON_AMP else _raising_image(raising, amp))
         elif occ.n_a == 0 and occ.n_b + occ.n_v == n:
             # lowering branch: only the term annihilating exactly n_b quanta
             # from b and n_v from V survives the vacuum projector
@@ -321,13 +285,23 @@ def inner(x: FockKet, y: FockKet) -> complex:
     return total
 
 
-def oracle_moments(n: int, ch: LossChannel, phi: float, *, reflection_phase: float = math.pi / 2) -> tuple[float, float]:
+def oracle_moments(n: int, ch: LossChannel, phi: float, *, reflection_phase: float = math.pi / 2,
+                   _kets: dict[float, FockKet] | None = None,
+                   _detector: _Detector | None = None) -> tuple[float, float]:
     """Mean and variance of the detection operator, from state vectors alone.
 
     The second moment uses Hermiticity: <A'^2> = ||A' psi||^2.
+
+    A caller that asks for many points at one N, as a verify pass does,
+    hands down two private keywords: ``_kets``, that N's dict of phase to
+    NOON input, which each phase's first call fills, and ``_detector``, the
+    channel's detector (see :func:`apply_detector`).
     """
-    psi = build_noon_input(n, phi)
-    a_psi = apply_detector(psi, n, ch, reflection_phase=reflection_phase)
+    if _kets is None:
+        psi = build_noon_input(n, phi)
+    elif (psi := _kets.get(phi)) is None:
+        psi = _kets[phi] = build_noon_input(n, phi)
+    a_psi = apply_detector(psi, n, ch, reflection_phase=reflection_phase, _detector=_detector)
     mean = inner(psi, a_psi).real
     second_moment = inner(a_psi, a_psi).real
     return mean, second_moment - mean * mean

@@ -320,9 +320,10 @@ def test_verify_corrupt_prefactor_does_not_leak(monkeypatch):
 
 
 def _verification_per_point(max_n, grid, seed, prefactor_scale):
-    """run_verification with a fresh LossChannel and phase at every point:
-    the loop that building the grid's channels once per call replaced, kept
-    as the bit-for-bit reference."""
+    """run_verification with a fresh LossChannel and phase at every point,
+    each oracle call building its own NOON ket and detector: the loop that
+    building the grid's channels once per call and the pass's reuse of kets
+    and detectors replaced, kept as the bit-for-bit reference."""
     etas, thetas, phases, _ = cli.VERIFY_GRIDS[grid]
     rng = random.Random(seed)
     max_dev = 0.0
@@ -354,9 +355,9 @@ def test_verification_matches_the_per_point_loop_bit_for_bit(grid, max_n, seed, 
     calls = []
     real = fock_oracle.oracle_moments
 
-    def recording(n, ch, phi):
+    def recording(n, ch, phi, **kwargs):
         calls.append((n, ch.eta.hex(), ch.theta_t.hex(), phi.hex()))
-        return real(n, ch, phi)
+        return real(n, ch, phi, **kwargs)
 
     monkeypatch.setattr(fock_oracle, "oracle_moments", recording)
     got = cli.run_verification(max_n, grid, seed, prefactor_scale)
@@ -387,6 +388,17 @@ def test_run_verification_with_an_unknown_grid_is_a_value_error():
 def test_verify_max_n_bound():
     code, _, _ = run_cli("verify", "--max-n", "65")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("max_n, shown", [(0, "0"), (-3, "-3"), (65, "65"), (10 ** 400, "an int of 1329 bits")],
+                         ids=["0", "-3", "65", "10**400"])
+def test_run_verification_checks_max_n_before_any_oracle_call(max_n, shown, monkeypatch):
+    # 0 and -3 returned (0.0, 0), a pass that checked nothing; 65 raised only after every point to N = 64
+    calls = []
+    monkeypatch.setattr(fock_oracle, "oracle_moments", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=rf"^max_n must be in \[1, 64\], got {shown}$"):
+        cli.run_verification(max_n)
+    assert calls == []
 
 
 @pytest.mark.parametrize("which, bad_points", [(1, range(48)), (0, [0]), (0, [20]), (0, [47])],

@@ -1,8 +1,9 @@
 """The export lists: every name a module lists exists, and the package
 exports exactly the public names of its four library modules, as the same
-objects."""
+objects.  No module holds a memo among its globals."""
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -31,3 +32,12 @@ def test_renamed_point_queries_are_gone(name):
     # each was a renamed call of another name or a field of precision_report
     assert not hasattr(noonloss, name)
     assert not hasattr(noonloss.analytics, name)
+
+
+def test_no_module_holds_a_memo():
+    # a verify pass owns the oracle's reuse; no module keeps state between calls in a cache
+    names = [info.name for info in pkgutil.iter_modules(noonloss.__path__, "noonloss.")]
+    assert {"noonloss.cli", "noonloss.fock_oracle"} <= set(names)
+    held = [(name, attr) for name in names for attr, obj in vars(importlib.import_module(name)).items()
+            if hasattr(obj, "cache_info")]
+    assert held == []

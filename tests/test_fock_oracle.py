@@ -6,7 +6,7 @@ import re
 import sys
 import warnings
 from collections import defaultdict
-from types import MappingProxyType
+from math import comb, factorial
 from unittest import mock
 
 import numpy as np
@@ -20,9 +20,7 @@ from noonloss.fock_oracle import (
     MAX_PHOTONS,
     FockKet,
     Occupation,
-    _detector_terms,
-    _ladder_table,
-    _raising_image,
+    _channel_detector,
     apply_detector,
     build_noon_input,
     inner,
@@ -279,13 +277,13 @@ def test_nan_reflection_phase_is_rejected_not_dropped():
 
 
 def _apply_detector_per_call(ket, n, ch, reflection_phase=math.pi / 2):
-    """apply_detector with every channel coefficient and output key built
-    afresh on each call: the expansion that the per-channel memo replaced,
-    kept as the bit-for-bit reference."""
+    """apply_detector with every ladder weight, channel coefficient and
+    output key built afresh on each call, the weights from factorials, kept
+    as the bit-for-bit reference."""
     t = cmath.rect(math.sqrt(ch.eta), ch.theta_t)
     r = cmath.rect(math.sqrt(1.0 - ch.eta), reflection_phase)
     tc, rc = t.conjugate(), r.conjugate()
-    ladder = _ladder_table(n).coefficients
+    ladder = [comb(n, k) * math.sqrt(factorial(k) * factorial(n - k) / factorial(n)) for k in range(n + 1)]
     out = defaultdict(complex)
     for occ, amp in ket.amps.items():
         if occ.n_a == n and occ.n_b == 0 and occ.n_v == 0:
@@ -318,90 +316,75 @@ def _mixed_ket(rng, n):
     return FockKet(amps, photon_cap=n)
 
 
-def test_memoized_detector_equals_the_per_call_expansion_bit_for_bit():
+def test_pass_detector_equals_the_per_call_expansion_bit_for_bit():
     rng = random.Random(2024)
     for _ in range(300):
         n = rng.choice([1, 2, 3, 7, 16, 33, MAX_PHOTONS])
         eta = rng.choice([1.0, 1e-30, 0.5, rng.uniform(0.01, 1.0)])
         ch = LossChannel(eta, rng.choice([0.0, -0.0, rng.uniform(-math.pi, math.pi)]))
         phase = rng.choice([math.pi / 2, 0.0, rng.uniform(-4.0, 4.0)])
+        # one detector for the channel, as a verify pass builds it, applied to several kets
+        detector = _channel_detector(n, ch, phase)
         for ket in (_mixed_ket(rng, n), _random_ket(rng, n), build_noon_input(n, rng.uniform(0, 7))):
-            # twice: once filling the memo (or hitting it), once hitting it
+            want = _bits(_apply_detector_per_call(ket, n, ch, phase))
+            assert _bits(apply_detector(ket, n, ch, reflection_phase=phase)) == want
             for _ in range(2):
-                got = apply_detector(ket, n, ch, reflection_phase=phase)
-                assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch, phase))
+                got = apply_detector(ket, n, ch, reflection_phase=phase, _detector=detector)
+                assert _bits(got) == want
+                # each output holds a copy: clearing one leaves the detector's image whole
+                got.amps.clear()
 
 
 def test_lossless_detector_leaves_out_the_zero_terms():
     # eta = 1: r = 0, so only k = n survives in the raising branch
     for n in (1, 5, MAX_PHOTONS):
-        raising, lowering = _detector_terms(n, 1.0, 0.3, math.pi / 2)
+        _, raising, lowering, _ = _channel_detector(n, LossChannel(1.0, 0.3))
         assert [key for key, _ in raising] == [Occupation(0, n, 0)]
         assert [c != 0 for c in lowering] == [False] * n + [True]
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
-def test_signed_zero_channels_reuse_the_memo_bit_for_bit(zero):
-    # +0.0 and -0.0 are one cache key: each is queried after the other filled the memo
+def test_signed_zero_channels_take_their_own_detector_bit_for_bit(zero):
+    # a channel or reflection phase of either zero, and its twin of the other
+    # sign, each built once and applied to several kets: the same moments
     rng = random.Random(5)
     for n in (1, 2, 6, 17):
-        ket = _mixed_ket(rng, n)
+        kets = [_mixed_ket(rng, n), build_noon_input(n, 0.3)]
         for eta in (0.5, 1.0, 0.9):
-            for (theta, phase), (warm_theta, warm_phase) in (((zero, 1.1), (-zero, 1.1)),
-                                                             ((0.4, zero), (0.4, -zero)),
-                                                             ((zero, zero), (-zero, -zero))):
-                apply_detector(ket, n, LossChannel(eta, warm_theta), reflection_phase=warm_phase)
-                hits = _detector_terms.cache_info().hits
-                ch = LossChannel(eta, theta)
-                got = apply_detector(ket, n, ch, reflection_phase=phase)
-                assert _detector_terms.cache_info().hits == hits + 1
-                assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch, phase))
-                assert oracle_moments(n, ch, 0.3, reflection_phase=phase) == \
-                    oracle_moments(n, LossChannel(eta, warm_theta), 0.3, reflection_phase=warm_phase)
+            for theta, phase in ((zero, 1.1), (0.4, zero), (zero, zero)):
+                ch, twin = LossChannel(eta, theta), LossChannel(eta, -theta if theta == 0 else theta)
+                detector = _channel_detector(n, ch, phase)
+                for ket in kets:
+                    got = apply_detector(ket, n, ch, reflection_phase=phase, _detector=detector)
+                    assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch, phase))
+                twin_phase = -phase if phase == 0 else phase
+                assert oracle_moments(n, ch, 0.3, reflection_phase=phase, _detector=detector) == \
+                    oracle_moments(n, twin, 0.3, reflection_phase=twin_phase)
 
 
-def test_detector_memo_stays_within_its_bound():
-    bound = _detector_terms.cache_info().maxsize
-    ket = build_noon_input(3, 0.2)
-    for i in range(bound + 40):
-        ch = LossChannel(0.2 + 0.7 * i / (bound + 40))
-        got = apply_detector(ket, 3, ch)
-        assert _bits(got) == _bits(_apply_detector_per_call(ket, 3, ch))
-        assert _detector_terms.cache_info().currsize <= bound
+NOON_AMP = 1.0 / math.sqrt(2.0)
 
 
-def test_raising_image_memo_stays_within_its_bound():
-    assert _raising_image.cache_info().maxsize == 64
-    for n in (3, MAX_PHOTONS):
-        ket = build_noon_input(n, 0.2)
-        for i in range(64 + 40):
-            ch = LossChannel(0.2 + 0.7 * i / (64 + 40), 0.1)
-            got = apply_detector(ket, n, ch)
-            assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
-            assert _raising_image.cache_info().currsize <= 64
-            # each ket holds a copy: clearing one leaves the memo's entry whole
-            got.amps.clear()
-            assert _bits(apply_detector(ket, n, ch)) == _bits(_apply_detector_per_call(ket, n, ch))
-
-
-@pytest.mark.parametrize("amp", [complex(0.5, 0.0), complex(0.5, -0.0), complex(0.0, 0.5), complex(-0.0, 0.5),
+@pytest.mark.parametrize("amp", [complex(NOON_AMP, 0.0), complex(NOON_AMP, -0.0), complex(NOON_AMP, 0.3),
+                                 complex(0.5, 0.0), complex(0.5, -0.0), complex(0.0, 0.5), complex(-0.0, 0.5),
                                  complex(0.3, -0.2)])
-def test_signed_zero_source_amplitudes_share_an_image_bit_for_bit(amp):
-    # the |n,0,0> amplitude with the signs of its zero parts flipped is the
-    # same memo key: the image filled by the other sign must hold this sign's
-    # bits; at theta = 0 the (0, n, 0) coefficient is real, and -0.0 times it
-    # less 0.5 times its +0.0 imaginary part is -0.0
-    flipped = complex(-amp.real if amp.real == 0 else amp.real, -amp.imag if amp.imag == 0 else amp.imag)
+def test_signed_zero_source_amplitudes_take_the_detector_image_bit_for_bit(amp):
+    # an |n,0,0> amplitude equal to a NOON input's, 1/sqrt(2), takes the
+    # image the detector formed for it, whatever the sign of its zero
+    # imaginary part; any other is formed afresh.  At theta = 0 the (0, n, 0)
+    # coefficient is real, and -0.0 times it less 0.5 times its +0.0
+    # imaginary part is -0.0
+    fresh_images = 0 if amp == NOON_AMP else 1
     for n in (1, 4, 17):
         for eta, theta in ((0.5, 0.0), (1.0, 0.0), (1.0, -0.0), (1.0, math.pi), (0.8, 1.3), (1e-30, -2.0)):
             ch = LossChannel(eta, theta)
-            warm = FockKet({Occupation(n, 0, 0): flipped}, photon_cap=n)
             ket = FockKet({Occupation(n, 0, 0): amp}, photon_cap=n)
-            assert _bits(apply_detector(warm, n, ch)) == _bits(_apply_detector_per_call(warm, n, ch))
-            hits = _raising_image.cache_info().hits
-            got = apply_detector(ket, n, ch)
-            assert _raising_image.cache_info().hits == hits + 1
-            assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
+            want = _bits(_apply_detector_per_call(ket, n, ch))
+            assert _bits(apply_detector(ket, n, ch)) == want
+            detector = _channel_detector(n, ch)
+            with mock.patch.object(fock_oracle, "_raising_image", wraps=fock_oracle._raising_image) as image:
+                assert _bits(apply_detector(ket, n, ch, _detector=detector)) == want
+            assert image.call_count == fresh_images
 
 
 def test_lowering_components_before_the_source_keep_the_dict_order():
@@ -409,8 +392,8 @@ def test_lowering_components_before_the_source_keep_the_dict_order():
     n, ch = 5, LossChannel(0.6, 0.4)
     lowering = {Occupation(0, k, n - k): complex(0.1 * k + 0.05, -0.2) for k in (3, 0, 5)}
     ket = FockKet({**lowering, Occupation(n, 0, 0): complex(0.6, 0.1)}, photon_cap=n)
-    for _ in range(2):
-        got = apply_detector(ket, n, ch)
+    for detector in (None, _channel_detector(n, ch)):
+        got = apply_detector(ket, n, ch, _detector=detector)
         assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
         assert list(got.amps)[0] == Occupation(n, 0, 0)
         assert list(got.amps)[1:] == [Occupation(0, k, n - k) for k in range(n + 1)]
@@ -421,8 +404,8 @@ def test_raising_image_terms_below_the_support_floor_are_pruned():
     # below 1e-300 and are dropped, as by the per-call expansion
     n, ch = 6, LossChannel(0.1, 0.3)
     ket = FockKet({Occupation(n, 0, 0): complex(1e-299, 0.0)}, photon_cap=n)
-    for _ in range(2):
-        got = apply_detector(ket, n, ch)
+    for detector in (None, _channel_detector(n, ch)):
+        got = apply_detector(ket, n, ch, _detector=detector)
         assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
         assert 0 < len(got.amps) < n + 1
         assert all(abs(amp) >= 1e-300 for amp in got.amps.values())
@@ -437,13 +420,19 @@ def test_oracle_moments_calls_the_module_global_detector_and_inner():
             mock.patch.object(fock_oracle, "apply_detector", wraps=apply_detector) as detector, \
             mock.patch.object(fock_oracle, "inner", wraps=inner) as product:
         got = fock_oracle.oracle_moments(3, LossChannel(0.7, 0.2), 0.4)
-    assert (build.call_count, detector.call_count, product.call_count) == (1, 1, 2)
+        assert (build.call_count, detector.call_count, product.call_count) == (1, 1, 2)
+        # handed a dict of kets, as a verify pass does, the first call at a phase
+        # builds its ket and the next reuses it
+        kets = {}
+        for calls in (2, 2):
+            assert fock_oracle.oracle_moments(3, LossChannel(0.7, 0.2), 0.4, _kets=kets) == got
+            assert list(kets) == [0.4] and build.call_count == calls
     assert got == oracle_moments(3, LossChannel(0.7, 0.2), 0.4)
 
 
 @pytest.mark.parametrize("wrap", [np.float64, np.array, lambda x: x])
-def test_detector_memo_takes_any_real_channel_values(wrap):
-    # a 0-d array is unhashable; the memo must still see the same floats
+def test_detector_takes_any_real_channel_values(wrap):
+    # the detector is formed from the same floats whatever number types the channel holds
     ket = build_noon_input(4, 0.3)
     ch = LossChannel(wrap(0.625), wrap(0.25))
     got = apply_detector(ket, 4, ch, reflection_phase=wrap(1.5))
@@ -535,10 +524,9 @@ def test_oracle_built_kets_hold_occupations_of_int_within_the_cap():
             noon = build_noon_input(n, rng.uniform(0.0, 7.0))
             kets = [noon] + [apply_detector(ket, n, ch, reflection_phase=rng.uniform(-4.0, 4.0))
                              for ket in (noon, _mixed_ket(rng, n), _random_ket(rng, n))]
-            # the memoized NOON input is shared, so its mapping is read-only
-            for ket, mapping in zip(kets, (MappingProxyType, dict, dict, dict)):
+            for ket in kets:
                 assert type(ket.photon_cap) is int and ket.photon_cap == n
-                assert type(ket.amps) is mapping and ket.amps
+                assert type(ket.amps) is dict and ket.amps
                 for occ, amp in ket.amps.items():
                     assert type(occ) is Occupation
                     assert [type(x) for x in occ] == [int, int, int]
@@ -584,9 +572,9 @@ def test_oracle_moments_int_phase_past_dbl_max_is_a_value_error():
 
 
 def _noon_input_per_call(n, phi):
-    """The NOON input built afresh through the public FockKet constructor: the
-    build that the memo replaced, kept as the bit-for-bit reference.  N*phi
-    is a Python product, exact for an int phase."""
+    """The NOON input built through the public FockKet constructor, kept as
+    the bit-for-bit reference.  N*phi is a Python product, exact for an int
+    phase."""
     n = operator.index(n)
     angle = n * (phi if isinstance(phi, int) else float(phi))
     amp = 1.0 / math.sqrt(2.0)
@@ -594,7 +582,8 @@ def _noon_input_per_call(n, phi):
 
 
 _rng = random.Random(17)
-# (n, phi) and an "equal" twin that Python may key as the same entry
+# (n, phi) and an "equal" twin that a dict of kets keyed by phase, as a
+# verify pass keeps one N's, takes as the same entry
 NOON_TWINS = [
     ((3, 0.0), (3, -0.0)),
     ((3, -0.0), (3, 0.0)),
@@ -618,22 +607,18 @@ NOON_TWINS = [
 
 
 @pytest.mark.parametrize("key, twin", NOON_TWINS)
-def test_memoized_noon_input_equals_a_fresh_build_bit_for_bit(key, twin):
-    # each key is queried after its twin filled the memo, then again as a hit
-    fock_oracle._noon_input.cache_clear()
-    build_noon_input(*twin)
-    for _ in range(2):
-        got = build_noon_input(*key)
-        want = _noon_input_per_call(*key)
-        assert _bits(got) == _bits(want)
-        assert got.photon_cap == want.photon_cap and type(got.photon_cap) is int
-        assert all(type(x) is int for occ in got.amps for x in occ)
+def test_noon_input_equals_its_twins_and_the_constructor_build_bit_for_bit(key, twin):
+    # the ket built for the twin, which a dict keyed by phase hands back for this key, holds this key's bits
+    got = build_noon_input(*key)
+    want = _noon_input_per_call(*key)
+    assert _bits(got) == _bits(want) == _bits(build_noon_input(*twin))
+    assert got.photon_cap == want.photon_cap and type(got.photon_cap) is int
+    assert all(type(x) is int for occ in got.amps for x in occ)
 
 
 def test_numpy_scalar_phases_are_checked_as_python_floats():
     # numpy's scalar product overflowed with a RuntimeWarning before the check, an exception
     # under -W error; an int64 product wrapped, and an int N past int64 did not convert
-    fock_oracle._noon_input.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for phi in (np.float64(1e308), np.float64(-1e308)):
@@ -648,7 +633,6 @@ def test_numpy_scalar_phases_are_checked_as_python_floats():
 def test_float32_phase_past_the_float32_range_takes_the_float64_product():
     # N*phi = 6e38 passed the float64 check, then 1j * N * phi overflowed as numpy
     # complex64: a RuntimeWarning, an exception under -W error, not a ket
-    fock_oracle._noon_input.cache_clear()
     phi = np.float32(3e38)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -656,21 +640,6 @@ def test_float32_phase_past_the_float32_range_takes_the_float64_product():
         moments = oracle_moments(2, LossChannel(0.5), phi)
     assert _bits(ket) == _bits(build_noon_input(2, float(phi)))
     assert moments == oracle_moments(2, LossChannel(0.5), float(phi))
-
-
-def test_memoized_noon_input_is_read_only():
-    # a caller that cleared the shared ket's dict emptied every later build of (2, 0.3)
-    fock_oracle._noon_input.cache_clear()
-    ket, want = build_noon_input(2, 0.3), _bits(_noon_input_per_call(2, 0.3))
-    moments = oracle_moments(2, LossChannel(0.5), 0.3)
-    with pytest.raises(AttributeError):
-        ket.amps.clear()
-    with pytest.raises(TypeError):
-        ket.amps[Occupation(1, 1, 0)] = 1.0
-    with pytest.raises(TypeError):
-        del ket.amps[Occupation(2, 0, 0)]
-    assert build_noon_input(2, 0.3) is ket and _bits(ket) == want
-    assert oracle_moments(2, LossChannel(0.5), 0.3) == moments
 
 
 @pytest.mark.parametrize("n, phi, message", [
@@ -684,48 +653,28 @@ def test_memoized_noon_input_is_read_only():
     (2, 10 ** 400, "N*phi must be finite, got N = 2, phi = an int of 1329 bits"),
 ])
 def test_bad_noon_inputs_raise_on_every_call_and_are_never_stored(n, phi, message):
-    fock_oracle._noon_input.cache_clear()
+    # nor kept in the dict of kets that a verify pass hands the oracle
+    kets = {}
     for _ in range(3):
         with pytest.raises(ValueError, match=re.escape(message)):
             build_noon_input(n, phi)
-        assert fock_oracle._noon_input.cache_info().currsize == 0
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_moments(n, LossChannel(0.5), phi, _kets=kets)
+        assert kets == {}
 
 
-def test_noon_input_memo_stays_within_its_bound():
-    bound = fock_oracle._noon_input.cache_info().maxsize
-    assert bound == 32
-    for n in (1, 2, 40):
-        for k in range(bound + 40):
-            phi = 0.1 * k
-            assert _bits(build_noon_input(n, phi)) == _bits(_noon_input_per_call(n, phi))
-            assert fock_oracle._noon_input.cache_info().currsize <= bound
+def test_a_verify_pass_builds_each_noon_ket_and_detector_once_per_n():
+    # 16 dense grid phases and 5 seeded ones at each N, 12 grid channels and 5 seeded ones
+    with mock.patch.object(fock_oracle, "build_noon_input", wraps=build_noon_input) as build, \
+            mock.patch.object(fock_oracle, "_channel_detector", wraps=_channel_detector) as detector:
+        assert cli.run_verification(8, "dense", 5) == cli.run_verification(8, "dense", 5)
+    assert (build.call_count, detector.call_count) == (2 * 8 * 21, 2 * 8 * 17)
+    assert [c.args[0] for c in build.call_args_list[:21]] == [1] * 21
 
 
-def test_each_verify_pass_takes_the_same_noon_input_misses():
-    # a pass starts cold at N = 1 whatever an earlier pass left: an unbounded
-    # memo, or one keyed without N, would let the second pass miss less often
-    fock_oracle._noon_input.cache_clear()
-    counts = []
-    for _ in range(2):
-        before = fock_oracle._noon_input.cache_info()
-        assert cli.run_verification(64, "dense", 5) == (5.806466418789569e-14, 12608)
-        after = fock_oracle._noon_input.cache_info()
-        counts.append((after.hits - before.hits, after.misses - before.misses))
-    assert counts == [(11264, 1344)] * 2
-
-
-def test_each_verify_pass_takes_the_same_detector_memo_misses():
-    # as the NOON input's: each N misses once per channel, its 12 grid channels
-    # and 5 seeded ones, and a pass starts at N = 1, past what an earlier pass
-    # left; each miss of the raising image reads the detector memo, a hit
-    memos = (_detector_terms, _raising_image)
-    assert [memo.cache_info().maxsize for memo in memos] == [64, 64]
-    for memo in memos:
-        memo.cache_clear()
-    counts = []
-    for _ in range(2):
-        before = [memo.cache_info() for memo in memos]
-        assert cli.run_verification(64, "dense", 5) == (5.806466418789569e-14, 12608)
-        after = [memo.cache_info() for memo in memos]
-        counts.append([(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)])
-    assert counts == [[(12608, 1088), (11520, 1088)]] * 2
+def test_ladder_weights_are_the_factorial_quotient_bit_for_bit():
+    for n in range(1, MAX_PHOTONS + 1):
+        for k, (key, weight) in enumerate(fock_oracle._LADDER[n]):
+            assert key == (0, k, n - k) and type(key) is Occupation
+            want = comb(n, k) * math.sqrt(factorial(k) * factorial(n - k) / factorial(n))
+            assert weight.hex() == want.hex()

@@ -402,10 +402,12 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
     bites.
 
     The grid's channels and phases are the same at every N, so each channel
-    is built once per call; each seeded case builds its own.  At each N the
-    pass builds each channel's detector once and keeps a dict of that N's
-    NOON kets, which the oracle fills at each phase's first point, and hands
-    both down to every point of the channel.
+    and its powers of t and r up to ``max_n`` are formed once per call; each
+    seeded case forms its own up to its N.  At each N the pass forms that
+    N's ladder row once, builds each channel's detector once from the row
+    and the channel's powers, and keeps a dict of that N's NOON kets, which
+    the oracle fills at each phase's first point; it hands the detector and
+    the kets down to every point of the channel.
     """
     if grid not in VERIFY_GRIDS:
         raise ValueError(f"grid must be a key of VERIFY_GRIDS {tuple(VERIFY_GRIDS)}, got {grid!r}")
@@ -413,23 +415,26 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
         raise ValueError(f"max_n must be in [1, {fock_oracle.MAX_PHOTONS}], got {_int_text(max_n)}")
     etas, thetas, phases, _ = VERIFY_GRIDS[grid]
     angles = [2.0 * math.pi * k / phases for k in range(phases)]
-    grid_channels = [(LossChannel(eta, theta), angles) for eta in etas for theta in thetas]
+    grid_channels = [(ch, angles, fock_oracle._channel_powers(ch, max_n))
+                     for ch in (LossChannel(eta, theta) for eta in etas for theta in thetas)]
+    scale_squared = prefactor_scale ** 2
     rng = random.Random(seed)
     max_dev = 0.0
     points = 0
     for n in range(1, max_n + 1):
         channels = grid_channels
         if seed is not None:
-            drawn = [(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi),
+            drawn = [(LossChannel(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi)),
                       rng.uniform(0.0, 2.0 * math.pi)) for _ in range(5)]
-            channels = grid_channels + [(LossChannel(eta, theta), (phi,)) for eta, theta, phi in drawn]
+            channels = grid_channels + [(ch, (phi,), fock_oracle._channel_powers(ch, n)) for ch, phi in drawn]
         probe = NoonProbe(n)
+        row = fock_oracle._ladder_row(n)
         kets = {}
-        for ch, channel_phases in channels:
-            detector = fock_oracle._channel_detector(n, ch)
+        for ch, channel_phases, powers in channels:
+            detector = fock_oracle._channel_detector(n, ch, _row=row, _powers=powers)
             for phi in channel_phases:
                 mean_o, var_o = fock_oracle.oracle_moments(n, ch, phi, _kets=kets, _detector=detector)
-                mean_o, var_o = prefactor_scale * mean_o, prefactor_scale ** 2 * var_o
+                mean_o, var_o = prefactor_scale * mean_o, scale_squared * var_o
                 # max() would drop a NaN that is not its first argument; a NaN
                 # deviation is kept, so that it fails the check
                 for dev in (abs(mean_o - analytics.mean_detection(probe, ch, phi)),

@@ -4,12 +4,13 @@ States live in an explicit three-mode occupation basis: signal mode ``a``,
 detected mode ``b``, and the loss port ``V`` of the beam splitter that
 models the loss.  The detection operator is applied by expanding the
 beam-splitter ladder polynomials term by term.  The channel-free part of
-each term, the keys |0,k,N-k> and binomial times factorial weight, is a
-module constant for every N up to the cap; one channel's terms, that table
-times powers of t and r, make up its detector.  Each public function builds
-what it needs on every call; a caller that asks for many points at one N,
-as a verify pass does, builds each channel's detector once and keeps that
-N's NOON kets, and hands both down through private keywords.  The kets
+each term, the keys |0,k,N-k> and binomial times factorial weight, is N's
+ladder row; one channel's terms, that row times powers of t and r, make up
+its detector.  Each public function builds what it needs on every call; a
+caller that asks for many points, as a verify pass does, forms each
+channel's powers of t and r once for every N it visits and each N's row
+once, builds each channel's detector once per N from them and keeps that
+N's NOON kets, and hands them down through private keywords.  The kets
 built here, the NOON input and each detector output, skip the public
 :class:`FockKet` constructor's key checks, as their keys are
 ``Occupation``s of ints within the cap by construction; every amplitude
@@ -167,12 +168,26 @@ def build_noon_input(n: int, phi: float) -> FockKet:
     )
 
 
-# The channel-free part of every term of an n-quantum ladder expansion, for
-# n = 0..MAX_PHOTONS: the pairs (Occupation(0, k, n - k), comb(n, k) *
-# sqrt(k! (n-k)! / n!)) for k = 0..n.  Python rounds an int quotient
-# correctly, so 1 / comb(n, k) has the bits of the factorial quotient.
-_LADDER = tuple(tuple((Occupation(0, k, n - k), comb(n, k) * math.sqrt(1 / comb(n, k))) for k in range(n + 1))
-                for n in range(MAX_PHOTONS + 1))
+def _ladder_row(n: int) -> tuple[tuple[Occupation, float], ...]:
+    """The channel-free part of every term of an n-quantum ladder expansion:
+    the pairs (Occupation(0, k, n - k), comb(n, k) * sqrt(k! (n-k)! / n!))
+    for k = 0..n.  Python rounds an int quotient correctly, so
+    1 / comb(n, k) has the bits of the factorial quotient."""
+    return tuple((Occupation(0, k, n - k), comb(n, k) * math.sqrt(1 / comb(n, k))) for k in range(n + 1))
+
+
+def _channel_powers(ch: LossChannel, m: int, reflection_phase: float = math.pi / 2) -> tuple[list[complex], ...]:
+    """The lists t*^k, r*^k, t^k and r^k for k = 0..m of ``ch``'s beam-splitter
+    amplitudes, which serve its detector at every n <= m.  Each entry is
+    formed by ``**``, as a running product would round differently."""
+    # chained, as float() overflows for an int past DBL_MAX
+    if not -_N_MAX <= reflection_phase <= _N_MAX:
+        raise ValueError(f"reflection_phase must be finite, got {_int_text(reflection_phase)}")
+    # float() computes in plain floats whatever number types the channel holds
+    eta = float(ch.eta)
+    t = cmath.rect(math.sqrt(eta), float(ch.theta_t))
+    r = cmath.rect(math.sqrt(1.0 - eta), float(reflection_phase))
+    return tuple([z ** k for k in range(m + 1)] for z in (t.conjugate(), r.conjugate(), t, r))
 
 
 class _Detector(NamedTuple):
@@ -180,7 +195,9 @@ class _Detector(NamedTuple):
 
     top: Occupation                                  # |n,0,0>
     raising: tuple[tuple[Occupation, complex], ...]  # (|0,k,n-k>, coefficient), zero coefficients left out
-    lowering: tuple[complex, ...]                    # the coefficient for each k = 0..n
+    row: tuple[tuple[Occupation, float], ...]        # n's ladder row, whose weights the lowering branch takes
+    t: list[complex]                                 # t^k for k = 0..n at least, as _channel_powers forms them
+    r: list[complex]                                 # r^k likewise
     noon_image: dict[Occupation, complex]            # the raising image of a NOON input's |n,0,0>
 
 
@@ -189,22 +206,21 @@ def _raising_image(raising, amp: complex) -> dict[Occupation, complex]:
     return _checked_amplitudes((key, 0j + amp * coeff) for key, coeff in raising)
 
 
-def _channel_detector(n: int, ch: LossChannel, reflection_phase: float = math.pi / 2) -> _Detector:
+def _channel_detector(n: int, ch: LossChannel, reflection_phase: float = math.pi / 2, *,
+                      _row: tuple | None = None, _powers: tuple | None = None) -> _Detector:
     """The n-photon detector of ``ch`` (see :func:`apply_detector`), for an
-    int ``n`` that the caller has checked is in [1, MAX_PHOTONS]."""
-    # chained, as float() overflows for an int past DBL_MAX
-    if not -_N_MAX <= reflection_phase <= _N_MAX:
-        raise ValueError(f"reflection_phase must be finite, got {_int_text(reflection_phase)}")
-    # float() computes in plain floats whatever number types the channel holds
-    eta = float(ch.eta)
-    t = cmath.rect(math.sqrt(eta), float(ch.theta_t))
-    r = cmath.rect(math.sqrt(1.0 - eta), float(reflection_phase))
-    tc, rc = t.conjugate(), r.conjugate()
-    ladder = _LADDER[n]
-    raising = tuple((key, coeff) for k, (key, weight) in enumerate(ladder)
-                    if (coeff := weight * tc ** k * rc ** (n - k)) != 0)
-    lowering = tuple(weight * t ** k * r ** (n - k) for k, (_, weight) in enumerate(ladder))
-    return _Detector(Occupation(n, 0, 0), raising, lowering, _raising_image(raising, _NOON_AMP))
+    int ``n`` that the caller has checked is in [1, MAX_PHOTONS].
+
+    ``_row``, private, is ``_ladder_row(n)``, and ``_powers`` the channel's
+    ``_channel_powers`` of ``reflection_phase`` up to n or more, which a
+    caller building many detectors forms once; without them, they are
+    formed here.  The lowering coefficients are left to
+    :func:`apply_detector`, as a NOON input meets only one of them."""
+    row = _ladder_row(n) if _row is None else _row
+    tc, rc, t, r = _channel_powers(ch, n, reflection_phase) if _powers is None else _powers
+    raising = tuple((key, coeff) for k, (key, weight) in enumerate(row)
+                    if (coeff := weight * tc[k] * rc[n - k]) != 0)
+    return _Detector(Occupation(n, 0, 0), raising, row, t, r, _raising_image(raising, _NOON_AMP))
 
 
 def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: float = math.pi / 2,
@@ -233,7 +249,7 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
         # Occupation.total written out, without a property call per component
         if occ[0] + occ[1] + occ[2] > n:
             raise ValueError(f"ket component {occ} holds more than {n} photons")
-    top, raising, lowering, noon_image = _channel_detector(n, ch, reflection_phase) if _detector is None else _detector
+    top, raising, row, t, r, noon_image = _channel_detector(n, ch, reflection_phase) if _detector is None else _detector
 
     out: dict[Occupation, complex] = {}
     for occ, amp in ket.amps.items():
@@ -246,7 +262,8 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
         elif occ.n_a == 0 and occ.n_b + occ.n_v == n:
             # lowering branch: only the term annihilating exactly n_b quanta
             # from b and n_v from V survives the vacuum projector
-            coeff = lowering[occ.n_b]
+            k = occ.n_b
+            coeff = row[k][1] * t[k] * r[n - k]
             if coeff != 0:
                 out[top] = out.get(top, 0j) + amp * coeff
     # the one amplitude summed here, the lowering sum, takes the amplitude rule:

@@ -21,6 +21,8 @@ from noonloss.fock_oracle import (
     FockKet,
     Occupation,
     _channel_detector,
+    _channel_powers,
+    _ladder_row,
     apply_detector,
     build_noon_input,
     inner,
@@ -316,31 +318,74 @@ def _mixed_ket(rng, n):
     return FockKet(amps, photon_cap=n)
 
 
+def _pass_detectors(n, ch, phase):
+    """The detectors a verify pass may hand down: built from scratch, and
+    built from the channel's powers up to MAX_PHOTONS and n's ladder row."""
+    return (_channel_detector(n, ch, phase),
+            _channel_detector(n, ch, phase, _row=_ladder_row(n), _powers=_channel_powers(ch, MAX_PHOTONS, phase)))
+
+
 def test_pass_detector_equals_the_per_call_expansion_bit_for_bit():
     rng = random.Random(2024)
+    # eta = 1 (r = 0), a vanishing t, and theta of either zero, then random cases
+    cases = [(n, eta, theta, math.pi / 2) for n in (1, 7, MAX_PHOTONS) for eta in (1.0, 1e-30)
+             for theta in (0.0, -0.0)]
     for _ in range(300):
-        n = rng.choice([1, 2, 3, 7, 16, 33, MAX_PHOTONS])
-        eta = rng.choice([1.0, 1e-30, 0.5, rng.uniform(0.01, 1.0)])
-        ch = LossChannel(eta, rng.choice([0.0, -0.0, rng.uniform(-math.pi, math.pi)]))
-        phase = rng.choice([math.pi / 2, 0.0, rng.uniform(-4.0, 4.0)])
+        cases.append((rng.choice([1, 2, 3, 7, 16, 33, MAX_PHOTONS]),
+                      rng.choice([1.0, 1e-30, 0.5, rng.uniform(0.01, 1.0)]),
+                      rng.choice([0.0, -0.0, rng.uniform(-math.pi, math.pi)]),
+                      rng.choice([math.pi / 2, 0.0, rng.uniform(-4.0, 4.0)])))
+    for n, eta, theta, phase in cases:
+        ch = LossChannel(eta, theta)
         # one detector for the channel, as a verify pass builds it, applied to several kets
-        detector = _channel_detector(n, ch, phase)
+        detectors = _pass_detectors(n, ch, phase)
         for ket in (_mixed_ket(rng, n), _random_ket(rng, n), build_noon_input(n, rng.uniform(0, 7))):
             want = _bits(_apply_detector_per_call(ket, n, ch, phase))
             assert _bits(apply_detector(ket, n, ch, reflection_phase=phase)) == want
-            for _ in range(2):
+            for detector in detectors * 2:
                 got = apply_detector(ket, n, ch, reflection_phase=phase, _detector=detector)
                 assert _bits(got) == want
                 # each output holds a copy: clearing one leaves the detector's image whole
                 got.amps.clear()
 
 
+def test_dense_grid_channels_take_their_pass_tables_bit_for_bit():
+    # each dense channel's powers, formed once up to MAX_PHOTONS as a verify
+    # pass forms them, serve its detector at every n
+    etas, thetas, _, _ = cli.VERIFY_GRIDS["dense"]
+    channels = [LossChannel(eta, theta) for eta in etas for theta in thetas]
+    assert len(channels) == 12
+    rng = random.Random(64)
+    for ch in channels:
+        powers = _channel_powers(ch, MAX_PHOTONS)
+        for n in range(1, MAX_PHOTONS + 1):
+            detector = _channel_detector(n, ch, _row=_ladder_row(n), _powers=powers)
+            for ket in (_mixed_ket(rng, n), build_noon_input(n, 0.3)):
+                got = apply_detector(ket, n, ch, _detector=detector)
+                assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
+
+
+def test_channel_powers_are_each_formed_by_pow_bit_for_bit():
+    # a running product rounds differently from CPython's square-and-multiply
+    for eta, theta, phase in ((0.3, 0.37, math.pi / 2), (1.0, -0.0, 0.0), (1e-30, 2.5, -1.0), (0.9, 0.0, 3.0)):
+        t = cmath.rect(math.sqrt(eta), theta)
+        r = cmath.rect(math.sqrt(1.0 - eta), phase)
+        got = _channel_powers(LossChannel(eta, theta), MAX_PHOTONS, phase)
+        for table, z in zip(got, (t.conjugate(), r.conjugate(), t, r)):
+            assert len(table) == MAX_PHOTONS + 1
+            assert [_inner_bits(p) for p in table] == [_inner_bits(z ** k) for k in range(MAX_PHOTONS + 1)]
+
+
 def test_lossless_detector_leaves_out_the_zero_terms():
-    # eta = 1: r = 0, so only k = n survives in the raising branch
+    # eta = 1: r = 0, so only k = n survives in the raising branch, and only
+    # the lowering component (0, n, 0) reaches |n,0,0>
+    ch = LossChannel(1.0, 0.3)
     for n in (1, 5, MAX_PHOTONS):
-        _, raising, lowering, _ = _channel_detector(n, LossChannel(1.0, 0.3))
+        _, raising, *_ = _channel_detector(n, ch)
         assert [key for key, _ in raising] == [Occupation(0, n, 0)]
-        assert [c != 0 for c in lowering] == [False] * n + [True]
+        images = [apply_detector(FockKet({Occupation(0, k, n - k): 1.0}, photon_cap=n), n, ch).amps
+                  for k in range(n + 1)]
+        assert [list(image) for image in images] == [[]] * n + [[Occupation(n, 0, 0)]]
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -664,17 +709,22 @@ def test_bad_noon_inputs_raise_on_every_call_and_are_never_stored(n, phi, messag
 
 
 def test_a_verify_pass_builds_each_noon_ket_and_detector_once_per_n():
-    # 16 dense grid phases and 5 seeded ones at each N, 12 grid channels and 5 seeded ones
+    # 16 dense grid phases and 5 seeded ones at each N, 12 grid channels and 5 seeded ones;
+    # the grid channels' powers once per pass, the seeded ones' and the ladder row once per N
     with mock.patch.object(fock_oracle, "build_noon_input", wraps=build_noon_input) as build, \
-            mock.patch.object(fock_oracle, "_channel_detector", wraps=_channel_detector) as detector:
+            mock.patch.object(fock_oracle, "_channel_detector", wraps=_channel_detector) as detector, \
+            mock.patch.object(fock_oracle, "_channel_powers", wraps=_channel_powers) as powers, \
+            mock.patch.object(fock_oracle, "_ladder_row", wraps=_ladder_row) as row:
         assert cli.run_verification(8, "dense", 5) == cli.run_verification(8, "dense", 5)
     assert (build.call_count, detector.call_count) == (2 * 8 * 21, 2 * 8 * 17)
+    assert (powers.call_count, row.call_count) == (2 * (12 + 8 * 5), 2 * 8)
     assert [c.args[0] for c in build.call_args_list[:21]] == [1] * 21
+    assert [c.args[1] for c in powers.call_args_list[:13]] == [8] * 12 + [1]
 
 
 def test_ladder_weights_are_the_factorial_quotient_bit_for_bit():
     for n in range(1, MAX_PHOTONS + 1):
-        for k, (key, weight) in enumerate(fock_oracle._LADDER[n]):
+        for k, (key, weight) in enumerate(_ladder_row(n)):
             assert key == (0, k, n - k) and type(key) is Occupation
             want = comb(n, k) * math.sqrt(factorial(k) * factorial(n - k) / factorial(n))
             assert weight.hex() == want.hex()

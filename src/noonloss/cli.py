@@ -762,13 +762,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads a negative number in any float spelling,
     such as -1e-3, -2E-1 or -inf, as a value, not a flag (argparse's own
-    pattern takes only -1 and -1.5); add_subparsers makes its parsers so too."""
+    pattern takes only -1 and -1.5), and reports a parse error as one
+    ``error:`` line without the usage block; add_subparsers makes its
+    parsers so too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         digits = r"\d(?:_?\d)*"
         self._negative_number_matcher = re.compile(
             rf"-(?:(?:(?:{digits})?\.{digits}|{digits}\.?)(?:e[-+]?{digits})?|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

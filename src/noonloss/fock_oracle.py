@@ -9,8 +9,9 @@ ladder row; one channel's terms, that row times powers of t and r, make up
 its detector.  Each public function builds what it needs on every call; a
 caller that asks for many points, as a verify pass does, forms each
 channel's powers of t and r once for every N it visits and each N's row
-once, builds each channel's detector once per N from them and keeps that
-N's NOON kets, and hands them down through private keywords.  The kets
+once, builds each channel's detector once per N from them, with the image
+of a NOON input's |N,0,0> and that image's squared norm, keeps that N's
+NOON kets, and hands them down through private keywords.  The kets
 built here, the NOON input and each detector output, skip the public
 :class:`FockKet` constructor's key checks, as their keys are
 ``Occupation``s of ints within the cap by construction; every amplitude
@@ -199,6 +200,7 @@ class _Detector(NamedTuple):
     t: list[complex]                                 # t^k for k = 0..n at least, as _channel_powers forms them
     r: list[complex]                                 # r^k likewise
     noon_image: dict[Occupation, complex]            # the raising image of a NOON input's |n,0,0>
+    noon_norm: complex                               # _self_product of noon_image's amplitudes
 
 
 def _raising_image(raising, amp: complex) -> dict[Occupation, complex]:
@@ -220,7 +222,8 @@ def _channel_detector(n: int, ch: LossChannel, reflection_phase: float = math.pi
     tc, rc, t, r = _channel_powers(ch, n, reflection_phase) if _powers is None else _powers
     raising = tuple((key, coeff) for k, (key, weight) in enumerate(row)
                     if (coeff := weight * tc[k] * rc[n - k]) != 0)
-    return _Detector(Occupation(n, 0, 0), raising, row, t, r, _raising_image(raising, _NOON_AMP))
+    noon_image = _raising_image(raising, _NOON_AMP)
+    return _Detector(Occupation(n, 0, 0), raising, row, t, r, noon_image, _self_product(noon_image.values()))
 
 
 def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: float = math.pi / 2,
@@ -249,7 +252,8 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
         # Occupation.total written out, without a property call per component
         if occ[0] + occ[1] + occ[2] > n:
             raise ValueError(f"ket component {occ} holds more than {n} photons")
-    top, raising, row, t, r, noon_image = _channel_detector(n, ch, reflection_phase) if _detector is None else _detector
+    detector = _channel_detector(n, ch, reflection_phase) if _detector is None else _detector
+    top, raising, row, t, r, noon_image, _ = detector
 
     out: dict[Occupation, complex] = {}
     for occ, amp in ket.amps.items():
@@ -279,6 +283,14 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
     return FockKet._of_checked_entries(out, n)
 
 
+def _self_product(amps) -> complex:
+    """0j plus conj(a) * a for each of ``amps`` in turn: <x|x> as :func:`inner` adds it."""
+    total = 0j
+    for amp in amps:
+        total += amp.conjugate() * amp
+    return total
+
+
 def inner(x: FockKet, y: FockKet) -> complex:
     """<x|y> over the shared support.
 
@@ -288,10 +300,7 @@ def inner(x: FockKet, y: FockKet) -> complex:
     are its bits, without a generator step per entry."""
     if x is y:
         # the general sum below, without a lookup per entry
-        total = 0j
-        for amp in x.amps.values():
-            total += amp.conjugate() * amp
-        return total
+        return _self_product(x.amps.values())
     if len(x.amps) > len(y.amps):
         return inner(y, x).conjugate()
     y_amps = y.amps
@@ -307,7 +316,12 @@ def oracle_moments(n: int, ch: LossChannel, phi: float, *, reflection_phase: flo
                    _detector: _Detector | None = None) -> tuple[float, float]:
     """Mean and variance of the detection operator, from state vectors alone.
 
-    The second moment uses Hermiticity: <A'^2> = ||A' psi||^2.
+    The second moment uses Hermiticity: <A'^2> = ||A' psi||^2.  Without a
+    detector handed down it is ``inner(a_psi, a_psi)``; with one, it is the
+    detector's ``noon_norm``, the phase-free part of that sum, plus the
+    lowering amplitude at |N,0,0> times its conjugate when that amplitude
+    is kept: A' psi holds the NOON image first and that amplitude last, so
+    these are the same additions in the same order, and the same bits.
 
     A caller that asks for many points at one N, as a verify pass does,
     hands down two private keywords: ``_kets``, that N's dict of phase to
@@ -320,5 +334,11 @@ def oracle_moments(n: int, ch: LossChannel, phi: float, *, reflection_phase: flo
         psi = _kets[phi] = build_noon_input(n, phi)
     a_psi = apply_detector(psi, n, ch, reflection_phase=reflection_phase, _detector=_detector)
     mean = inner(psi, a_psi).real
-    second_moment = inner(a_psi, a_psi).real
+    if _detector is None:
+        second_moment = inner(a_psi, a_psi).real
+    else:
+        norm = _detector.noon_norm
+        if (lowered := a_psi.amps.get(_detector.top)) is not None:
+            norm += lowered.conjugate() * lowered
+        second_moment = norm.real
     return mean, second_moment - mean * mean

@@ -199,6 +199,21 @@ def test_negative_numbers_in_every_float_spelling_are_values(argv, flag, value):
     assert "usage" not in spaced[2]
 
 
+@pytest.mark.parametrize("argv", [
+    [],                                           # golden no_subcommand
+    ["precision", "--n", "two", "--eta", "0.5"],  # golden precision_bad_int_flag
+    ["sweep", "--fig2", "--var", "eta"],          # golden sweep_fig_and_var
+    ["constants", "--bogus"],                     # golden unknown_flag
+    ["verify", "--grid", "bogus"],                # golden verify_bad_grid_flag
+    ["precision", "--n", "abc"],
+])
+def test_parse_errors_are_one_error_line(argv):
+    # argparse's message alone, without the usage block it prints before it
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+
+
 def test_sweep_json_csv_agree():
     args = ("sweep", "--fig2", "--loss", "0.5", "--start", "1", "--stop", "40",
             "--steps", "40", "--scale", "linear")

@@ -459,6 +459,42 @@ def test_raising_image_terms_below_the_support_floor_are_pruned():
     assert apply_detector(tiny, n, ch).amps == {}
 
 
+def _moment_bits(moments):
+    return [x.hex() for x in moments]
+
+
+def test_pass_second_moment_is_the_self_product_bit_for_bit():
+    # each dense channel at every N, as a verify pass builds its detector, and
+    # channels at eta 1 and 1e-30 with theta of either zero.  At eta 1e-30 the
+    # lowering amplitude at |N,0,0>, t**N / sqrt(2), falls below 1e-300 from
+    # N = 20 on and is dropped, so the second moment is the detector's noon_norm alone
+    etas, thetas, phases, _ = cli.VERIFY_GRIDS["dense"]
+    channels = [LossChannel(eta, theta) for eta in etas for theta in thetas]
+    channels += [LossChannel(eta, theta) for eta in (1.0, 1e-30) for theta in (0.0, -0.0)]
+    angles = [2.0 * math.pi * k / phases for k in range(phases)]
+    absent = set()
+    for ch in channels:
+        powers = _channel_powers(ch, MAX_PHOTONS)
+        for n in range(1, MAX_PHOTONS + 1):
+            detector = _channel_detector(n, ch, _row=_ladder_row(n), _powers=powers)
+            kets = {}
+            for phi in angles[n % 4::4]:
+                got = oracle_moments(n, ch, phi, _kets=kets, _detector=detector)
+                assert _moment_bits(got) == _moment_bits(oracle_moments(n, ch, phi))
+                psi = kets[phi]
+                a_psi = apply_detector(psi, n, ch, _detector=detector)
+                mean, second_moment = inner(psi, a_psi).real, inner(a_psi, a_psi)
+                assert _moment_bits(got) == _moment_bits((mean, second_moment.real - mean * mean))
+                norm = detector.noon_norm
+                if detector.top in a_psi.amps:
+                    norm += a_psi.amps[detector.top].conjugate() * a_psi.amps[detector.top]
+                else:
+                    absent.add((n, ch.eta))
+                assert _inner_bits(norm) == _inner_bits(second_moment)
+    assert {n for n, eta in absent} == set(range(20, MAX_PHOTONS + 1))
+    assert {eta for n, eta in absent} == {1e-30}
+
+
 def test_oracle_moments_calls_the_module_global_detector_and_inner():
     # the benchmark's tracer wraps these by name among the module's globals
     with mock.patch.object(fock_oracle, "build_noon_input", wraps=build_noon_input) as build, \
@@ -467,11 +503,19 @@ def test_oracle_moments_calls_the_module_global_detector_and_inner():
         got = fock_oracle.oracle_moments(3, LossChannel(0.7, 0.2), 0.4)
         assert (build.call_count, detector.call_count, product.call_count) == (1, 1, 2)
         # handed a dict of kets, as a verify pass does, the first call at a phase
-        # builds its ket and the next reuses it
+        # builds its ket and the next reuses it; without a detector each call
+        # takes both inner products
         kets = {}
         for calls in (2, 2):
             assert fock_oracle.oracle_moments(3, LossChannel(0.7, 0.2), 0.4, _kets=kets) == got
             assert list(kets) == [0.4] and build.call_count == calls
+        assert product.call_count == 6
+        # handed a detector too, each call takes <psi|A psi> alone: the detector
+        # holds the phase-free part of ||A psi||^2
+        handed = _channel_detector(3, LossChannel(0.7, 0.2))
+        for calls in (7, 8):
+            assert fock_oracle.oracle_moments(3, LossChannel(0.7, 0.2), 0.4, _kets=kets, _detector=handed) == got
+            assert (build.call_count, detector.call_count, product.call_count) == (2, calls - 3, calls)
     assert got == oracle_moments(3, LossChannel(0.7, 0.2), 0.4)
 
 
@@ -714,9 +758,12 @@ def test_a_verify_pass_builds_each_noon_ket_and_detector_once_per_n():
     with mock.patch.object(fock_oracle, "build_noon_input", wraps=build_noon_input) as build, \
             mock.patch.object(fock_oracle, "_channel_detector", wraps=_channel_detector) as detector, \
             mock.patch.object(fock_oracle, "_channel_powers", wraps=_channel_powers) as powers, \
-            mock.patch.object(fock_oracle, "_ladder_row", wraps=_ladder_row) as row:
+            mock.patch.object(fock_oracle, "_ladder_row", wraps=_ladder_row) as row, \
+            mock.patch.object(fock_oracle, "inner", wraps=inner) as product:
         assert cli.run_verification(8, "dense", 5) == cli.run_verification(8, "dense", 5)
     assert (build.call_count, detector.call_count) == (2 * 8 * 21, 2 * 8 * 17)
+    # one inner call per point, <psi|A psi>: each detector holds its NOON image's norm
+    assert product.call_count == 2 * 8 * (12 * 16 + 5)
     assert (powers.call_count, row.call_count) == (2 * (12 + 8 * 5), 2 * 8)
     assert [c.args[0] for c in build.call_args_list[:21]] == [1] * 21
     assert [c.args[1] for c in powers.call_args_list[:13]] == [8] * 12 + [1]

@@ -115,7 +115,10 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _log_half_1p_exp(a: float) -> float:
-    """ln((e**a + 1)/2) for any a >= 0, without overflow."""
+    """ln((e**a + 1)/2) for any a >= 0, without overflow, and below a = 1,
+    where the second form would cancel, from expm1 within a few ulps."""
+    if a < 1.0:
+        return math.log1p(0.5 * math.expm1(a))
     return a + math.log1p(math.exp(-a)) - _LN2
 
 

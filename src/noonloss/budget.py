@@ -10,7 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .analytics import (_N_MAX, _exp_or_inf, _float_range, _int_text, _log_2n, _log_step, _photon_number,
+from .analytics import (_N_MAX, _exp_or_inf, _float_range, _int_text, _log_half_1p_exp, _log_step, _photon_number,
                         _validate_eta, optimal_phase_grid)
 # bisect_root is unused here; perfbench's tracer patches every roots function in budget by name
 from .roots import bisect_root, integer_argmin
@@ -65,7 +65,7 @@ def log_r_noon(n: float, eta: float) -> float:
     a = -n * log_eta
     if a == math.inf:  # a/2 may not overflow, and the other terms are far below its ulp
         return -0.5 * n * log_eta
-    return 0.5 * (log_eta + a + math.log1p(math.exp(-a)) - _log_2n(n))
+    return 0.5 * (log_eta + _log_half_1p_exp(a) - math.log(n))
 
 
 def r_noon_continuous(n: float, eta: float) -> float:

@@ -11,7 +11,6 @@ import math
 import os
 import random
 import re
-import shutil
 import signal
 import sys
 import tempfile
@@ -133,47 +132,50 @@ def _write_blocks(stream, texts, first, rest, sep: str) -> None:
     """Write the texts of the block ``first`` and the blocks ``rest`` to
     ``stream``, joined by ``sep``; ``texts`` maps blocks to their texts.
 
-    Where _fork_helper hands the second half of ``rest`` to a helper
-    process, this process writes the first half meanwhile and then copies
-    the helper's text after it in 64 KiB slices.  A failed helper is an
-    OSError naming it; on any exception here the helper is killed and
-    reaped first.
+    Where _fork_helper hands every other block of ``rest`` to a helper
+    process, this process writes each of its own blocks and then copies the
+    helper's next one from the helper's file, as the pipe brings its size.
+    A failed helper is an OSError naming it; on any exception here the
+    helper is killed and reaped first.
     """
     helper = _fork_helper(texts, rest, sep)
-    head = texts(chain([first], rest))
+    own = texts(chain([first], rest))
     if helper is None:
-        _write_joined(stream, head, sep)
+        stream.write(next(own))
+        stream.writelines(part for text in own for part in (sep, text))
         return
-    pid, tail = helper
-    with tail:
+    pid, tail, counts, handed = helper
+    offset = 0
+    with tail, counts:
         try:
-            _write_joined(stream, head, sep)
-            status = os.waitpid(pid, 0)[1]
+            stream.write(next(own))
+            for text in own:
+                stream.write(sep)
+                stream.write(text)
+                if handed:
+                    size = counts.read(8)
+                    if len(size) < 8:  # the helper ended early: its status says why
+                        break
+                    block = os.pread(tail.fileno(), int.from_bytes(size, "little"), offset)
+                    stream.write(block.decode())
+                    offset, handed = offset + len(block), handed - 1
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             raise
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0 or handed:
             raise OSError(f"the sweep's helper process {pid} exited with status {code}")
-        tail.seek(0)
-        shutil.copyfileobj(tail, stream)
-
-
-def _write_joined(stream, texts, sep: str) -> None:
-    stream.write(next(texts))
-    for text in texts:
-        stream.write(sep)
-        stream.write(text)
 
 
 def _fork_helper(texts, rest, sep: str):
-    """(pid, file) of a forked helper process that takes the second half of
-    the sweep blocks ``rest`` off it and writes ``sep`` and the text of each
-    to the file, an unlinked temporary one; None where a fork would not pay:
-    ``rest`` is no sweep's, or that half is under 2 blocks, or os.fork is
-    missing, another thread runs (the child could deadlock), one CPU is
-    available, or the file or the process cannot be made.
+    """(pid, file, pipe, count) of a forked helper process that takes the
+    ``count`` blocks at odd positions of the sweep blocks ``rest`` off it
+    and, for each, writes ``sep`` and its text as UTF-8 to the file, an
+    unlinked temporary one, then that byte count to the pipe, 8 bytes; None
+    where a fork would not pay: ``rest`` is no sweep's, or ``count`` is
+    under 2, or os.fork is missing, another thread runs (the child could
+    deadlock), one CPU is available, or a file or the process cannot be made.
 
     The helper leaves only through os._exit, with status 0 once the file
     holds every text and 1 otherwise, and after the block in hand where
@@ -185,30 +187,33 @@ def _fork_helper(texts, rest, sep: str):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1 or cpus < 2:
         return None
+    parent, files = os.getpid(), []
     try:
-        tail = tempfile.TemporaryFile("w+", encoding="utf-8")
-    except OSError:
-        return None
-    parent = os.getpid()
-    try:
+        files.append(tempfile.TemporaryFile())
+        reader, writer = os.pipe()
+        files += [open(reader, "rb", buffering=0), open(writer, "wb", buffering=0)]
         pid = os.fork()
     except OSError:
-        tail.close()
+        for file in files:
+            file.close()
         return None
+    tail, counts, sent = files
     if pid == 0:
         status = 1
         try:
-            for text in texts(rest.cut(count)):
+            counts.close()
+            for text in texts(rest.cut()):
                 if os.getppid() != parent:  # the parent died: nothing reads the file
                     os._exit(1)
-                tail.write(sep)
-                tail.write(text)
-            tail.flush()
+                size = tail.write((sep + text).encode())
+                tail.flush()
+                sent.write(size.to_bytes(8, "little"))
             status = 0
         finally:
             os._exit(status)
-    rest.cut(count)
-    return pid, tail
+    sent.close()
+    rest.cut()
+    return pid, tail, counts, count
 
 
 def render_csv(table: Table, stream) -> None:
@@ -374,7 +379,7 @@ class SweepSpec:
             ns = np.unique(np.rint(values))
             lo, hi = np.searchsorted(ns, [1.0, 2.0 ** 63])
             return ns[lo:hi].astype(np.int64).tolist() + list(map(int, ns[hi:].tolist()))
-        return [float(v) for v in values]
+        return values.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +654,9 @@ def _sweep_blocks(grid: list, kernel):
     take every N >= 1.  Where either raises, the kernel runs over
     the whole grid, which raises the first bad point's error in grid order.
     The same argument holds for the blocks that a renderer's helper process
-    computes (_fork_helper): they lie between the first block and the last
-    point, so none of them raises a domain error.
+    computes (_fork_helper), every other block after the first: they lie
+    between the first block and the last point, so none of them raises a
+    domain error.
     """
     try:
         first = kernel(grid[:CHUNK_ROWS])
@@ -664,7 +670,8 @@ def _sweep_blocks(grid: list, kernel):
 class _SweepBlocks:
     """The blocks of a sweep, each computed as it is asked for: ``first``,
     then ``kernel`` of each later run of CHUNK_ROWS grid points, which start
-    at ``starts``."""
+    at ``starts``; ``cut`` splits the later blocks between two processes,
+    alternately, so that neither gets a whole end of the grid."""
 
     def __init__(self, grid: list, kernel, first: list):
         self.grid, self.kernel, self.first = grid, kernel, [first]
@@ -681,11 +688,11 @@ class _SweepBlocks:
         k, self.starts = self.starts[0], self.starts[1:]
         return self.kernel(self.grid[k:k + CHUNK_ROWS])
 
-    def cut(self, count: int):
-        """Take the last ``count`` blocks off; returns a generator of them."""
-        keep = len(self.starts) - count
-        tail, self.starts = self.starts[keep:], self.starts[:keep]
-        return (self.kernel(self.grid[k:k + CHUNK_ROWS]) for k in tail)
+    def cut(self):
+        """Take the later blocks at odd positions of ``starts`` (the 2nd,
+        4th, ...) off, keeping the others; returns a generator of them."""
+        handed, self.starts = self.starts[1::2], self.starts[::2]
+        return (self.kernel(self.grid[k:k + CHUNK_ROWS]) for k in handed)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -773,6 +780,8 @@ class _Parser(argparse.ArgumentParser):
             rf"-(?:(?:(?:{digits})?\.{digits}|{digits}\.?)(?:e[-+]?{digits})?|inf(?:inity)?|nan)\Z", re.IGNORECASE)
 
     def error(self, message):
+        # argparse joins unrecognized tokens raw: a line break in one shows as its escape
+        message = re.sub(r"[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]", lambda m: repr(m[0])[1:-1], message)
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 

@@ -206,12 +206,16 @@ def test_negative_numbers_in_every_float_spelling_are_values(argv, flag, value):
     ["constants", "--bogus"],                     # golden unknown_flag
     ["verify", "--grid", "bogus"],                # golden verify_bad_grid_flag
     ["precision", "--n", "abc"],
+    # argparse joins unrecognized tokens raw, so each line break shows as its escape
+    ["constants", "a\nb"],
+    ["constants", "a\rb"],
+    ["constants", "a\u2028b"],
 ])
 def test_parse_errors_are_one_error_line(argv):
     # argparse's message alone, without the usage block it prints before it
     code, out, err = run_cli(*argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith("error: ") and err.endswith("\n") and err.splitlines(keepends=True) == [err], err
 
 
 def test_sweep_json_csv_agree():
@@ -547,6 +551,26 @@ def test_n_grid_equals_the_rounded_points(start, width, steps, scale):
     want = [int(v) for v in np.unique(np.rint(points)) if v >= 1]
     got = spec.grid()
     assert got == want and all(type(n) is int for n in got)
+
+
+@pytest.mark.parametrize("start, stop, steps, scale", [
+    (0.2, 1.0, 100_000, "linear"),
+    (-sys.float_info.max, 0.0, 252, "linear"),
+    (-3.0, 7.0, 11, "linear"),
+    (1e-300, 1.0, 10_001, "log"),
+    (1.0, sys.float_info.max, 1001, "log"),  # points near DBL_MAX that numpy pins to stop
+    (5e-324, 1e-300, 7, "log"),
+])
+def test_float_grid_is_the_per_point_floats_bit_for_bit(start, stop, steps, scale):
+    with np.errstate(over="ignore"):
+        if scale == "log":
+            points = np.minimum(np.geomspace(start, stop, steps), stop)
+        else:
+            points = np.linspace(start, stop, steps)
+    got = SweepSpec("phi0", start, stop, steps, scale).grid()
+    assert all(type(v) is float for v in got)
+    assert list(map(float.hex, got)) == [float(v).hex() for v in points]
+    assert got[-1] == stop
 
 
 def test_sql_reference_past_half_dbl_max():

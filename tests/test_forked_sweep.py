@@ -1,6 +1,7 @@
 """The two-process path of a CSV or JSON sweep: one forked helper process
-renders the second half of the blocks, and the output is the bytes of the
-one-process rendering."""
+renders every other block after the first, which the sweep's own process
+copies in between its own, and the output is the bytes of the one-process
+rendering."""
 
 import io
 import json
@@ -77,7 +78,9 @@ def forks(monkeypatch):
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-@pytest.mark.parametrize("rows", [4001, 5000, 12345])
+# after the first block, 4,001, 5,000, 7,000 and 12,345 rows leave an even count, whose last block is the
+# helper's, and 6,000 and 8,000 an odd count (5 and 7), whose last block is this process's
+@pytest.mark.parametrize("rows", [4001, 5000, 6000, 7000, 8000, 12345])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("kind", list(SWEEPS))
 def test_a_sweep_of_five_blocks_or_more_forks_once_and_writes_the_one_process_bytes(
@@ -95,7 +98,7 @@ def test_a_sweep_of_five_blocks_or_more_forks_once_and_writes_the_one_process_by
 
 
 # a kernel that fails on the sweep's last block, which the helper computes: eta 0.2 to 1 over 5,000 rows
-# is 5 blocks, the helper's the last 2, and the last one starts at eta = 0.84
+# is 5 blocks, the helper's the 2nd and 4th of the 4 after the first, and the last one starts at eta = 0.84
 FAILING_TAIL = """
 import os, sys
 from noonloss import analytics, cli
@@ -157,6 +160,20 @@ def test_a_write_that_fails_mid_head_kills_and_reaps_the_helper(monkeypatch, cap
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("rows, kept, handed", [
+    (4001, [1000, 3000], [2000, 4000]),
+    (6000, [1000, 3000, 5000], [2000, 4000]),
+    (7000, [1000, 3000, 5000], [2000, 4000, 6000]),
+])
+def test_the_helper_takes_every_other_block_after_the_first(rows, kept, handed):
+    def kernel(points):
+        return [points]
+
+    blocks = cli._SweepBlocks(list(range(rows)), kernel, kernel(list(range(cli.CHUNK_ROWS))))
+    assert [block[0][0] for block in blocks.cut()] == handed
+    assert [block[0][0] for block in blocks] == [0, *kept]
+
+
 def fail_on_fork():
     pytest.fail("os.fork was called")
 
@@ -188,15 +205,16 @@ def test_each_no_fork_condition_writes_the_same_bytes_in_one_process(tmp_path, m
     assert not thread.is_alive()
 
 
-# a kernel that takes a second over each of the helper's blocks: eta 0.2 to 1 over 10,000 rows is 10 blocks,
-# the helper's the last 4, which start at eta = 0.68 and above, and the parent's end by eta = 0.6
+# a kernel that takes a second over each block the helper computes: eta 0.2 to 1 over 10,000 rows is 10
+# blocks, the helper's 4 of the 9 after the first
 SLOW_TAIL = """
 import os, sys, time
 from noonloss import analytics, cli
 os.sched_getaffinity = lambda pid: {0, 1}
 precision_grid = analytics.precision_grid
+main = os.getpid()
 def slow(n, etas, *rest):
-    if len(etas) == cli.CHUNK_ROWS and etas[0] > 0.65:
+    if os.getpid() != main:
         time.sleep(1)
     return precision_grid(n, etas, *rest)
 analytics.precision_grid = slow

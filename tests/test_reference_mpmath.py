@@ -4,7 +4,8 @@ the optimal-phase and budgeted forms on both sides of the overflow of
 eta**-N, d_precision_dN, mu_from_nu past the overflow of exp(nu), the
 continuous single-measurement optimum nu / -ln(eta), and, at 60 digits, both integer
 optimizers' picks between the neighbours of their roots, with the forward
-difference that decides them.  The seven constants that
+difference that decides them, and the log forms of the optimal-phase
+precision and R_NOON within 2 ulps at eta within about 1e-15 of 1.  The seven constants that
 ``noonloss constants`` prints must equal the correctly rounded doubles of
 their closed forms at 60 digits.
 
@@ -317,3 +318,14 @@ def test_log_step_float_form_is_within_a_quarter_of_its_slack(loss, offset):
         with mock.patch.object(analytics, "_STEP_SLACK", 0.0):
             got = analytics._log_step(n, eta, big_l, weight)
         assert abs(got - want) <= sys.float_info.epsilon * big_l, weight
+
+
+# eta within about 1e-15 of 1 (the last, 1 - 1.2e-15), where both log forms are near -ln N: at N = 1 they
+# are near zero, where ln((e**a + 1)/2) taken as a + log1p(exp(-a)) - ln 2 cancelled (9% off at the last
+# eta, and no correct digit below a = 1e-16)
+@pytest.mark.parametrize("eta", [1.0 - k * 2.0 ** -53 for k in (1, 2, 3, 5, 9, 11)])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 10 ** 6])
+def test_log_forms_near_eta_one_within_two_ulps(n, eta):
+    for got, want in ((log_min_phase_opt_continuous(n, eta), mp_log_precision(n, eta)),
+                      (log_r_noon(n, eta), mp_log_r_noon(n, eta))):
+        assert abs(mpmath.mpf(got) - want) <= 2 * math.ulp(float(want)), (got, want)

@@ -405,14 +405,6 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
     ``prefactor_scale`` = s scales the oracle's detection operator (mean by
     s, variance by s**2), so that the verify sentinel can prove the check
     bites.
-
-    The grid's channels and phases are the same at every N, so each channel
-    and its powers of t and r up to ``max_n`` are formed once per call; each
-    seeded case forms its own up to its N.  At each N the pass forms that
-    N's ladder row once, builds each channel's detector once from the row
-    and the channel's powers, and keeps a dict of that N's NOON kets, which
-    the oracle fills at each phase's first point; it hands the detector and
-    the kets down to every point of the channel.
     """
     if grid not in VERIFY_GRIDS:
         raise ValueError(f"grid must be a key of VERIFY_GRIDS {tuple(VERIFY_GRIDS)}, got {grid!r}")
@@ -420,34 +412,26 @@ def run_verification(max_n: int = 12, grid: str = "dense", seed=None,
         raise ValueError(f"max_n must be in [1, {fock_oracle.MAX_PHOTONS}], got {_int_text(max_n)}")
     etas, thetas, phases, _ = VERIFY_GRIDS[grid]
     angles = [2.0 * math.pi * k / phases for k in range(phases)]
-    grid_channels = [(ch, angles, fock_oracle._channel_powers(ch, max_n))
-                     for ch in (LossChannel(eta, theta) for eta in etas for theta in thetas)]
-    scale_squared = prefactor_scale ** 2
+    channels = [LossChannel(eta, theta) for eta in etas for theta in thetas]
     rng = random.Random(seed)
+    drawn = [[(LossChannel(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi)), rng.uniform(0.0, 2.0 * math.pi))
+              for _ in range(5 if seed is not None else 0)] for _ in range(max_n)]
+    probes = [NoonProbe(n) for n in range(1, max_n + 1)]
+    scale_squared = prefactor_scale ** 2
+    records, means, variances = fock_oracle.verify_moments(max_n, channels, angles, drawn)
+    # zip reads each record's phases first, so it stops before taking a moment past them
+    moments = zip(means, variances)
     max_dev = 0.0
-    points = 0
-    for n in range(1, max_n + 1):
-        channels = grid_channels
-        if seed is not None:
-            drawn = [(LossChannel(rng.uniform(0.05, 1.0), rng.uniform(-math.pi, math.pi)),
-                      rng.uniform(0.0, 2.0 * math.pi)) for _ in range(5)]
-            channels = grid_channels + [(ch, (phi,), fock_oracle._channel_powers(ch, n)) for ch, phi in drawn]
-        probe = NoonProbe(n)
-        row = fock_oracle._ladder_row(n)
-        kets = {}
-        for ch, channel_phases, powers in channels:
-            detector = fock_oracle._channel_detector(n, ch, _row=row, _powers=powers)
-            for phi in channel_phases:
-                mean_o, var_o = fock_oracle.oracle_moments(n, ch, phi, _kets=kets, _detector=detector)
-                mean_o, var_o = prefactor_scale * mean_o, scale_squared * var_o
-                # max() would drop a NaN that is not its first argument; a NaN
-                # deviation is kept, so that it fails the check
-                for dev in (abs(mean_o - analytics.mean_detection(probe, ch, phi)),
-                            abs(var_o - analytics.variance_detection(probe, ch, phi))):
-                    if dev > max_dev or math.isnan(dev):
-                        max_dev = dev
-                points += 1
-    return max_dev, points
+    for n, ch, channel_phases in records:
+        probe = probes[n - 1]
+        for phi, (mean_o, var_o) in zip(channel_phases, moments):
+            # max() would drop a NaN that is not its first argument; a NaN
+            # deviation is kept, so that it fails the check
+            for dev in (abs(prefactor_scale * mean_o - analytics.mean_detection(probe, ch, phi)),
+                        abs(scale_squared * var_o - analytics.variance_detection(probe, ch, phi))):
+                if dev > max_dev or math.isnan(dev):
+                    max_dev = dev
+    return max_dev, len(means)
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +762,14 @@ class _Parser(argparse.ArgumentParser):
         digits = r"\d(?:_?\d)*"
         self._negative_number_matcher = re.compile(
             rf"-(?:(?:(?:{digits})?\.{digits}|{digits}\.?)(?:e[-+]?{digits})?|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
+    def _get_values(self, action, arg_strings):
+        # argparse before Python 3.13 drops "--" given as an option's value (--eta=--), leaving []
+        if arg_strings == ["--"] and action.option_strings and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
     def error(self, message):
         # argparse joins unrecognized tokens raw: a line break in one shows as its escape

@@ -6,23 +6,20 @@ models the loss.  The detection operator is applied by expanding the
 beam-splitter ladder polynomials term by term.  The channel-free part of
 each term, the keys |0,k,N-k> and binomial times factorial weight, is N's
 ladder row; one channel's terms, that row times powers of t and r, make up
-its detector.  Each public function builds what it needs on every call; a
-caller that asks for many points, as a verify pass does, forms each
-channel's powers of t and r once for every N it visits and each N's row
-once, builds each channel's detector once per N from them, with the image
-of a NOON input's |N,0,0> and that image's squared norm, keeps that N's
-NOON kets, and hands them down through private keywords.  The kets
-built here, the NOON input and each detector output, skip the public
-:class:`FockKet` constructor's key checks, as their keys are
-``Occupation``s of ints within the cap by construction; every amplitude
-they hold has passed the amplitude checks.  Nothing here uses the
-closed-form moment formulas from :mod:`noonloss.analytics`; this module
-exists to check them.
+its detector.  Each public function builds these on every call, but
+:func:`verify_moments`, the oracle side of a verify pass, reuses them and
+the NOON kets across the pass.  The kets built here, the NOON input and
+each detector output, skip the public :class:`FockKet` constructor's key
+checks, as their keys are ``Occupation``s of ints within the cap by
+construction; every amplitude they hold has passed the amplitude checks.
+Nothing here uses the closed-form moment formulas from
+:mod:`noonloss.analytics`; this module exists to check them.
 """
 
 import cmath
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -37,6 +34,7 @@ __all__ = [
     "apply_detector",
     "inner",
     "oracle_moments",
+    "verify_moments",
 ]
 
 # Exact integer binomials stay cheap and float-convertible up to here, and
@@ -208,18 +206,12 @@ def _raising_image(raising, amp: complex) -> dict[Occupation, complex]:
     return _checked_amplitudes((key, 0j + amp * coeff) for key, coeff in raising)
 
 
-def _channel_detector(n: int, ch: LossChannel, reflection_phase: float = math.pi / 2, *,
-                      _row: tuple | None = None, _powers: tuple | None = None) -> _Detector:
-    """The n-photon detector of ``ch`` (see :func:`apply_detector`), for an
-    int ``n`` that the caller has checked is in [1, MAX_PHOTONS].
-
-    ``_row``, private, is ``_ladder_row(n)``, and ``_powers`` the channel's
-    ``_channel_powers`` of ``reflection_phase`` up to n or more, which a
-    caller building many detectors forms once; without them, they are
-    formed here.  The lowering coefficients are left to
+def _channel_detector(n: int, ch: LossChannel, row: tuple, powers: tuple) -> _Detector:
+    """The n-photon detector of ``ch`` (see :func:`apply_detector`) from n's
+    ladder ``row`` and the channel's ``_channel_powers`` up to n or more, for
+    an int ``n`` in [1, MAX_PHOTONS]; the lowering coefficients are left to
     :func:`apply_detector`, as a NOON input meets only one of them."""
-    row = _ladder_row(n) if _row is None else _row
-    tc, rc, t, r = _channel_powers(ch, n, reflection_phase) if _powers is None else _powers
+    tc, rc, t, r = powers
     raising = tuple((key, coeff) for k, (key, weight) in enumerate(row)
                     if (coeff := weight * tc[k] * rc[n - k]) != 0)
     noon_image = _raising_image(raising, _NOON_AMP)
@@ -241,9 +233,8 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
     The result is generally not normalized.  Raises if the ket holds more
     than ``n`` photons in any component.
 
-    ``_detector``, private, is the detector of ``n``, ``ch`` and
-    ``reflection_phase`` that a caller applying one channel many times has
-    built once with :func:`_channel_detector`; without it, it is built here.
+    ``_detector``, private, is this detector as :func:`verify_moments`
+    builds it once per channel and N; without it, it is built here.
     """
     n = operator.index(n)
     if not 1 <= n <= MAX_PHOTONS:
@@ -252,7 +243,7 @@ def apply_detector(ket: FockKet, n: int, ch: LossChannel, *, reflection_phase: f
         # Occupation.total written out, without a property call per component
         if occ[0] + occ[1] + occ[2] > n:
             raise ValueError(f"ket component {occ} holds more than {n} photons")
-    detector = _channel_detector(n, ch, reflection_phase) if _detector is None else _detector
+    detector = _detector or _channel_detector(n, ch, _ladder_row(n), _channel_powers(ch, n, reflection_phase))
     top, raising, row, t, r, noon_image, _ = detector
 
     out: dict[Occupation, complex] = {}
@@ -311,34 +302,51 @@ def inner(x: FockKet, y: FockKet) -> complex:
     return total
 
 
-def oracle_moments(n: int, ch: LossChannel, phi: float, *, reflection_phase: float = math.pi / 2,
-                   _kets: dict[float, FockKet] | None = None,
-                   _detector: _Detector | None = None) -> tuple[float, float]:
-    """Mean and variance of the detection operator, from state vectors alone.
-
-    The second moment uses Hermiticity: <A'^2> = ||A' psi||^2.  Without a
-    detector handed down it is ``inner(a_psi, a_psi)``; with one, it is the
-    detector's ``noon_norm``, the phase-free part of that sum, plus the
-    lowering amplitude at |N,0,0> times its conjugate when that amplitude
-    is kept: A' psi holds the NOON image first and that amplitude last, so
-    these are the same additions in the same order, and the same bits.
-
-    A caller that asks for many points at one N, as a verify pass does,
-    hands down two private keywords: ``_kets``, that N's dict of phase to
-    NOON input, which each phase's first call fills, and ``_detector``, the
-    channel's detector (see :func:`apply_detector`).
-    """
-    if _kets is None:
-        psi = build_noon_input(n, phi)
-    elif (psi := _kets.get(phi)) is None:
-        psi = _kets[phi] = build_noon_input(n, phi)
-    a_psi = apply_detector(psi, n, ch, reflection_phase=reflection_phase, _detector=_detector)
+def oracle_moments(n: int, ch: LossChannel, phi: float, *,
+                   reflection_phase: float = math.pi / 2) -> tuple[float, float]:
+    """Mean and variance of the detection operator, from state vectors alone;
+    the second moment uses Hermiticity: <A'^2> = ||A' psi||^2."""
+    psi = build_noon_input(n, phi)
+    a_psi = apply_detector(psi, n, ch, reflection_phase=reflection_phase)
     mean = inner(psi, a_psi).real
-    if _detector is None:
-        second_moment = inner(a_psi, a_psi).real
-    else:
-        norm = _detector.noon_norm
-        if (lowered := a_psi.amps.get(_detector.top)) is not None:
-            norm += lowered.conjugate() * lowered
-        second_moment = norm.real
-    return mean, second_moment - mean * mean
+    return mean, inner(a_psi, a_psi).real - mean * mean
+
+
+def verify_moments(max_n: int, channels, phases, drawn) -> tuple[list, array, array]:
+    """The oracle moments of a verify pass, each with the bits of its
+    :func:`oracle_moments` call: at each N = 1..``max_n``, each of
+    ``channels`` at each of ``phases``, then each of ``drawn[N - 1]``'s
+    (channel, phi) cases.  Returns a record (N, channel, its phases) per
+    channel or case, and the means and variances of their points, in that
+    order, as two ``array('d')``s.
+
+    Powers of t and r are formed once per channel, the ladder row once per
+    N, a detector once per channel and N, and a NOON ket once per phase and
+    N.  The second moment is the detector's NOON-image norm plus the term of
+    the lowering amplitude at |N,0,0> when it is kept: the additions of
+    ``inner(a_psi, a_psi)``, whose A psi holds the image first and that
+    amplitude last.  ``build_noon_input``, ``apply_detector`` and ``inner``
+    are called through the module's globals.
+    """
+    if not 1 <= max_n <= MAX_PHOTONS:
+        raise ValueError(f"max_n must be in [1, {MAX_PHOTONS}], got {_int_text(max_n)}")
+    if len(drawn) != max_n:
+        raise ValueError(f"drawn must hold one sequence of cases per N, got {len(drawn)} for max_n = {max_n}")
+    grid = [(ch, phases, _channel_powers(ch, max_n)) for ch in channels]
+    records, means, variances = [], array("d"), array("d")
+    for n in range(1, max_n + 1):
+        row, kets = _ladder_row(n), {}
+        for ch, channel_phases, powers in grid + [(ch, (phi,), _channel_powers(ch, n)) for ch, phi in drawn[n - 1]]:
+            detector = _channel_detector(n, ch, row, powers)
+            for phi in channel_phases:
+                if (psi := kets.get(phi)) is None:
+                    psi = kets[phi] = build_noon_input(n, phi)
+                a_psi = apply_detector(psi, n, ch, _detector=detector)
+                mean = inner(psi, a_psi).real
+                norm = detector.noon_norm
+                if (lowered := a_psi.amps.get(detector.top)) is not None:
+                    norm += lowered.conjugate() * lowered
+                means.append(mean)
+                variances.append(norm.real - mean * mean)
+            records.append((n, ch, channel_phases))
+    return records, means, variances

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import pathlib
 import random
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import noonloss
@@ -218,6 +220,29 @@ def test_parse_errors_are_one_error_line(argv):
     assert err.startswith("error: ") and err.endswith("\n") and err.splitlines(keepends=True) == [err], err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["budget", "--loss=--"], "argument --loss: invalid float value: '--'"),
+    (["precision", "--eta", "0.5", "--n=--"], "argument --n: invalid int value: '--'"),
+    (["verify", "--max-n=--"], "argument --max-n: invalid int value: '--'"),
+    (["verify", "--grid", "fast", "--seed=--"], "argument --seed: invalid int value: '--'"),
+    (["constants", "--format=--"], "argument --format: invalid choice: '--' (choose from 'text', 'csv', 'json')"),
+])
+def test_a_double_dash_option_value_is_read_as_that_value(argv, message):
+    # argparse before Python 3.13 dropped "--" given after "=" and took the
+    # empty list left as the value, which ended in a TypeError traceback
+    assert run_cli(*argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_a_double_dash_out_or_config_value_names_that_file(tmp_path, monkeypatch):
+    # the empty list left by argparse read as no --out and no --config
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("constants", "--format", "json", "--out=--")[:2] == (EXIT_OK, "")
+    assert json.loads((tmp_path / "--").read_text(encoding="utf-8"))
+    (tmp_path / "--").write_text("format = bogus\n", encoding="utf-8")
+    code, out, err = run_cli("constants", "--config=--")
+    assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_sweep_json_csv_agree():
     args = ("sweep", "--fig2", "--loss", "0.5", "--start", "1", "--stop", "40",
             "--steps", "40", "--scale", "linear")
@@ -323,19 +348,19 @@ def test_verify_corrupted_prefactor_fails():
 
 
 def test_verify_corrupt_prefactor_does_not_leak(monkeypatch):
-    # a direct oracle call made while the sentinel runs must see the true operator
-    original = fock_oracle.oracle_moments
+    # direct oracle calls made while the sentinel runs must see the true operator
+    original = fock_oracle.verify_moments
     direct = []
 
-    def spy(*args, **kwargs):
-        if not direct:
-            direct.append(original(1, LossChannel(1.0), 0.0)[0])
-        return original(*args, **kwargs)
+    def spy(*args):
+        direct.append(fock_oracle.oracle_moments(1, LossChannel(1.0), 0.0)[0])
+        direct.append(original(1, [LossChannel(1.0)], [0.0], [()])[1][0])
+        return original(*args)
 
-    monkeypatch.setattr(fock_oracle, "oracle_moments", spy)
+    monkeypatch.setattr(fock_oracle, "verify_moments", spy)
     code, _, _ = run_cli("verify", "--grid", "fast", "--corrupt-prefactor", "--format", "json")
     assert code == EXIT_VERIFY_FAIL
-    assert direct and abs(direct[0] - 1.0) <= 1e-12
+    assert len(direct) == 2 and all(abs(mean - 1.0) <= 1e-12 for mean in direct)
 
 
 def _verification_per_point(max_n, grid, seed, prefactor_scale):
@@ -369,16 +394,26 @@ def _verification_per_point(max_n, grid, seed, prefactor_scale):
 @pytest.mark.parametrize("seed", [None, 0, 5])
 @pytest.mark.parametrize("grid, max_n", [("fast", 6), ("dense", 5)])
 def test_verification_matches_the_per_point_loop_bit_for_bit(grid, max_n, seed, prefactor_scale, monkeypatch):
-    # every oracle call sees the same (N, eta, theta_t, phi), in the same
-    # order, so the seeded draws still come out as (eta, theta_t, phi) per case
+    # the pass's points are the per-point loop's (N, eta, theta_t, phi), in the
+    # same order and with the same moments, so the seeded draws still come out
+    # as (eta, theta_t, phi) per case
     calls = []
-    real = fock_oracle.oracle_moments
+    real_pass, real_point = fock_oracle.verify_moments, fock_oracle.oracle_moments
 
-    def recording(n, ch, phi, **kwargs):
-        calls.append((n, ch.eta.hex(), ch.theta_t.hex(), phi.hex()))
-        return real(n, ch, phi, **kwargs)
+    def recording_pass(*args):
+        records, means, variances = result = real_pass(*args)
+        points = [(n, ch, phi) for n, ch, phases in records for phi in phases]
+        for (n, ch, phi), mean, var in zip(points, means, variances, strict=True):
+            calls.append((n, ch.eta.hex(), ch.theta_t.hex(), phi.hex(), mean.hex(), var.hex()))
+        return result
 
-    monkeypatch.setattr(fock_oracle, "oracle_moments", recording)
+    def recording_point(n, ch, phi):
+        moments = real_point(n, ch, phi)
+        calls.append((n, ch.eta.hex(), ch.theta_t.hex(), phi.hex(), *(x.hex() for x in moments)))
+        return moments
+
+    monkeypatch.setattr(fock_oracle, "verify_moments", recording_pass)
+    monkeypatch.setattr(fock_oracle, "oracle_moments", recording_point)
     got = cli.run_verification(max_n, grid, seed, prefactor_scale)
     got_calls, calls[:] = calls[:], []
     want = _verification_per_point(max_n, grid, seed, prefactor_scale)
@@ -395,7 +430,26 @@ def test_verification_matches_the_per_point_loop_bit_for_bit(grid, max_n, seed, 
                 theta = rng.uniform(-math.pi, math.pi)
                 phi = rng.uniform(0.0, 2.0 * math.pi)
                 drawn.append((n, eta.hex(), theta.hex(), phi.hex()))
-        assert [call for i, call in enumerate(got_calls) if i % per_n >= per_n - 5] == drawn
+        assert [call[:4] for i, call in enumerate(got_calls) if i % per_n >= per_n - 5] == drawn
+
+
+def test_run_verification_enters_the_oracle_once(monkeypatch):
+    passes, points = [], []
+    real = fock_oracle.verify_moments
+    monkeypatch.setattr(fock_oracle, "verify_moments", lambda *args: passes.append(args) or real(*args))
+    monkeypatch.setattr(fock_oracle, "oracle_moments", lambda *args, **kwargs: points.append(args))
+    assert cli.run_verification(3, "fast", 7)[1] == 3 * (3 * 8 + 5)
+    assert len(passes) == 1 and points == []
+
+
+def test_cli_names_no_private_fock_oracle_attribute():
+    # the oracle's reuse across a verify pass stays inside fock_oracle
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "fock_oracle" and node.attr.startswith("_")]
+    private += [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("fock_oracle") for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_run_verification_with_an_unknown_grid_is_a_value_error():
@@ -414,6 +468,7 @@ def test_verify_max_n_bound():
 def test_run_verification_checks_max_n_before_any_oracle_call(max_n, shown, monkeypatch):
     # 0 and -3 returned (0.0, 0), a pass that checked nothing; 65 raised only after every point to N = 64
     calls = []
+    monkeypatch.setattr(fock_oracle, "verify_moments", lambda *args: calls.append(args))
     monkeypatch.setattr(fock_oracle, "oracle_moments", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match=rf"^max_n must be in \[1, 64\], got {shown}$"):
         cli.run_verification(max_n)
@@ -425,20 +480,20 @@ def test_run_verification_checks_max_n_before_any_oracle_call(max_n, shown, monk
 def test_verify_fails_on_a_nan_deviation(which, bad_points, monkeypatch):
     # max() dropped a NaN that was not its first argument: a NaN variance at
     # every point, or a NaN mean at one, passed with the other points' maximum
-    original = fock_oracle.oracle_moments
-    calls = []
+    original = fock_oracle.verify_moments
+    points = []
 
-    def nan_at_bad_point(*args, **kwargs):
-        moments = list(original(*args, **kwargs))
-        if len(calls) in bad_points:
-            moments[which] = math.nan
-        calls.append(args)
-        return tuple(moments)
+    def nan_at_bad_points(*args):
+        result = original(*args)
+        for i in bad_points:
+            result[1 + which][i] = math.nan
+        points.append(len(result[1]))
+        return result
 
-    monkeypatch.setattr(fock_oracle, "oracle_moments", nan_at_bad_point)
+    monkeypatch.setattr(fock_oracle, "verify_moments", nan_at_bad_points)
     code, out, _ = run_cli("verify", "--max-n", "2", "--grid", "fast", "--format", "csv")
     columns, rows = parse_csv(out)
-    assert len(calls) == rows[0][columns.index("points")] == 48
+    assert points == [rows[0][columns.index("points")]] == [48]
     assert math.isnan(rows[0][columns.index("max_abs_deviation")])
     assert rows[0][columns.index("passed")] == 0
     assert code == EXIT_VERIFY_FAIL
@@ -814,4 +869,56 @@ def test_sweep_range_fuzz(argv):
     assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE)
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err
     # a failing sweep writes no row, however many blocks its grid spans
+    assert code != EXIT_USAGE or out == "", out[:200]
+
+
+_FUZZ_INTS = st.sampled_from([0, -1, 1, 2, 6, 2 ** 63, 10 ** 400]).map(str)
+_FUZZ_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e308, -1e308]),
+    st.floats(),
+).map(repr)
+# tokens that parse as neither, some holding line breaks
+_FUZZ_JUNK = st.sampled_from(["", "x", "1e", "--", "-", "0x1", "1.5.2", "a\nb", "\n", "7\n", "-\r", "1\u2028"]) | st.text(max_size=6)
+_CHANNEL = ["--eta", "--loss", "--theta-t"]
+# subcommand: (its int flags, its float flags)
+_FUZZ_FLAGS = {
+    "constants": ([], []),
+    "precision": (["--n", "--budget"], _CHANNEL + ["--phi0", "--dphi", "--kappa"]),
+    "sweep": (["--n"], _CHANNEL + ["--phi0", "--dphi", "--start", "--stop"]),
+    "optimize": (["--budget", "--n-cap"], _CHANNEL + ["--kappa"]),
+    "budget": (["--budget", "--n"], _CHANNEL + ["--kappa"]),
+    "verify": (["--max-n", "--seed"], []),
+}
+
+
+@st.composite
+def _cli_argv(draw, out_dir):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    int_flags, float_flags = _FUZZ_FLAGS[command]
+    argv = [command]
+    if command == "sweep":
+        argv += draw(st.sampled_from([["--fig2"], ["--fig3"], *(["--var", var] for var in cli.SWEEP_VARIABLES)]))
+    elif command == "verify":
+        argv += ["--grid", "fast"]
+    values = {flag: _FUZZ_INTS for flag in int_flags} | {flag: _FUZZ_FLOATS for flag in float_flags}
+    values["--format"] = st.sampled_from(["text", "csv", "json"])
+    values["--out"] = st.sampled_from([str(out_dir / "out"), str(out_dir / "no" / "out"), str(out_dir), "--"])
+    for flag in draw(st.lists(st.sampled_from(sorted(values)), unique=True)):
+        # a junk --out would name a file anywhere
+        value = draw(values[flag] if flag == "--out" else values[flag] | _FUZZ_JUNK)
+        argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_subcommand_fuzz(tmp_path, monkeypatch, data):
+    # from inside tmp_path, where a token that argparse takes for --out writes
+    monkeypatch.chdir(tmp_path)
+    argv = data.draw(_cli_argv(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(*argv)
+    assert code in ((EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE) if argv[0] == "verify" else (EXIT_OK, EXIT_USAGE))
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err
     assert code != EXIT_USAGE or out == "", out[:200]

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import operator
 import random
@@ -27,6 +28,7 @@ from noonloss.fock_oracle import (
     build_noon_input,
     inner,
     oracle_moments,
+    verify_moments,
 )
 
 from _helpers import inner_reference
@@ -318,11 +320,23 @@ def _mixed_ket(rng, n):
     return FockKet(amps, photon_cap=n)
 
 
-def _pass_detectors(n, ch, phase):
-    """The detectors a verify pass may hand down: built from scratch, and
-    built from the channel's powers up to MAX_PHOTONS and n's ladder row."""
-    return (_channel_detector(n, ch, phase),
-            _channel_detector(n, ch, phase, _row=_ladder_row(n), _powers=_channel_powers(ch, MAX_PHOTONS, phase)))
+def _make_detector(n, ch, phase=math.pi / 2, m=None):
+    """The detector of n and ch from n's ladder row and the channel's powers
+    up to m: n, as apply_detector builds its own, or more, as verify_moments
+    builds a grid channel's."""
+    return _channel_detector(n, ch, _ladder_row(n), _channel_powers(ch, n if m is None else m, phase))
+
+
+def _pass_points(result):
+    """Each point of a verify_moments result as (n, channel, phi, mean hex, variance hex)."""
+    records, means, variances = result
+    points = [(n, ch, phi) for n, ch, phases in records for phi in phases]
+    return [(*point, mean.hex(), var.hex()) for point, mean, var in zip(points, means, variances, strict=True)]
+
+
+def _per_call_points(points):
+    """The same points through oracle_moments, the per-call reference."""
+    return [(n, ch, phi, *(x.hex() for x in oracle_moments(n, ch, phi))) for n, ch, phi, *_ in points]
 
 
 def test_pass_detector_equals_the_per_call_expansion_bit_for_bit():
@@ -337,8 +351,8 @@ def test_pass_detector_equals_the_per_call_expansion_bit_for_bit():
                       rng.choice([math.pi / 2, 0.0, rng.uniform(-4.0, 4.0)])))
     for n, eta, theta, phase in cases:
         ch = LossChannel(eta, theta)
-        # one detector for the channel, as a verify pass builds it, applied to several kets
-        detectors = _pass_detectors(n, ch, phase)
+        # one detector for the channel, as apply_detector and verify_moments build it, applied to several kets
+        detectors = (_make_detector(n, ch, phase), _make_detector(n, ch, phase, MAX_PHOTONS))
         for ket in (_mixed_ket(rng, n), _random_ket(rng, n), build_noon_input(n, rng.uniform(0, 7))):
             want = _bits(_apply_detector_per_call(ket, n, ch, phase))
             assert _bits(apply_detector(ket, n, ch, reflection_phase=phase)) == want
@@ -347,22 +361,6 @@ def test_pass_detector_equals_the_per_call_expansion_bit_for_bit():
                 assert _bits(got) == want
                 # each output holds a copy: clearing one leaves the detector's image whole
                 got.amps.clear()
-
-
-def test_dense_grid_channels_take_their_pass_tables_bit_for_bit():
-    # each dense channel's powers, formed once up to MAX_PHOTONS as a verify
-    # pass forms them, serve its detector at every n
-    etas, thetas, _, _ = cli.VERIFY_GRIDS["dense"]
-    channels = [LossChannel(eta, theta) for eta in etas for theta in thetas]
-    assert len(channels) == 12
-    rng = random.Random(64)
-    for ch in channels:
-        powers = _channel_powers(ch, MAX_PHOTONS)
-        for n in range(1, MAX_PHOTONS + 1):
-            detector = _channel_detector(n, ch, _row=_ladder_row(n), _powers=powers)
-            for ket in (_mixed_ket(rng, n), build_noon_input(n, 0.3)):
-                got = apply_detector(ket, n, ch, _detector=detector)
-                assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
 
 
 def test_channel_powers_are_each_formed_by_pow_bit_for_bit():
@@ -381,7 +379,7 @@ def test_lossless_detector_leaves_out_the_zero_terms():
     # the lowering component (0, n, 0) reaches |n,0,0>
     ch = LossChannel(1.0, 0.3)
     for n in (1, 5, MAX_PHOTONS):
-        _, raising, *_ = _channel_detector(n, ch)
+        _, raising, *_ = _make_detector(n, ch)
         assert [key for key, _ in raising] == [Occupation(0, n, 0)]
         images = [apply_detector(FockKet({Occupation(0, k, n - k): 1.0}, photon_cap=n), n, ch).amps
                   for k in range(n + 1)]
@@ -398,13 +396,17 @@ def test_signed_zero_channels_take_their_own_detector_bit_for_bit(zero):
         for eta in (0.5, 1.0, 0.9):
             for theta, phase in ((zero, 1.1), (0.4, zero), (zero, zero)):
                 ch, twin = LossChannel(eta, theta), LossChannel(eta, -theta if theta == 0 else theta)
-                detector = _channel_detector(n, ch, phase)
+                detector = _make_detector(n, ch, phase)
                 for ket in kets:
                     got = apply_detector(ket, n, ch, reflection_phase=phase, _detector=detector)
                     assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch, phase))
                 twin_phase = -phase if phase == 0 else phase
-                assert oracle_moments(n, ch, 0.3, reflection_phase=phase, _detector=detector) == \
+                assert oracle_moments(n, ch, 0.3, reflection_phase=phase) == \
                     oracle_moments(n, twin, 0.3, reflection_phase=twin_phase)
+                # a pass, at the default reflection phase, gives the channel and its twin the per-call moments
+                points = _pass_points(verify_moments(n, [ch, twin], [0.3], [()] * (n - 1) + [[(ch, 0.3)]]))
+                assert points == _per_call_points(points)
+                assert {tuple(point[3:]) for point in points[-3:]} == {tuple(points[-1][3:])}
 
 
 NOON_AMP = 1.0 / math.sqrt(2.0)
@@ -426,7 +428,7 @@ def test_signed_zero_source_amplitudes_take_the_detector_image_bit_for_bit(amp):
             ket = FockKet({Occupation(n, 0, 0): amp}, photon_cap=n)
             want = _bits(_apply_detector_per_call(ket, n, ch))
             assert _bits(apply_detector(ket, n, ch)) == want
-            detector = _channel_detector(n, ch)
+            detector = _make_detector(n, ch)
             with mock.patch.object(fock_oracle, "_raising_image", wraps=fock_oracle._raising_image) as image:
                 assert _bits(apply_detector(ket, n, ch, _detector=detector)) == want
             assert image.call_count == fresh_images
@@ -437,7 +439,7 @@ def test_lowering_components_before_the_source_keep_the_dict_order():
     n, ch = 5, LossChannel(0.6, 0.4)
     lowering = {Occupation(0, k, n - k): complex(0.1 * k + 0.05, -0.2) for k in (3, 0, 5)}
     ket = FockKet({**lowering, Occupation(n, 0, 0): complex(0.6, 0.1)}, photon_cap=n)
-    for detector in (None, _channel_detector(n, ch)):
+    for detector in (None, _make_detector(n, ch)):
         got = apply_detector(ket, n, ch, _detector=detector)
         assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
         assert list(got.amps)[0] == Occupation(n, 0, 0)
@@ -449,7 +451,7 @@ def test_raising_image_terms_below_the_support_floor_are_pruned():
     # below 1e-300 and are dropped, as by the per-call expansion
     n, ch = 6, LossChannel(0.1, 0.3)
     ket = FockKet({Occupation(n, 0, 0): complex(1e-299, 0.0)}, photon_cap=n)
-    for detector in (None, _channel_detector(n, ch)):
+    for detector in (None, _make_detector(n, ch)):
         got = apply_detector(ket, n, ch, _detector=detector)
         assert _bits(got) == _bits(_apply_detector_per_call(ket, n, ch))
         assert 0 < len(got.amps) < n + 1
@@ -459,64 +461,69 @@ def test_raising_image_terms_below_the_support_floor_are_pruned():
     assert apply_detector(tiny, n, ch).amps == {}
 
 
-def _moment_bits(moments):
-    return [x.hex() for x in moments]
-
-
-def test_pass_second_moment_is_the_self_product_bit_for_bit():
-    # each dense channel at every N, as a verify pass builds its detector, and
-    # channels at eta 1 and 1e-30 with theta of either zero.  At eta 1e-30 the
-    # lowering amplitude at |N,0,0>, t**N / sqrt(2), falls below 1e-300 from
-    # N = 20 on and is dropped, so the second moment is the detector's noon_norm alone
+def test_pass_moments_equal_the_per_call_oracle_bit_for_bit():
+    # each dense channel at every N, its powers formed once up to MAX_PHOTONS,
+    # and channels at eta 1 and 1e-30 with theta of either zero, on the grid
+    # and drawn at each N with powers up to it.  At eta 1e-30 the lowering
+    # amplitude at |N,0,0>, t**N / sqrt(2), falls below 1e-300 from N = 20 on
+    # and is dropped, so the second moment is the detector's noon_norm alone
     etas, thetas, phases, _ = cli.VERIFY_GRIDS["dense"]
     channels = [LossChannel(eta, theta) for eta in etas for theta in thetas]
-    channels += [LossChannel(eta, theta) for eta in (1.0, 1e-30) for theta in (0.0, -0.0)]
+    assert len(channels) == 12
+    edges = [LossChannel(eta, theta) for eta in (1.0, 1e-30) for theta in (0.0, -0.0)]
     angles = [2.0 * math.pi * k / phases for k in range(phases)]
-    absent = set()
-    for ch in channels:
-        powers = _channel_powers(ch, MAX_PHOTONS)
-        for n in range(1, MAX_PHOTONS + 1):
-            detector = _channel_detector(n, ch, _row=_ladder_row(n), _powers=powers)
-            kets = {}
-            for phi in angles[n % 4::4]:
-                got = oracle_moments(n, ch, phi, _kets=kets, _detector=detector)
-                assert _moment_bits(got) == _moment_bits(oracle_moments(n, ch, phi))
-                psi = kets[phi]
-                a_psi = apply_detector(psi, n, ch, _detector=detector)
-                mean, second_moment = inner(psi, a_psi).real, inner(a_psi, a_psi)
-                assert _moment_bits(got) == _moment_bits((mean, second_moment.real - mean * mean))
-                norm = detector.noon_norm
-                if detector.top in a_psi.amps:
-                    norm += a_psi.amps[detector.top].conjugate() * a_psi.amps[detector.top]
-                else:
-                    absent.add((n, ch.eta))
-                assert _inner_bits(norm) == _inner_bits(second_moment)
+    rng = random.Random(64)
+    drawn = [[(ch, angles[n % phases]) for ch in edges] + [(LossChannel(rng.uniform(0.05, 1.0)), rng.uniform(0, 7))]
+             for n in range(1, MAX_PHOTONS + 1)]
+    result = verify_moments(MAX_PHOTONS, channels + edges, angles, drawn)
+    assert [(n, ch, phi) for n, ch, phi, *_ in _pass_points(result)] == [
+        (n, ch, phi) for n in range(1, MAX_PHOTONS + 1)
+        for ch, phis in [(ch, angles) for ch in channels + edges] + [(ch, (phi,)) for ch, phi in drawn[n - 1]]
+        for phi in phis]
+    # the per-call reference at every fourth grid phase, and at every drawn case
+    grid_points = len(channels + edges) * phases
+    points = [point for i, point in enumerate(_pass_points(result))
+              if (j := i % (grid_points + 5)) >= grid_points or j % 4 == point[0] % 4]
+    assert len(points) == MAX_PHOTONS * (16 * 4 + 5)
+    assert points == _per_call_points(points)
+    # the lowering amplitude's modulus does not depend on the phase
+    absent = {(n, ch.eta) for n, ch in {point[:2] for point in points}
+              if Occupation(n, 0, 0) not in apply_detector(build_noon_input(n, 0.0), n, ch).amps}
     assert {n for n, eta in absent} == set(range(20, MAX_PHOTONS + 1))
     assert {eta for n, eta in absent} == {1e-30}
 
 
-def test_oracle_moments_calls_the_module_global_detector_and_inner():
+def test_oracle_calls_the_module_global_ket_detector_and_inner():
     # the benchmark's tracer wraps these by name among the module's globals
+    ch = LossChannel(0.7, 0.2)
     with mock.patch.object(fock_oracle, "build_noon_input", wraps=build_noon_input) as build, \
             mock.patch.object(fock_oracle, "apply_detector", wraps=apply_detector) as detector, \
             mock.patch.object(fock_oracle, "inner", wraps=inner) as product:
-        got = fock_oracle.oracle_moments(3, LossChannel(0.7, 0.2), 0.4)
+        got = fock_oracle.oracle_moments(3, ch, 0.4)
         assert (build.call_count, detector.call_count, product.call_count) == (1, 1, 2)
-        # handed a dict of kets, as a verify pass does, the first call at a phase
-        # builds its ket and the next reuses it; without a detector each call
-        # takes both inner products
-        kets = {}
-        for calls in (2, 2):
-            assert fock_oracle.oracle_moments(3, LossChannel(0.7, 0.2), 0.4, _kets=kets) == got
-            assert list(kets) == [0.4] and build.call_count == calls
-        assert product.call_count == 6
-        # handed a detector too, each call takes <psi|A psi> alone: the detector
-        # holds the phase-free part of ||A psi||^2
-        handed = _channel_detector(3, LossChannel(0.7, 0.2))
-        for calls in (7, 8):
-            assert fock_oracle.oracle_moments(3, LossChannel(0.7, 0.2), 0.4, _kets=kets, _detector=handed) == got
-            assert (build.call_count, detector.call_count, product.call_count) == (2, calls - 3, calls)
-    assert got == oracle_moments(3, LossChannel(0.7, 0.2), 0.4)
+        # a pass builds each NOON ket once per phase and N, the drawn case at
+        # N = 1 taking the grid's, and takes <psi|A psi> alone at each of its
+        # 14 points: each detector holds the phase-free part of ||A psi||^2
+        result = fock_oracle.verify_moments(3, [ch, LossChannel(0.2)], [0.4, 1.0], [[(ch, 0.4)], [], [(ch, 2.5)]])
+        assert (build.call_count, detector.call_count, product.call_count) == (1 + 3 * 2 + 1, 1 + 14, 2 + 14)
+    # N = 3's points: the two channels at both phases, then the drawn case
+    assert _pass_points(result)[-5] == (3, ch, 0.4, *(x.hex() for x in got))
+    assert got == oracle_moments(3, ch, 0.4)
+
+
+def test_oracle_moments_takes_no_private_keyword():
+    assert [name for name in inspect.signature(oracle_moments).parameters if name.startswith("_")] == []
+
+
+@pytest.mark.parametrize("max_n, shown", [(0, "0"), (-1, "-1"), (65, "65"), (10 ** 400, "an int of 1329 bits")],
+                         ids=["0", "-1", "65", "10**400"])
+def test_verify_moments_checks_max_n_and_the_drawn_cases_up_front(max_n, shown):
+    with mock.patch.object(fock_oracle, "_channel_powers", wraps=_channel_powers) as powers:
+        with pytest.raises(ValueError, match=rf"^max_n must be in \[1, 64\], got {shown}$"):
+            verify_moments(max_n, [LossChannel(0.5)], [0.3], [()] * 3)
+        with pytest.raises(ValueError, match=r"^drawn must hold one sequence of cases per N, got 2 for max_n = 3$"):
+            verify_moments(3, [LossChannel(0.5)], [0.3], [()] * 2)
+    assert powers.call_count == 0
 
 
 @pytest.mark.parametrize("wrap", [np.float64, np.array, lambda x: x])
@@ -742,14 +749,15 @@ def test_float32_phase_past_the_float32_range_takes_the_float64_product():
     (2, 10 ** 400, "N*phi must be finite, got N = 2, phi = an int of 1329 bits"),
 ])
 def test_bad_noon_inputs_raise_on_every_call_and_are_never_stored(n, phi, message):
-    # nor kept in the dict of kets that a verify pass hands the oracle
-    kets = {}
+    # nor kept for a later call: a pass keeps its NOON kets only while it runs
     for _ in range(3):
         with pytest.raises(ValueError, match=re.escape(message)):
             build_noon_input(n, phi)
         with pytest.raises(ValueError, match=re.escape(message)):
-            oracle_moments(n, LossChannel(0.5), phi, _kets=kets)
-        assert kets == {}
+            oracle_moments(n, LossChannel(0.5), phi)
+        if n == 2:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                verify_moments(2, [LossChannel(0.5)], [0.3], [(), [(LossChannel(0.5), phi)]])
 
 
 def test_a_verify_pass_builds_each_noon_ket_and_detector_once_per_n():

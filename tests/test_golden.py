@@ -6,7 +6,7 @@ the integer optima for seeded (eta, N_T) pairs spread over the whole domain;
 a one-ulp change in a log-domain kernel flips some of their tie-breaks.
 
 ``oracle.json`` pins the Fock oracle's floats bit for bit: a digest of every
-``oracle_moments`` pair that a dense ``verify --max-n 64 --seed`` run asks for,
+``verify_moments`` pair that a dense ``verify --max-n 64 --seed`` run asks for,
 moments under other reflection phases, and detector outputs of a few kets.
 
 ``kernels.json`` pins the point queries bit for bit: every
@@ -254,16 +254,17 @@ def optima_rows():
 def oracle_digest(seed=5):
     """(points, sha256) over the float.hex of every oracle (mean, variance)
     of a dense verification to N = 64 with 5 seeded extra cases per N, in the
-    order ``run_verification`` asks for them."""
+    order ``verify_moments`` returns them to ``run_verification``."""
     digest = hashlib.sha256()
-    real = fock_oracle.oracle_moments
+    real = fock_oracle.verify_moments
 
-    def recording(*args, **kwargs):
-        mean, var = real(*args, **kwargs)
-        digest.update(f"{mean.hex()} {var.hex()}\n".encode())
-        return mean, var
+    def recording(*args):
+        records, means, variances = result = real(*args)
+        for mean, var in zip(means, variances):
+            digest.update(f"{mean.hex()} {var.hex()}\n".encode())
+        return result
 
-    with mock.patch.object(fock_oracle, "oracle_moments", recording):
+    with mock.patch.object(fock_oracle, "verify_moments", recording):
         _, points = run_verification(max_n=64, seed=seed)
     return [points, digest.hexdigest()]
 

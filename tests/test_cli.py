@@ -920,5 +920,5 @@ def test_every_subcommand_fuzz(tmp_path, monkeypatch, data):
         warnings.simplefilter("error")
         code, out, err = run_cli(*argv)
     assert code in ((EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE) if argv[0] == "verify" else (EXIT_OK, EXIT_USAGE))
-    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")), err
+    assert err == "" or (err.startswith("error: ") and err.endswith("\n") and err.splitlines(keepends=True) == [err]), err
     assert code != EXIT_USAGE or out == "", out[:200]
